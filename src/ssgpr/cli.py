@@ -1,9 +1,8 @@
 """Command-line driver: end-to-end runs, benchmarks, and analysis reports.
 
-Subcommands: run-gpr, bench-exp, bench-matinv, analyze-leakage,
-validate-params, gen-offline. Configuration is a flat key=value file;
-every key can be overridden by a command-line flag. Metrics are emitted
-as JSON.
+Subcommands: run-gpr, bench-exp, bench-matinv, analyze-leakage and
+validate-params. Configuration is a flat key=value file; every key can be
+overridden by a command-line flag. Metrics are emitted as JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .analysis import expected_rounds, leakage_enumerate, validate_exp_params
 from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenario, standardize
 from .gpr import (KernelConfig, Predictions, gpr_predict_plaintext, kernel_matrix_plaintext,
                   loss_metrics, pp_gpr_construct, pp_gpr_predict)
-from .offline import fill_pools
 from .protocols import ExpParams, pp_exp, pp_matinv
 from .ring import FixedPointCodec, RingParams
 from .session import DivisionConfig, run_session
@@ -46,7 +44,6 @@ DEFAULTS = {
     "sqrt_iterations": 25,
     "normalize": True,
     "exp_policy": "clamp",
-    "trunc": "assistant",
     "test_size": 0,
     "has_header": False,
 }
@@ -126,12 +123,13 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
             return mean, var, t1 - t0, t2 - t1
 
         result = run_session(job, codec, seed=seed ^ 0x5EED, backend=cfg["backend"],
-                             div=div, trunc=cfg["trunc"])
+                             div=div)
         mean = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
         var = reconstruct(result.outputs[P0][1], result.outputs[P1][1])
         losses = loss_metrics(oracle, Predictions(mean, var))
         stats = result.stats[P0].summary()
         matinv_rounds = stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0)
+        matinv_expected = expected_rounds("matinv", ds.n, r_div=div.rounds)
         runs.append({
             "seed": seed,
             **losses,
@@ -139,12 +137,12 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
             "prediction_seconds": result.outputs[P0][3],
             "rounds": stats["rounds"],
             "per_protocol": stats["per_protocol"],
-            "matinv_rounds_expected": expected_rounds("matinv", ds.n),
+            "matinv_rounds_expected": matinv_expected,
             "matinv_rounds_recorded": matinv_rounds,
             "predictions_mean": mean.tolist(),
             "predictions_variance": var.tolist(),
         })
-        if matinv_rounds != expected_rounds("matinv", ds.n):
+        if matinv_rounds != matinv_expected:
             raise RuntimeError("recorded matrix-inversion rounds diverge from the "
                                "closed form")
 
@@ -173,8 +171,7 @@ def bench_exp(cfg: dict, sizes) -> dict:
             out = pp_exp(rt, shares[rt.party], exp_params, policy="strict")
             return out, time.perf_counter() - t0
 
-        result = run_session(job, codec, seed=int(n), backend=cfg["backend"],
-                             div=div, trunc=cfg["trunc"])
+        result = run_session(job, codec, seed=int(n), backend=cfg["backend"], div=div)
         got = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
         err = float(np.max(np.abs(got - np.exp(u))))
         stats0 = result.stats[P0].summary()
@@ -216,7 +213,7 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                 return out, time.perf_counter() - t0
 
             result = run_session(job, codec, seed=int(n) * 1000 + run,
-                                 backend=cfg["backend"], div=div, trunc=cfg["trunc"])
+                                 backend=cfg["backend"], div=div)
             lam = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
             losses.append(float(np.linalg.norm(mat @ lam - np.eye(int(n)), 2) ** 2))
             if entry is None:
@@ -224,7 +221,7 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                 entry = {
                     "n": int(n),
                     "rounds": stats["per_protocol"]["pp_matinv"]["rounds"],
-                    "rounds_expected": expected_rounds("matinv", int(n)),
+                    "rounds_expected": expected_rounds("matinv", int(n), r_div=div.rounds),
                     "volume_words_per_direction":
                         stats["per_protocol"]["pp_matinv"]["words_sent"],
                     "seconds": result.outputs[P0][1],
@@ -233,25 +230,6 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
         entry["loss_mi_std"] = float(np.std(losses))
         results.append(entry)
     return {"op": "matinv", "runs": runs, "results": results}
-
-
-def gen_offline(cfg: dict, out_prefix: str, triples: int, triple_shape,
-                matrix_dims, masks: int) -> dict:
-    """Pre-generate offline pools for both parties and persist them."""
-    codec, exp_params, _, _ = session_pieces(cfg)
-    rng = np.random.default_rng(np.random.Philox(cfg["seeds"][0]))
-    rmax_enc = exp_params.rmax_enc(codec.params.lf)
-    pool0, pool1 = fill_pools(
-        rng, codec.params,
-        triples=[tuple(triple_shape)] * triples,
-        matrix_triples=list(matrix_dims),
-        exp_masks=[(tuple(triple_shape), rmax_enc)] * masks,
-    )
-    paths = (f"{out_prefix}.party0.npz", f"{out_prefix}.party1.npz")
-    pool0.save(paths[0])
-    pool1.save(paths[1])
-    return {"files": list(paths), "triples": triples, "masks": masks,
-            "matrix_triples": len(list(matrix_dims))}
 
 
 def _emit(report: dict, out: str | None):
@@ -299,13 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-params", help="Theorem 1 parameter check")
     common(p)
 
-    p = sub.add_parser("gen-offline", help="pre-generate offline material files")
-    common(p)
-    p.add_argument("--prefix", required=True)
-    p.add_argument("--triples", type=int, default=0)
-    p.add_argument("--triple-shape", default="1")
-    p.add_argument("--matrix-dims", default="", help="semicolon-separated m,n,k triples")
-    p.add_argument("--masks", type=int, default=0)
     return parser
 
 
@@ -359,11 +330,6 @@ def main(argv=None) -> int:
                 "precision_slack_bits": rep.precision_slack_bits,
                 "overflow_slack_bits": rep.overflow_slack_bits,
             }
-        elif args.command == "gen-offline":
-            shape = tuple(int(s) for s in args.triple_shape.replace(",", " ").split())
-            dims = [tuple(int(v) for v in grp.replace(",", " ").split())
-                    for grp in args.matrix_dims.split(";") if grp.strip()]
-            report = gen_offline(cfg, args.prefix, args.triples, shape, dims, args.masks)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command}")
     except Exception as exc:  # noqa: BLE001 - single CLI error funnel

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ring import FixedPointCodec
-from .sharing import SharedArray, random_ring_elements
-from .ring import ring_sub
+from .sharing import share_reals
 
 HDS = "hds"
 VDS = "vds"
@@ -164,16 +163,8 @@ def split_scenario(dataset: Dataset, x_star, split: ScenarioSplit,
     # PDS: training data from one owner, test inputs from the model user.
 
     rng = np.random.default_rng(np.random.Philox(seed))
-    params = codec.params
-
-    def share(values):
-        enc = codec.encode(values)
-        s0 = random_ring_elements(rng, enc.shape, params)
-        s1 = ring_sub(enc, s0, params)
-        return (SharedArray(0, s0, codec), SharedArray(1, s1, codec))
-
-    sx = share(dataset.X)
-    sy = share(dataset.y)
-    ss = share(x_star)
+    sx = share_reals(dataset.X, codec, rng)
+    sy = share_reals(dataset.y, codec, rng)
+    ss = share_reals(x_star, codec, rng)
     return ({"X": sx[0], "y": sy[0], "x_star": ss[0]},
             {"X": sx[1], "y": sy[1], "x_star": ss[1]})

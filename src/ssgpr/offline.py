@@ -1,10 +1,10 @@
 """Assistant server: correlated randomness plus masked rescaling help.
 
-For offline material both compute servers send identical size-only
-requests; the assistant checks that the two requests agree, generates the
-material from its own seed, and returns one additive share to each server.
-Material can also be generated ahead of time into a pool (optionally
-persisted to disk) and consumed without asking the assistant.
+The assistant is the only source of correlated randomness. For each
+Beaver triple, matrix triple or exponent mask both compute servers send
+identical size-only requests; the assistant checks that the two requests
+agree, generates the material from its own seed, and returns one additive
+share to each server.
 
 The assistant also offers a rescaling service: the servers submit shares
 of a value hidden under a random offset known only to them, and the
@@ -27,10 +27,6 @@ OP_TRIPLE = 1
 OP_MATRIX_TRIPLE = 2
 OP_EXP_MASK = 3
 OP_TRUNC = 4
-
-
-class PoolUnderrun(RuntimeError):
-    """Raised when a material pool has no item left for a request."""
 
 
 @dataclass
@@ -63,7 +59,6 @@ class ExpMask:
 
     r: np.ndarray
     m: np.ndarray
-    rmax_enc: int = 0
     consumed: bool = False
 
 
@@ -96,24 +91,11 @@ def gen_exp_mask(rng: np.random.Generator, shape, rmax_enc: int, params: RingPar
     m = np.round(np.exp(-r_hat) * (1 << params.lf)).astype(np.int64)
     r0, r1 = shr(from_signed(k, params), rng, params)
     m0, m1 = shr(from_signed(m, params), rng, params)
-    return (ExpMask(r0, m0, rmax_enc), ExpMask(r1, m1, rmax_enc))
+    return ExpMask(r0, m0), ExpMask(r1, m1)
 
 
-class OfflineSource:
-    """Interface protocols use to obtain correlated randomness."""
-
-    def get_triple(self, shape) -> BeaverTriple:
-        raise NotImplementedError
-
-    def get_matrix_triple(self, m: int, n: int, k: int) -> MatrixTriple:
-        raise NotImplementedError
-
-    def get_exp_mask(self, shape, rmax_enc: int) -> ExpMask:
-        raise NotImplementedError
-
-
-class AssistantClient(OfflineSource):
-    """On-demand source that requests each item from the assistant."""
+class AssistantClient:
+    """A compute server's side of the assistant: material and rescaling."""
 
     def __init__(self, channel: Channel):
         self.channel = channel
@@ -146,7 +128,7 @@ class AssistantClient(OfflineSource):
         shape = tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         out = self._request([OP_EXP_MASK, n, rmax_enc])
-        return ExpMask(out[:n].reshape(shape), out[n:].reshape(shape), rmax_enc)
+        return ExpMask(out[:n].reshape(shape), out[n:].reshape(shape))
 
     def trunc(self, masked: np.ndarray, bits: int) -> np.ndarray:
         """Ask the assistant to shift a masked positive value right by ``bits``.
@@ -162,67 +144,6 @@ class AssistantClient(OfflineSource):
     def shutdown(self):
         tag = self._next_tag()
         self.channel.send(tag, np.asarray([OP_SHUTDOWN], dtype=np.uint64))
-
-
-class MaterialPool(OfflineSource):
-    """Pre-generated material consumed in FIFO order, each item once."""
-
-    def __init__(self):
-        self.triples: list[BeaverTriple] = []
-        self.matrix_triples: list[MatrixTriple] = []
-        self.exp_masks: list[ExpMask] = []
-
-    def _take(self, items: list, what: str, match):
-        for i, item in enumerate(items):
-            if not item.consumed and match(item):
-                return items.pop(i)
-        raise PoolUnderrun(f"offline pool has no unconsumed {what} of the requested size")
-
-    def get_triple(self, shape) -> BeaverTriple:
-        shape = tuple(shape)
-        return self._take(self.triples, "Beaver triple",
-                          lambda t: t.u.shape == shape)
-
-    def get_matrix_triple(self, m: int, n: int, k: int) -> MatrixTriple:
-        return self._take(self.matrix_triples, "matrix triple",
-                          lambda t: t.a.shape == (m, n) and t.b.shape == (n, k))
-
-    def get_exp_mask(self, shape, rmax_enc: int) -> ExpMask:
-        shape = tuple(shape)
-        return self._take(self.exp_masks, "exponentiation mask",
-                          lambda t: t.r.shape == shape and t.rmax_enc == rmax_enc)
-
-    def save(self, path: str):
-        arrays = {}
-        for i, t in enumerate(self.triples):
-            arrays[f"t{i}_u"], arrays[f"t{i}_v"], arrays[f"t{i}_c"] = t.u, t.v, t.c
-        for i, t in enumerate(self.matrix_triples):
-            arrays[f"m{i}_a"], arrays[f"m{i}_b"], arrays[f"m{i}_c"] = t.a, t.b, t.c
-        for i, e in enumerate(self.exp_masks):
-            arrays[f"e{i}_r"], arrays[f"e{i}_m"] = e.r, e.m
-            arrays[f"e{i}_rmax"] = np.asarray(e.rmax_enc, dtype=np.uint64)
-        np.savez(path, **arrays)
-
-    @classmethod
-    def load(cls, path: str) -> "MaterialPool":
-        pool = cls()
-        with np.load(path) as data:
-            i = 0
-            while f"t{i}_u" in data:
-                pool.triples.append(BeaverTriple(data[f"t{i}_u"], data[f"t{i}_v"],
-                                                 data[f"t{i}_c"]))
-                i += 1
-            i = 0
-            while f"m{i}_a" in data:
-                pool.matrix_triples.append(MatrixTriple(data[f"m{i}_a"], data[f"m{i}_b"],
-                                                        data[f"m{i}_c"]))
-                i += 1
-            i = 0
-            while f"e{i}_r" in data:
-                pool.exp_masks.append(ExpMask(data[f"e{i}_r"], data[f"e{i}_m"],
-                                              int(data[f"e{i}_rmax"])))
-                i += 1
-        return pool
 
 
 def serve_assistant(net: PartyNetwork, params: RingParams, seed: int):
@@ -272,26 +193,3 @@ def serve_assistant(net: PartyNetwork, params: RingParams, seed: int):
             ch1.send(tag, t1)
         else:
             raise ProtocolAbort(f"unknown offline request opcode {op}")
-
-
-def fill_pools(rng: np.random.Generator, params: RingParams, *,
-               triples=(), matrix_triples=(), exp_masks=()):
-    """Generate matching pools for both compute servers.
-
-    ``triples`` lists element shapes, ``matrix_triples`` lists (m, n, k)
-    tuples and ``exp_masks`` lists (shape, rmax_enc) pairs.
-    """
-    pool0, pool1 = MaterialPool(), MaterialPool()
-    for shape in triples:
-        s0, s1 = gen_triple(rng, tuple(shape), params)
-        pool0.triples.append(s0)
-        pool1.triples.append(s1)
-    for (m, n, k) in matrix_triples:
-        s0, s1 = gen_matrix_triple(rng, m, n, k, params)
-        pool0.matrix_triples.append(s0)
-        pool1.matrix_triples.append(s1)
-    for shape, rmax_enc in exp_masks:
-        s0, s1 = gen_exp_mask(rng, tuple(shape), rmax_enc, params)
-        pool0.exp_masks.append(s0)
-        pool1.exp_masks.append(s1)
-    return pool0, pool1

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offline import BeaverTriple, ExpMask, MatrixTriple
 from .ring import from_signed, ring_add, ring_matmul, ring_mul, ring_neg, ring_sub, to_signed
 from .session import PartyRuntime
 from .sharing import SharedArray
@@ -56,21 +55,17 @@ def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None,
              rounding: bool = True) -> SharedArray:
     """Drop ``bits`` fraction bits from a shared value.
 
-    The default mode hands the masked words to the assistant, which is
-    exact to 1.5 quanta for any value; "local" mode shifts each share in
-    place, which costs nothing but miscarries by a large power of two
-    with probability proportional to the value's magnitude.
+    The masked words go to the assistant, which is exact to 1.5 quanta
+    for any value.
     """
     if bits is None:
         bits = x.codec.lf
-    if rt.trunc_mode == "local":
-        return x.round_local(bits) if rounding else x.trunc_local(bits)
     vals = rt.trunc_values(x.values, bits, rounding)
     return SharedArray(x.party, vals, x.codec, x.scale - bits)
 
 
 def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
-           triple: BeaverTriple | None = None, truncate: bool = True) -> SharedArray:
+           truncate: bool = True) -> SharedArray:
     """Elementwise Beaver product of two shared arrays.
 
     One exchange round carrying two ring elements per element per
@@ -84,7 +79,7 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         v = SharedArray(v.party, v_b.copy(), v.codec, v.scale)
     p = rt.params
     with rt.scope("ss_mul"):
-        t = _consume(triple if triple is not None else rt.offline.get_triple(u.shape))
+        t = _consume(rt.assistant.get_triple(u.shape))
         d_mine = ring_sub(u.values, t.u, p)
         e_mine = ring_sub(v.values, t.v, p)
         theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
@@ -102,17 +97,8 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
     return out
 
 
-def matmul_cost_elements(m: int, n: int, k: int) -> int:
-    """Nominal transmitted-element count of one matrix product.
-
-    This is the figure used in the communication cost model, counted as
-    (m+n)*k for an (m x n)-by-(n x k) product.
-    """
-    return (m + n) * k
-
-
 def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
-              triple: MatrixTriple | None = None, truncate: bool = True) -> SharedArray:
+              truncate: bool = True) -> SharedArray:
     """Beaver matrix product of shared (m x n) and (n x k) matrices."""
     if u.values.ndim != 2 or v.values.ndim != 2 or u.shape[1] != v.shape[0]:
         raise ProtocolError(f"matmul dimension mismatch: {u.shape} x {v.shape}")
@@ -120,7 +106,7 @@ def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
     k = v.shape[1]
     p = rt.params
     with rt.scope("ss_matmul"):
-        t = _consume(triple if triple is not None else rt.offline.get_matrix_triple(m, n, k))
+        t = _consume(rt.assistant.get_matrix_triple(m, n, k))
         d_mine = ring_sub(u.values, t.a, p)
         e_mine = ring_sub(v.values, t.b, p)
         theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
@@ -227,8 +213,7 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray, iterations: int | None = None,
 
 
 def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
-           masks: ExpMask | None = None, policy: str = "strict",
-           raw: bool = False) -> SharedArray:
+           policy: str = "strict", raw: bool = False) -> SharedArray:
     """Masked exponentiation: shares of e^u for shared u in [u_min, 0].
 
     The servers open d = u + r for a pre-shared random mask r, evaluate
@@ -249,8 +234,7 @@ def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
     p = rt.params
     rmax_enc = params.rmax_enc(lf)
     with rt.scope("pp_exp"):
-        mask = _consume(masks if masks is not None else
-                        rt.offline.get_exp_mask(u.shape, rmax_enc))
+        mask = _consume(rt.assistant.get_exp_mask(u.shape, rmax_enc))
         d_mine = ring_add(u.values, mask.r, p)
         d_theirs = rt.exchange(d_mine)
         d = to_signed(ring_add(d_mine, d_theirs, p), p)

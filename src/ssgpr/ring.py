@@ -121,8 +121,8 @@ class FixedPointCodec:
         """Rescale a raw double-precision product back to scale l_f.
 
         Arithmetic right shift in the signed interpretation, rounding to
-        nearest (plain value-level truncation; the share-local variant
-        lives in :mod:`ssgpr.sharing`).
+        nearest (plain value-level truncation; shared values are rescaled
+        through the assistant by ``PartyRuntime.trunc_values``).
         """
         s = to_signed(e, self.params)
         s = (s + (1 << (self.params.lf - 1))) >> np.int64(self.params.lf)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ring import FixedPointCodec, RingParams
-from .offline import AssistantClient, MaterialPool, OfflineSource, serve_assistant
+from .offline import AssistantClient, serve_assistant
 from .transport import ASSISTANT, P0, P1, LocalHub, PartyNetwork, TcpHub
 
 
@@ -46,24 +46,14 @@ class PartyRuntime:
     """One compute server's sequential protocol state."""
 
     def __init__(self, party: int, net: PartyNetwork, codec: FixedPointCodec,
-                 offline: OfflineSource, div: DivisionConfig | None = None,
-                 assistant: AssistantClient | None = None,
-                 pair_rng: np.random.Generator | None = None,
-                 trunc_mode: str | None = None):
+                 assistant: AssistantClient, pair_rng: np.random.Generator,
+                 div: DivisionConfig | None = None):
         self.party = party
         self.net = net
         self.codec = codec
-        self.offline = offline
-        self.div = div or DivisionConfig()
         self.assistant = assistant
         self.pair_rng = pair_rng
-        if trunc_mode is None:
-            trunc_mode = "assistant" if assistant is not None else "local"
-        if trunc_mode not in ("assistant", "local"):
-            raise ValueError(f"unknown truncation mode {trunc_mode!r}")
-        if trunc_mode == "assistant" and (assistant is None or pair_rng is None):
-            raise ValueError("assistant truncation needs a client and a shared rng")
-        self.trunc_mode = trunc_mode
+        self.div = div or DivisionConfig()
         self._tag = 1 << 32
 
     @property
@@ -124,15 +114,13 @@ class SessionResult:
 
 
 def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inproc",
-                div: DivisionConfig | None = None,
-                pools: tuple[MaterialPool, MaterialPool] | None = None,
-                trunc: str | None = None) -> SessionResult:
+                div: DivisionConfig | None = None) -> SessionResult:
     """Run ``job(runtime) -> output`` on both compute servers.
 
     The assistant thread serves correlated randomness generated from
-    ``seed``, and masked rescaling requests when ``trunc`` is "assistant"
-    (the default). Pre-filled ``pools`` bypass it for offline material.
-    Exceptions from any party propagate to the caller.
+    ``seed`` and every truncation's masked rescaling request. If any party
+    fails, the session raises for the first failure; the connection errors
+    it then causes in the other parties are not reported.
     """
     if backend == "inproc":
         hub = LocalHub()
@@ -143,42 +131,32 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
 
     outputs = {}
     stats = {}
-    errors = {}
+    failures = []  # (party name, exception) in the order the parties failed
 
-    def compute_party(me: int):
-        net = PartyNetwork(me, hub)
-        client = AssistantClient(net.assistant)
-        offline = pools[me] if pools is not None else client
-        pair_rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x7472756E63])
-        rt = PartyRuntime(me, net, codec, offline, div, assistant=client,
-                          pair_rng=pair_rng, trunc_mode=trunc or "assistant")
+    def party(name: str, me: int):
+        net = None
         try:
-            outputs[me] = job(rt)
-            client.shutdown()
-        finally:
+            net = PartyNetwork(me, hub)
+            if me == ASSISTANT:
+                serve_assistant(net, codec.params, seed)
+                return
             stats[me] = net.stats
-            net.close()
-
-    def assistant_party():
-        net = PartyNetwork(ASSISTANT, hub)
-        try:
-            serve_assistant(net, codec.params, seed)
-        finally:
-            net.close()
-
-    def runner(name, fn, *args):
-        try:
-            fn(*args)
+            client = AssistantClient(net.assistant)
+            pair_rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x7472756E63])
+            outputs[me] = job(PartyRuntime(me, net, codec, client, pair_rng, div))
+            client.shutdown()
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
-            errors[name] = exc
+            # Recorded before this party's links close, so the peers'
+            # follow-on connection errors always come later.
+            failures.append((name, exc))
             if hasattr(hub, "abort"):
                 hub.abort.set()
+        finally:
+            if net is not None:
+                net.close()
 
-    threads = [
-        threading.Thread(target=runner, args=("assistant", assistant_party), daemon=True),
-        threading.Thread(target=runner, args=("party0", compute_party, P0), daemon=True),
-        threading.Thread(target=runner, args=("party1", compute_party, P1), daemon=True),
-    ]
+    threads = [threading.Thread(target=party, args=(name, me), daemon=True)
+               for name, me in (("assistant", ASSISTANT), ("party0", P0), ("party1", P1))]
     for t in threads:
         t.start()
     for t in threads:
@@ -186,7 +164,7 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
     if hasattr(hub, "close"):
         hub.close()
 
-    for name in ("party0", "party1", "assistant"):
-        if name in errors:
-            raise RuntimeError(f"session failed in {name}") from errors[name]
+    if failures:
+        name, exc = failures[0]
+        raise RuntimeError(f"session failed in {name}") from exc
     return SessionResult(outputs=outputs, stats=stats)

@@ -112,38 +112,6 @@ class SharedArray:
         v = ring_mul(self.values, enc, self.params)
         return SharedArray(self.party, v, self.codec, self.scale + self.codec.lf)
 
-    def trunc_local(self, bits: int | None = None) -> "SharedArray":
-        """Share-local truncation by ``bits`` (default l_f).
-
-        Party 0 shifts its share down; party 1 shifts the negated share and
-        negates back. Off by at most one unit in the last place with
-        overwhelming probability for secrets far from the ring boundary.
-        """
-        if bits is None:
-            bits = self.codec.lf
-        shift = np.uint64(bits)
-        if self.party == 0:
-            v = (self.values & self.params.mask) >> shift
-        else:
-            neg = ring_neg(self.values, self.params)
-            v = ring_neg((neg & self.params.mask) >> shift, self.params)
-        return SharedArray(self.party, v, self.codec, self.scale - bits)
-
-    def round_local(self, bits: int | None = None) -> "SharedArray":
-        """Truncation with rounding: add half an ulp (party 0) then truncate."""
-        if bits is None:
-            bits = self.codec.lf
-        base = self
-        if self.party == 0:
-            half = np.uint64((1 << (bits - 1)) & int(self.params.mask))
-            base = SharedArray(self.party, ring_add(self.values, half, self.params),
-                               self.codec, self.scale)
-        return base.trunc_local(bits)
-
-    def to_words(self) -> bytes:
-        """Serialize the share values as little-endian 64-bit words."""
-        return self.values.astype("<u8").tobytes()
-
 
 def share_reals(x, codec: FixedPointCodec, rng: np.random.Generator):
     """Encode reals and return the pair of SharedArray halves."""

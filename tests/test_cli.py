@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ssgpr.cli import load_config, main
-from ssgpr.offline import MaterialPool
+from ssgpr.cli import bench_matinv, load_config, main, run_gpr
+from ssgpr.data import Dataset
 
 
 def run_cli(args, capsys):
@@ -74,6 +74,20 @@ def test_run_gpr_end_to_end(tmp_path, capsys):
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
 
 
+def test_matinv_closed_form_follows_division_budget():
+    # Ten reciprocal iterations make a 21-round division, so an n=8
+    # inversion takes 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.
+    cfg = load_config(None)
+    cfg["div_iterations"] = 10
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-0.25, 0.25, (10, 2))
+    y = 10.0 + np.sin(x.sum(axis=1))
+    run = run_gpr(Dataset(x[:8], y[:8]), x[8:], cfg)["runs"][0]
+    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 202
+    entry = bench_matinv(cfg, [8], runs=1)["results"][0]
+    assert entry["rounds"] == entry["rounds_expected"] == 202
+
+
 def test_run_gpr_scenario_flag(tmp_path, capsys):
     rng = np.random.default_rng(1)
     x = rng.uniform(-0.25, 0.25, (8, 2))
@@ -91,19 +105,6 @@ def test_run_gpr_missing_file_funnels_error(capsys):
     code, _, err = run_cli(["run-gpr", "--data", "/nonexistent.csv"], capsys)
     assert code == 2
     assert "run-gpr failed" in err
-
-
-def test_gen_offline_writes_pools(tmp_path, capsys):
-    prefix = str(tmp_path / "pool")
-    code, out, _ = run_cli(["gen-offline", "--prefix", prefix, "--triples", "2",
-                            "--triple-shape", "3", "--matrix-dims", "2,2,2",
-                            "--masks", "1"], capsys)
-    assert code == 0
-    report = json.loads(out)
-    pools = [MaterialPool.load(p) for p in report["files"]]
-    assert len(pools[0].triples) == 2
-    assert len(pools[0].matrix_triples) == 1
-    assert len(pools[1].exp_masks) == 1
 
 
 def test_config_file_parsing(tmp_path):

@@ -1,14 +1,15 @@
-"""Correlated-randomness generation, pools, and the assistant loop."""
+"""Correlated-randomness generation and the assistant loop."""
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from helpers import CODEC
-from ssgpr.offline import (MaterialPool, PoolUnderrun, fill_pools, gen_exp_mask,
-                           gen_matrix_triple, gen_triple)
+from ssgpr.offline import gen_exp_mask, gen_matrix_triple, gen_triple
 from ssgpr.ring import FixedPointCodec, RingParams, ring_matmul, ring_mul, to_signed
+from ssgpr.session import run_session
 from ssgpr.sharing import rec
+from ssgpr.transport import ProtocolAbort
 
 P64 = CODEC.params
 
@@ -92,48 +93,6 @@ def test_exp_mask_value_accuracy():
     assert np.max(np.abs(got - np.exp(-r_hat))) <= 2.0 ** (-codec.lf - 1)
 
 
-def test_pool_underrun():
-    pool = MaterialPool()
-    with pytest.raises(PoolUnderrun):
-        pool.get_triple((2,))
-
-
-def test_pool_items_are_single_use():
-    pool0, _ = fill_pools(np.random.default_rng(9), P64, triples=[(2,)])
-    pool0.get_triple((2,))
-    with pytest.raises(PoolUnderrun):
-        pool0.get_triple((2,))
-
-
-def test_pool_shape_matching():
-    pool0, _ = fill_pools(np.random.default_rng(10), P64,
-                          matrix_triples=[(2, 3, 4)])
-    with pytest.raises(PoolUnderrun):
-        pool0.get_matrix_triple(3, 2, 4)
-    t = pool0.get_matrix_triple(2, 3, 4)
-    assert t.a.shape == (2, 3) and t.b.shape == (3, 4) and t.c.shape == (2, 4)
-
-
-def test_pool_save_load_roundtrip(tmp_path):
-    rmax_enc = int(round(1.25 * (1 << P64.lf)))
-    pool0, pool1 = fill_pools(np.random.default_rng(11), P64,
-                              triples=[(3,), (2, 2)],
-                              matrix_triples=[(2, 2, 2)],
-                              exp_masks=[((4,), rmax_enc)])
-    path = tmp_path / "pool0.npz"
-    pool0.save(str(path))
-    loaded = MaterialPool.load(str(path))
-    assert len(loaded.triples) == 2
-    assert np.array_equal(loaded.triples[0].u, pool0.triples[0].u)
-    assert np.array_equal(loaded.matrix_triples[0].c, pool0.matrix_triples[0].c)
-    assert loaded.exp_masks[0].rmax_enc == rmax_enc
-    # The loaded shares still pair with the other party's pool.
-    c = rec(loaded.triples[0].c, pool1.triples[0].c, P64)
-    u = rec(loaded.triples[0].u, pool1.triples[0].u, P64)
-    v = rec(loaded.triples[0].v, pool1.triples[0].v, P64)
-    assert np.array_equal(c, ring_mul(u, v, P64))
-
-
 def test_triple_values_uniform_chi_squared():
     # 10^4 triples on l=16: reconstructed a-values spread uniformly.
     p = RingParams(16, 3)
@@ -141,3 +100,17 @@ def test_triple_values_uniform_chi_squared():
     u = rec(s0.u, s1.u, p)
     counts = np.bincount((u >> np.uint64(10)).astype(np.int64), minlength=64)
     assert scipy.stats.chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+def test_session_reports_the_assistant_abort(backend):
+    # The servers ask for triples of different sizes. The assistant's
+    # abort is the cause reported, not the connection errors it then
+    # causes in both servers.
+    def job(rt):
+        rt.assistant.get_triple((1,) if rt.party == 0 else (2,))
+
+    with pytest.raises(RuntimeError, match="session failed in assistant") as info:
+        run_session(job, CODEC, backend=backend)
+    assert isinstance(info.value.__cause__, ProtocolAbort)
+    assert "diverging" in str(info.value.__cause__)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import CODEC, QUANTUM, open_result, run_shared
-from ssgpr.offline import fill_pools, gen_triple
-from ssgpr.protocols import (LdlFactors, ProtocolError, matmul_cost_elements,
-                             pp_backward, pp_cholesky_ldl, pp_forward, pp_matinv,
-                             ss_div, ss_dist, ss_matmul, ss_mul, ss_reciprocal,
-                             ss_sqrt, _consume)
+from ssgpr.offline import gen_triple
+from ssgpr.protocols import (LdlFactors, ProtocolError, pp_backward, pp_cholesky_ldl,
+                             pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
+                             ss_reciprocal, ss_sqrt, _consume)
 from ssgpr.sharing import reconstruct, share_reals
 from ssgpr.transport import P0, P1
 
@@ -54,24 +53,6 @@ def test_mul_broadcasts():
     assert np.max(np.abs(got - [[2.0, 4.0], [6.0, 8.0]])) <= QUANTUM
 
 
-def test_mul_local_truncation_mode():
-    res = run_shared(lambda rt, a, b: ss_mul(rt, a, b),
-                     [np.array([2.0]), np.array([3.0])], trunc="local")
-    assert abs(float(open_result(res)[0]) - 6.0) <= 2 * QUANTUM
-
-
-def test_preshared_triple_pools():
-    pools = fill_pools(np.random.default_rng(0), CODEC.params, triples=[(1,)])
-    # local truncation keeps the assistant out of the online phase, so a
-    # preloaded triple pool leaves the offline channel completely idle
-    res = run_shared(lambda rt, a, b: ss_mul(rt, a, b),
-                     [np.array([2.0]), np.array([3.0])], pools=pools,
-                     trunc="local")
-    assert abs(float(open_result(res)[0]) - 6.0) <= 2 * QUANTUM
-    # only the one-word shutdown opcode crosses the offline channel
-    assert res.stats[P0].summary()["offline_words"] <= 1
-
-
 def test_triple_reuse_rejected():
     t0, _ = gen_triple(np.random.default_rng(1), (1,), CODEC.params)
     _consume(t0)
@@ -92,10 +73,6 @@ def test_matmul_random_vs_plaintext():
     res = run_shared(lambda rt, x, y: ss_matmul(rt, x, y), [a, b])
     grid = CODEC.decode(CODEC.encode(a)) @ CODEC.decode(CODEC.encode(b))
     assert np.max(np.abs(open_result(res) - grid)) <= 2.0 ** (-CODEC.lf + 1)
-
-
-def test_matmul_cost_model():
-    assert matmul_cost_elements(3, 2, 4) == 20
 
 
 def test_matmul_dimension_mismatch():
