@@ -2,7 +2,7 @@
 
 Parameter validation for the masked exponentiation, exact enumeration of
 its information leakage, and the closed-form communication-round counts
-of the matrix-inversion pipeline.
+of the matrix-inversion pipeline, peer rounds and assistant round trips.
 """
 
 from __future__ import annotations
@@ -133,3 +133,21 @@ def expected_rounds(protocol: str, n: int = 0, r_div: int = 17) -> int:
     if name in ("ppmi", "matinv"):
         return (r_div + (n - 2) * (4 + r_div) + 2) + (n - 1) + (r_div + 1)
     raise ValueError(f"unknown protocol {protocol!r}")
+
+
+def matinv_assistant_round_trips(n: int, r_div: int = 17) -> int:
+    """Closed-form assistant round trips of one LDL matrix inversion.
+
+    Truncations: every truncated product and every affine reciprocal
+    start is one, so a division costs R_div + 1 and a bare reciprocal
+    R_div. Cholesky makes (R_div+1) + (n-2)(R_div+5) + 2, forward n-1 and
+    backward R_div + 2: 23n - 6 at R_div = 17. Deals: one per Cholesky
+    column, one for backward's reciprocal, and one each for forward's
+    n - 1 products and backward's last two, 2n + 2 in all. The total is
+    25n - 4 at R_div = 17.
+    """
+    if n < 2:
+        raise ValueError("matrix protocols need n >= 2")
+    truncations = (r_div + 1) + (n - 2) * (r_div + 5) + 2 + (n - 1) + (r_div + 2)
+    deals = 2 * n + 2
+    return truncations + deals

@@ -71,7 +71,12 @@ def load_config(path: str | None) -> dict:
 def _coerce(key: str, value: str):
     ref = DEFAULTS[key]
     if isinstance(ref, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        word = value.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"{key} must be 1/true/yes/on or 0/false/no/off, got {value!r}")
     if isinstance(ref, int):
         return int(value)
     if isinstance(ref, float):

@@ -4,7 +4,9 @@ Every function here is executed symmetrically by both compute servers,
 which stay in lockstep through the exchange barriers. Round costs match
 the standard accounting: one round per Beaver product, 2k+1 rounds for a
 division with k Newton iterations, and one round total for the masked
-exponentiation regardless of input size.
+exponentiation regardless of input size. A step whose material is known
+up front deals it from the assistant in one round trip; every other
+product fetches its own.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .offline import ProtocolError
 from .ring import from_signed, ring_add, ring_matmul, ring_mul, ring_neg, ring_sub, to_signed
 from .session import PartyRuntime
 from .sharing import SharedArray
-
-
-class ProtocolError(RuntimeError):
-    """Protocol-level misuse: reused material, bad dimensions, bad domain."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,16 @@ def _consume(material):
         raise ProtocolError("offline material reused; every triple and mask is single-use")
     material.consumed = True
     return material
+
+
+def _reciprocal_plan(rt: PartyRuntime, shape) -> list:
+    """The triples ss_reciprocal takes at the default division budget."""
+    return [("triple", shape)] * (2 * rt.div.iterations)
+
+
+def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
+    """The triples ss_div takes: the reciprocal's, then the broadcast product's."""
+    return _reciprocal_plan(rt, v_shape) + [("triple", np.broadcast_shapes(u_shape, v_shape))]
 
 
 def _split(flat: np.ndarray, first_shape) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +304,8 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
     Column k costs four product rounds (the pivot update and the column
     update) plus one division by the pivot; the first column is a single
     division and the last column needs only its pivot. Total rounds
-    R_div + (n-2)(4+R_div) + 2.
+    R_div + (n-2)(4+R_div) + 2. Each column deals all its material in one
+    assistant round trip.
     """
     n = u.shape[0]
     if u.values.ndim != 2 or u.shape[1] != n:
@@ -312,10 +322,19 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
         d_vals[0] = u.values[0, 0]
         pivot = SharedArray(rt.party, u.values[0:1, 0:1], codec)
         col = _column(u, slice(0, n), 0)
+        rt.assistant.deal(_div_plan(rt, (n, 1), (1, 1)))
         l_col = ss_div(rt, col, pivot, domain=pivot_domain)
         L.values[:, 0] = l_col.values[:, 0]
 
         for k in range(1, n):
+            # The column's material in the order its products take it:
+            # pivot update, column update, division by the pivot.
+            rows = n - k - 1
+            plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
+            if rows:
+                plan += [("triple", (1, k)), ("matrix", (rows, k, 1))]
+                plan += _div_plan(rt, (rows, 1), (1, 1))
+            rt.assistant.deal(plan)
             # Pivot: d_k = u_kk - sum_m l_km^2 d_m, two product rounds.
             lk = SharedArray(rt.party, L.values[k:k + 1, :k], codec)      # 1 x k
             dk_prev = SharedArray(rt.party, d_vals[:k].reshape(-1, 1), codec)
@@ -373,6 +392,7 @@ def pp_backward(rt: PartyRuntime, V: SharedArray, D: SharedArray,
     n = V.shape[0]
     with rt.scope("pp_backward"):
         d_col = SharedArray(rt.party, D.values.reshape(-1, 1), D.codec, D.scale)
+        rt.assistant.deal(_reciprocal_plan(rt, (n, 1)))
         recip = ss_reciprocal(rt, d_col, domain=pivot_domain)
         scaled = ss_mul(rt, SharedArray(rt.party, np.broadcast_to(
             recip.values, (n, n)).copy(), V.codec, recip.scale), V)
@@ -384,7 +404,8 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
     """Invert a shared positive-definite matrix via LDL^T factors.
 
     Total rounds (21n - 23) + (n - 1) + 18 = 22n - 6 at the default
-    division budget.
+    division budget, and 25n - 4 assistant round trips: 23n - 6
+    truncations and 2n + 2 deals (analysis.matinv_assistant_round_trips).
     """
     with rt.scope("pp_matinv"):
         factors = pp_cholesky_ldl(rt, u, pivot_domain)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ssgpr.analysis import expected_rounds, leakage_enumerate, validate_exp_params
+from ssgpr.analysis import (expected_rounds, leakage_enumerate, matinv_assistant_round_trips,
+                            validate_exp_params)
 from ssgpr.protocols import ExpParams
 from ssgpr.ring import RingParams
 
@@ -89,3 +90,14 @@ def test_rounds_rejects_bad_args():
         expected_rounds("cholesky", 1)
     with pytest.raises(ValueError):
         expected_rounds("nonsense", 4)
+
+
+def test_assistant_round_trips_matinv():
+    for n in (2, 3, 10, 200):
+        assert matinv_assistant_round_trips(n) == 25 * n - 4
+    assert matinv_assistant_round_trips(200) == 4996
+    # Ten reciprocal iterations: R_div = 21, four more truncations a division.
+    assert matinv_assistant_round_trips(3, r_div=21) == 83
+    assert matinv_assistant_round_trips(10, r_div=21) == 286
+    with pytest.raises(ValueError):
+        matinv_assistant_round_trips(1)

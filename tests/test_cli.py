@@ -116,6 +116,16 @@ def test_config_file_parsing(tmp_path):
     assert cfg["normalize"] is False
 
 
+def test_config_boolean_typo_rejected(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("normalize = flase\n")
+    with pytest.raises(ValueError, match="normalize.*'flase'"):
+        load_config(str(path))
+    path.write_text("has_header = 0\nnormalize = No\n")
+    cfg = load_config(str(path))
+    assert cfg["has_header"] is False and cfg["normalize"] is False
+
+
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("bogus = 1\n")

@@ -5,17 +5,17 @@ import pytest
 import scipy.stats
 
 from helpers import CODEC
-from ssgpr.offline import gen_exp_mask, gen_matrix_triple, gen_triple
+from ssgpr.offline import ProtocolError, _parse_plan, gen_material
 from ssgpr.ring import FixedPointCodec, RingParams, ring_matmul, ring_mul, to_signed
 from ssgpr.session import run_session
 from ssgpr.sharing import rec
-from ssgpr.transport import ProtocolAbort
+from ssgpr.transport import P0, P1, ProtocolAbort
 
 P64 = CODEC.params
 
 
 def test_triple_is_multiplicative():
-    s0, s1 = gen_triple(np.random.default_rng(0), (50,), P64)
+    s0, s1 = gen_material(np.random.default_rng(0), "triple", (50,), P64)
     u = rec(s0.u, s1.u, P64)
     v = rec(s0.v, s1.v, P64)
     c = rec(s0.c, s1.c, P64)
@@ -23,13 +23,13 @@ def test_triple_is_multiplicative():
 
 
 def test_triple_batch_independent():
-    s0, s1 = gen_triple(np.random.default_rng(1), (1000,), P64)
+    s0, s1 = gen_material(np.random.default_rng(1), "triple", (1000,), P64)
     u = rec(s0.u, s1.u, P64)
     assert len(np.unique(u)) > 990
 
 
 def test_matrix_triple_2x2():
-    s0, s1 = gen_matrix_triple(np.random.default_rng(2), 2, 2, 2, P64)
+    s0, s1 = gen_material(np.random.default_rng(2), "matrix", (2, 2, 2), P64)
     a = rec(s0.a, s1.a, P64)
     b = rec(s0.b, s1.b, P64)
     c = rec(s0.c, s1.c, P64)
@@ -37,7 +37,7 @@ def test_matrix_triple_2x2():
 
 
 def test_matrix_triple_1x1x1_is_scalar_beaver():
-    s0, s1 = gen_matrix_triple(np.random.default_rng(3), 1, 1, 1, P64)
+    s0, s1 = gen_material(np.random.default_rng(3), "matrix", (1, 1, 1), P64)
     a = rec(s0.a, s1.a, P64)
     b = rec(s0.b, s1.b, P64)
     c = rec(s0.c, s1.c, P64)
@@ -46,14 +46,14 @@ def test_matrix_triple_1x1x1_is_scalar_beaver():
 
 def test_matrix_triple_zero_dimension_rejected():
     with pytest.raises(ValueError):
-        gen_matrix_triple(np.random.default_rng(4), 2, 2, 0, P64)
+        gen_material(np.random.default_rng(4), "matrix", (2, 2, 0), P64)
 
 
 def test_exp_mask_consistency():
     # Every mask satisfies m = round(e^{-r_hat} * 2^lf) for its own r_hat.
     lf = P64.lf
     rmax_enc = int(round(1.25 * (1 << lf)))
-    s0, s1 = gen_exp_mask(np.random.default_rng(5), (500,), rmax_enc, P64)
+    s0, s1 = gen_material(np.random.default_rng(5), "exp_mask", ((500,), rmax_enc), P64)
     k = to_signed(rec(s0.r, s1.r, P64), P64)
     assert np.all(k >= -rmax_enc) and np.all(k < rmax_enc)
     r_hat = k.astype(np.float64) / (1 << lf)
@@ -66,7 +66,7 @@ def test_exp_mask_zero_is_one():
     # A mask with r_hat = 0 carries e^0 = 1.0 exactly on the grid.
     p = RingParams(16, 3)
     codec = FixedPointCodec(p)
-    s0, s1 = gen_exp_mask(np.random.default_rng(6), (500,), 8, p)
+    s0, s1 = gen_material(np.random.default_rng(6), "exp_mask", ((500,), 8), p)
     k = to_signed(rec(s0.r, s1.r, p), p)
     m = rec(s0.m, s1.m, p)
     zero = k == 0
@@ -78,7 +78,7 @@ def test_exp_mask_representable_at_wide_fraction_params():
     # l=64, l_f=29, r_hat in [-16, 16): every e^{-r_hat} encoding is >= 1.
     p = RingParams(64, 29)
     rmax_enc = 16 << 29
-    s0, s1 = gen_exp_mask(np.random.default_rng(7), (2000,), rmax_enc, p)
+    s0, s1 = gen_material(np.random.default_rng(7), "exp_mask", ((2000,), rmax_enc), p)
     m = to_signed(rec(s0.m, s1.m, p), p)
     assert m.min() >= 1
 
@@ -87,7 +87,7 @@ def test_exp_mask_value_accuracy():
     # decode(Rec(m)) tracks e^{-r_hat} within half a quantum.
     codec = CODEC
     rmax_enc = int(round(1.25 * (1 << codec.lf)))
-    s0, s1 = gen_exp_mask(np.random.default_rng(8), (200,), rmax_enc, P64)
+    s0, s1 = gen_material(np.random.default_rng(8), "exp_mask", ((200,), rmax_enc), P64)
     r_hat = to_signed(rec(s0.r, s1.r, P64), P64).astype(np.float64) / (1 << codec.lf)
     got = to_signed(rec(s0.m, s1.m, P64), P64).astype(np.float64) / (1 << codec.lf)
     assert np.max(np.abs(got - np.exp(-r_hat))) <= 2.0 ** (-codec.lf - 1)
@@ -96,7 +96,7 @@ def test_exp_mask_value_accuracy():
 def test_triple_values_uniform_chi_squared():
     # 10^4 triples on l=16: reconstructed a-values spread uniformly.
     p = RingParams(16, 3)
-    s0, s1 = gen_triple(np.random.default_rng(12), (10_000,), p)
+    s0, s1 = gen_material(np.random.default_rng(12), "triple", (10_000,), p)
     u = rec(s0.u, s1.u, p)
     counts = np.bincount((u >> np.uint64(10)).astype(np.int64), minlength=64)
     assert scipy.stats.chisquare(counts).pvalue > 1e-3
@@ -114,3 +114,65 @@ def test_session_reports_the_assistant_abort(backend):
         run_session(job, CODEC, backend=backend)
     assert isinstance(info.value.__cause__, ProtocolAbort)
     assert "diverging" in str(info.value.__cause__)
+
+
+def test_dealt_material_is_multiplicative():
+    # One deal of several items; each reconstructs to a valid triple.
+    def job(rt):
+        rt.assistant.deal([("triple", (2, 3)), ("matrix", (2, 3, 4)), ("triple", (1,))])
+        return (rt.assistant.get_triple((2, 3)), rt.assistant.get_matrix_triple(2, 3, 4),
+                rt.assistant.get_triple((1,)))
+
+    res = run_session(job, CODEC)
+    t0, m0, s0 = res.outputs[P0]
+    t1, m1, s1 = res.outputs[P1]
+    for a, b in ((t0, t1), (s0, s1)):
+        u, v, c = (rec(x, y, P64) for x, y in ((a.u, b.u), (a.v, b.v), (a.c, b.c)))
+        assert np.array_equal(c, ring_mul(u, v, P64))
+    a, b, c = (rec(x, y, P64) for x, y in ((m0.a, m1.a), (m0.b, m1.b), (m0.c, m1.c)))
+    assert a.shape == (2, 3) and b.shape == (3, 4)
+    assert np.array_equal(c, ring_matmul(a, b, P64))
+
+
+def test_dealt_item_of_wrong_shape_rejected():
+    def job(rt):
+        rt.assistant.deal([("triple", (2,))])
+        rt.assistant.get_matrix_triple(1, 1, 1)
+
+    with pytest.raises(RuntimeError, match="session failed in party") as info:
+        run_session(job, CODEC)
+    err = info.value.__cause__
+    assert isinstance(err, ProtocolError)
+    assert "triple (2,)" in str(err) and "matrix (1, 1, 1)" in str(err)
+
+
+def test_unused_dealt_material_fails_shutdown():
+    def job(rt):
+        rt.assistant.deal([("triple", (1,)), ("triple", (3,))])
+        rt.assistant.get_triple((1,))
+
+    with pytest.raises(RuntimeError, match="session failed in party") as info:
+        run_session(job, CODEC)
+    assert isinstance(info.value.__cause__, ProtocolError)
+    assert "never used" in str(info.value.__cause__)
+    assert "triple (3,)" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+def test_diverging_deal_plans_abort(backend):
+    def job(rt):
+        last = ("triple", (2,)) if rt.party == 0 else ("matrix", (1, 1, 2))
+        rt.assistant.deal([("triple", (1,)), last])
+
+    with pytest.raises(RuntimeError, match="session failed in assistant") as info:
+        run_session(job, CODEC, backend=backend)
+    assert isinstance(info.value.__cause__, ProtocolAbort)
+    assert "diverging" in str(info.value.__cause__)
+
+
+def test_malformed_plan_aborts():
+    # Unknown opcode, an item cut short, and an empty plan.
+    for words in ([1, 4, 9, 1], [2, 3, 3], []):
+        with pytest.raises(ProtocolAbort):
+            _parse_plan(np.asarray(words, dtype=np.uint64))
+    assert _parse_plan(np.asarray([1, 4, 3, 5, 7], dtype=np.uint64)) == [(1, (4,)), (3, (5, 7))]

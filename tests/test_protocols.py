@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import CODEC, QUANTUM, open_result, run_shared
-from ssgpr.offline import gen_triple
-from ssgpr.protocols import (LdlFactors, ProtocolError, pp_backward, pp_cholesky_ldl,
+from ssgpr.analysis import matinv_assistant_round_trips
+from ssgpr.offline import gen_material
+from ssgpr.protocols import (ProtocolError, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
                              ss_reciprocal, ss_sqrt, _consume)
-from ssgpr.sharing import reconstruct, share_reals
+from ssgpr.session import DivisionConfig
+from ssgpr.sharing import reconstruct
 from ssgpr.transport import P0, P1
 
 
@@ -54,7 +56,7 @@ def test_mul_broadcasts():
 
 
 def test_triple_reuse_rejected():
-    t0, _ = gen_triple(np.random.default_rng(1), (1,), CODEC.params)
+    t0, _ = gen_material(np.random.default_rng(1), "triple", (1,), CODEC.params)
     _consume(t0)
     with pytest.raises(ProtocolError):
         _consume(t0)
@@ -247,6 +249,24 @@ def test_matinv_round_count_n10():
     u = np.exp(-d / 2) + 0.1 * np.eye(n)
     res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u])
     assert scoped(res, "pp_matinv")["rounds"] == 214 == 22 * n - 6
+
+
+@pytest.mark.parametrize("n, iterations, want", [(3, 8, 71), (10, 8, 246),
+                                                  (3, 10, 83), (10, 10, 286)])
+def test_matinv_assistant_round_trips(n, iterations, want):
+    x = np.random.default_rng(n).uniform(-10, 10, (n, 2))
+    u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(n)
+    div = DivisionConfig(iterations=iterations)
+
+    def job(rt, a):
+        # The client numbers its requests, so its tag counts round trips.
+        before = rt.assistant._tag
+        pp_matinv(rt, a, (0.05, 2.2))
+        return rt.assistant._tag - before
+
+    res = run_shared(job, [u], div=div)
+    assert res.outputs[P0] == res.outputs[P1] == want
+    assert want == matinv_assistant_round_trips(n, r_div=div.rounds)
 
 
 def test_matinv_accuracy_se_gram():
