@@ -64,7 +64,10 @@ def load_config(path: str | None) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in cfg:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = _coerce(key, value)
+            try:
+                cfg[key] = _coerce(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 
@@ -77,12 +80,16 @@ def _coerce(key: str, value: str):
         if word in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{key} must be 1/true/yes/on or 0/false/no/off, got {value!r}")
-    if isinstance(ref, int):
-        return int(value)
-    if isinstance(ref, float):
-        return float(value)
-    if isinstance(ref, list):
-        return [int(v) for v in value.replace(",", " ").split()]
+    try:
+        if isinstance(ref, int):
+            return int(value)
+        if isinstance(ref, float):
+            return float(value)
+        if isinstance(ref, list):
+            return [int(v) for v in value.replace(",", " ").split()]
+    except ValueError:
+        kind = {int: "an integer", float: "a number", list: "a list of integers"}[type(ref)]
+        raise ValueError(f"{key} must be {kind}, got {value!r}") from None
     return value
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .protocols import (ExpParams, _rescale, pp_exp, pp_matinv, ss_dist, ss_matmul,
                         ss_mul, ss_sqrt)
+from .ring import ring_add
 from .session import PartyRuntime
 from .sharing import SharedArray
 
@@ -146,8 +147,8 @@ def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
     k.values[idx, idx] = rt.codec.encode(config.signal_variance) if rt.party == 0 else 0
     m = k.copy()
     if rt.party == 0:
-        m.values[idx, idx] = (m.values[idx, idx]
-                              + rt.codec.encode(config.noise_variance)) & rt.params.mask
+        m.values[idx, idx] = ring_add(m.values[idx, idx],
+                                      rt.codec.encode(config.noise_variance), rt.params)
     inv = pp_matinv(rt, m, pivot_domain=config.pivot_domain)
     return GprModelShares(X=x, y=y, K=k, Inv=inv, config=config, y_shift=y_shift)
 
@@ -165,10 +166,8 @@ def pp_gpr_predict(rt: PartyRuntime, model: GprModelShares, x_star: SharedArray,
         mean = mean.add_public(np.full(mean.shape, model.y_shift))
 
     quad_raw = ss_mul(rt, w, k_star, truncate=False)
-    p = rt.params
-    quad = _rescale(rt, SharedArray(rt.party,
-                    quad_raw.values.sum(axis=1, dtype=np.uint64) & p.mask,
-                    quad_raw.codec, quad_raw.scale))
+    quad = _rescale(rt, SharedArray(rt.party, quad_raw.values.sum(axis=1, dtype=np.uint64),
+                                    quad_raw.codec, quad_raw.scale))
     # k(x*, x*) = signal_variance is public, so the prior term of the
     # variance needs no protocol work.
     var = (-quad).add_public(config.signal_variance)

@@ -19,12 +19,13 @@ only uniformly masked words, never an opening of the data.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import RingParams, from_signed, ring_mul, ring_matmul
+from .ring import RingParams, from_signed, ring_matmul, ring_mul, ring_reduce
 from .sharing import random_ring_elements, shr
 from .transport import P0, P1, Channel, PartyNetwork, ProtocolAbort
 
@@ -67,7 +68,8 @@ class ExpMask:
     """One party's shares of an exponentiation mask pair.
 
     ``r`` holds shares of the fixed-point encoding of a grid value
-    r_hat in [0, r_hat_max]; ``m`` holds shares of round(e^{-r_hat} * 2^l_f).
+    r_hat in [-r_hat_max, r_hat_max); ``m`` holds shares of
+    round(e^{-r_hat} * 2^l_f).
     """
 
     r: np.ndarray
@@ -76,7 +78,7 @@ class ExpMask:
 
 
 def _size(shape) -> int:
-    return int(np.prod(shape, dtype=np.int64))
+    return math.prod(shape)
 
 
 def _canonical(kind: str, spec):
@@ -231,11 +233,13 @@ class AssistantClient:
             at += size
 
     def _take(self, kind: str, spec):
-        spec = _canonical(kind, spec)
         if not self._dealt:
             self.deal([(kind, spec)])
         got_kind, got_spec, material = self._dealt.popleft()
-        if (got_kind, got_spec) != (kind, spec):
+        # Shapes usually arrive canonical already; only a mismatch pays for
+        # the conversion.
+        if got_kind != kind or (got_spec != spec and got_spec != _canonical(kind, spec)):
+            spec = _canonical(kind, spec)
             raise ProtocolError(f"dealt material out of order: the next dealt item is a "
                                 f"{got_kind} {got_spec}, but a {kind} {spec} was requested")
         return material
@@ -285,17 +289,16 @@ def serve_assistant(net: PartyNetwork, params: RingParams, seed: int):
         req0 = ch0.recv(tag)
         req1 = ch1.recv(tag)
         op = int(req0[0]) if req0.size else -1
-        if op == OP_TRUNC:
-            same = req0.size == req1.size and np.array_equal(req0[:3], req1[:3])
-        else:
-            same = req0.shape == req1.shape and np.array_equal(req0, req1)
-        if not same:
+        # A truncation request's words past its 3-word head are each
+        # server's own share, so only the head must match.
+        head = 3 if op == OP_TRUNC else req0.size
+        if req0.size != req1.size or req0[:head].tobytes() != req1[:head].tobytes():
             raise ProtocolAbort("compute servers sent diverging assistant requests")
         if op == OP_SHUTDOWN:
             return
         if op == OP_TRUNC:
             bits, n = int(req0[1]), int(req0[2])
-            total = (req0[3:3 + n] + req1[3:3 + n]) & params.mask
+            total = ring_reduce(req0[3:3 + n] + req1[3:3 + n], params)
             shifted = total >> np.uint64(bits)
             t0, t1 = shr(shifted, rng, params)
         else:

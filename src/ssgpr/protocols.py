@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offline import ProtocolError
-from .ring import from_signed, ring_add, ring_matmul, ring_mul, ring_neg, ring_sub, to_signed
+from .ring import (from_signed, ring_add, ring_matmul, ring_mul, ring_neg, ring_reduce,
+                   ring_sub, to_signed)
 from .session import PartyRuntime
 from .sharing import SharedArray
 
@@ -55,9 +56,11 @@ def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
     return _reciprocal_plan(rt, v_shape) + [("triple", np.broadcast_shapes(u_shape, v_shape))]
 
 
-def _split(flat: np.ndarray, first_shape) -> tuple[np.ndarray, np.ndarray]:
-    n = int(np.prod(first_shape, dtype=np.int64))
-    return flat[:n].reshape(first_shape), flat[n:]
+def _open_masked(d_mine: np.ndarray, e_mine: np.ndarray, theirs: np.ndarray, p):
+    """Open d and e from this server's halves and the peer's concatenated ones."""
+    n = d_mine.size
+    return (ring_add(d_mine, theirs[:n].reshape(d_mine.shape), p),
+            ring_add(e_mine, theirs[n:].reshape(e_mine.shape), p))
 
 
 def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None,
@@ -92,10 +95,7 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         d_mine = ring_sub(u.values, t.u, p)
         e_mine = ring_sub(v.values, t.v, p)
         theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
-        d_theirs, rest = _split(theirs, u.shape)
-        e_theirs = rest.reshape(u.shape)
-        d = ring_add(d_mine, d_theirs, p)
-        e = ring_add(e_mine, e_theirs, p)
+        d, e = _open_masked(d_mine, e_mine, theirs, p)
         z = ring_add(ring_mul(u.values, e, p), ring_mul(d, v.values, p), p)
         z = ring_add(z, t.c, p)
         if rt.party == 1:
@@ -119,10 +119,7 @@ def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         d_mine = ring_sub(u.values, t.a, p)
         e_mine = ring_sub(v.values, t.b, p)
         theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
-        d_theirs, rest = _split(theirs, (m, n))
-        e_theirs = rest.reshape(n, k)
-        d = ring_add(d_mine, d_theirs, p)
-        e = ring_add(e_mine, e_theirs, p)
+        d, e = _open_masked(d_mine, e_mine, theirs, p)
         z = ring_add(ring_matmul(u.values, e, p), ring_matmul(d, v.values, p), p)
         z = ring_add(z, t.c, p)
         if rt.party == 1:
@@ -157,8 +154,8 @@ def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None) -> S
             sq_x = ss_mul(rt, x, x, truncate=False)
             sq_y = ss_mul(rt, y, y, truncate=False)
             cross = ss_matmul(rt, x, y.T, truncate=False)
-            nx = sq_x.values.sum(axis=1, dtype=np.uint64) & p.mask
-            ny = sq_y.values.sum(axis=1, dtype=np.uint64) & p.mask
+            nx = ring_reduce(sq_x.values.sum(axis=1, dtype=np.uint64), p)
+            ny = ring_reduce(sq_y.values.sum(axis=1, dtype=np.uint64), p)
             raw = ring_sub(ring_add(nx[:, None], ny[None, :], p),
                            ring_mul(np.uint64(2), cross.values, p), p)
         out = SharedArray(rt.party, raw, x.codec, 2 * x.scale)

@@ -1,7 +1,8 @@
 """Wrapping arithmetic on Z_{2^l} and the fixed-point real <-> ring encoding.
 
-All values live in numpy uint64 arrays; for l < 64 every operation re-masks
-to the low l bits, for l = 64 the hardware wrap is the ring wrap.
+All values live in numpy uint64 arrays. At l = 64 the uint64 wrap is the
+ring reduction, so results are used as they come; for l < 64 every
+operation reduces to the low l bits.
 """
 
 from __future__ import annotations
@@ -57,24 +58,31 @@ def _as_u64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.uint64)
 
 
+def ring_reduce(x: np.ndarray, params: RingParams) -> np.ndarray:
+    """Reduce uint64 words into Z_{2^l}; at l = 64 they already are."""
+    if params.l == 64:
+        return x
+    return x & params.mask
+
+
 def ring_add(a, b, params: RingParams) -> np.ndarray:
-    return (_as_u64(a) + _as_u64(b)) & params.mask
+    return ring_reduce(_as_u64(a) + _as_u64(b), params)
 
 
 def ring_sub(a, b, params: RingParams) -> np.ndarray:
-    return (_as_u64(a) - _as_u64(b)) & params.mask
+    return ring_reduce(_as_u64(a) - _as_u64(b), params)
 
 
 def ring_neg(a, params: RingParams) -> np.ndarray:
-    return (np.uint64(0) - _as_u64(a)) & params.mask
+    return ring_reduce(np.uint64(0) - _as_u64(a), params)
 
 
 def ring_mul(a, b, params: RingParams) -> np.ndarray:
-    return (_as_u64(a) * _as_u64(b)) & params.mask
+    return ring_reduce(_as_u64(a) * _as_u64(b), params)
 
 
 def ring_matmul(a, b, params: RingParams) -> np.ndarray:
-    return (_as_u64(a) @ _as_u64(b)) & params.mask
+    return ring_reduce(_as_u64(a) @ _as_u64(b), params)
 
 
 def to_signed(v, params: RingParams) -> np.ndarray:
@@ -87,7 +95,7 @@ def to_signed(v, params: RingParams) -> np.ndarray:
 
 
 def from_signed(s, params: RingParams) -> np.ndarray:
-    return np.asarray(s).astype(np.int64).astype(np.uint64) & params.mask
+    return ring_reduce(np.asarray(s).astype(np.int64).astype(np.uint64), params)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ the two transcripts stay aligned without negotiation.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ring import FixedPointCodec, RingParams
+from .ring import FixedPointCodec, RingParams, ring_reduce
 from .offline import AssistantClient, serve_assistant
 from .transport import ASSISTANT, P0, P1, LocalHub, PartyNetwork, TcpHub
 
@@ -42,6 +41,28 @@ class DivisionConfig:
         return 2 * self.iterations + 1
 
 
+# Truncation offsets are drawn from the pair generator this many at a
+# time. A bounded uint64 draw takes whole generator words per element, so
+# the offsets come out the same as one draw per truncation would give.
+PAIR_OFFSET_BLOCK = 4096
+
+
+class _Scope:
+    """Context manager that files traffic under a protocol scope."""
+
+    __slots__ = ("stats", "name")
+
+    def __init__(self, stats, name: str):
+        self.stats = stats
+        self.name = name
+
+    def __enter__(self):
+        self.stats.push_scope(self.name)
+
+    def __exit__(self, *exc):
+        self.stats.pop_scope()
+
+
 class PartyRuntime:
     """One compute server's sequential protocol state."""
 
@@ -55,6 +76,9 @@ class PartyRuntime:
         self.pair_rng = pair_rng
         self.div = div or DivisionConfig()
         self._tag = 1 << 32
+        self._delta = 1 << (codec.params.l - 3)
+        self._offsets = np.empty(0, dtype=np.uint64)
+        self._offsets_at = 0
 
     @property
     def params(self) -> RingParams:
@@ -72,6 +96,18 @@ class PartyRuntime:
         """One bidirectional exchange with the peer compute server."""
         return self.net.peer.exchange(self.next_tag(), payload)
 
+    def _pair_offsets(self, n: int) -> np.ndarray:
+        """The next ``n`` truncation offsets, uniform on [delta, 2^l - 2 delta)."""
+        at = self._offsets_at
+        if at + n > self._offsets.size:
+            fresh = self.pair_rng.integers(
+                self._delta, self.params.modulus - 2 * self._delta,
+                size=max(n, PAIR_OFFSET_BLOCK), dtype=np.uint64)
+            self._offsets = np.concatenate([self._offsets[at:], fresh])
+            at = 0
+        self._offsets_at = at + n
+        return self._offsets[at:at + n]
+
     def trunc_values(self, values: np.ndarray, bits: int,
                      rounding: bool = True) -> np.ndarray:
         """Shift shared raw words right by ``bits`` via the assistant.
@@ -83,11 +119,9 @@ class PartyRuntime:
         so the assistant's public shift is exact and the subtracted offset
         shifts commute, leaving at most 1.5 quanta of error.
         """
-        p = self.params
-        delta = 1 << (p.l - 3)
+        delta = self._delta
         shape = values.shape
-        lam = self.pair_rng.integers(delta, p.modulus - 2 * delta,
-                                     size=shape, dtype=np.uint64)
+        lam = self._pair_offsets(values.size).reshape(shape)
         if self.party == 0:
             off = delta + ((1 << (bits - 1)) if rounding else 0)
             w = values + np.uint64(off)
@@ -96,15 +130,10 @@ class PartyRuntime:
         t = self.assistant.trunc(w, bits).reshape(shape)
         if self.party == 0:
             t = t - (lam >> np.uint64(bits)) - np.uint64(delta >> bits)
-        return t & p.mask
+        return ring_reduce(t, self.params)
 
-    @contextmanager
-    def scope(self, name: str):
-        self.stats.push_scope(name)
-        try:
-            yield
-        finally:
-            self.stats.pop_scope()
+    def scope(self, name: str) -> _Scope:
+        return _Scope(self.stats, name)
 
 
 @dataclass

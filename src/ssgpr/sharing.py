@@ -2,6 +2,8 @@
 
 A secret x is split as x = ([x]_0 + [x]_1) mod 2^l where [x]_0 is uniform.
 Linear operations are local; each party's half lives in a SharedArray.
+At l = 64 shares are used as the uint64 wrap leaves them; narrower rings
+reduce after every operation.
 """
 
 from __future__ import annotations
@@ -11,18 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ring import (FixedPointCodec, RingParams, from_signed, ring_add, ring_mul,
-                   ring_neg, ring_sub, to_signed)
+                   ring_neg, ring_reduce, ring_sub, to_signed)
 
 
 def random_ring_elements(rng: np.random.Generator, shape, params: RingParams) -> np.ndarray:
-    """Uniform elements of Z_{2^l}."""
-    r = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-    return r & params.mask
+    """Uniform elements of Z_{2^l}: raw 64-bit generator words, reduced."""
+    return ring_reduce(rng.bit_generator.random_raw(shape), params)
 
 
 def shr(x, rng: np.random.Generator, params: RingParams):
     """Split ring elements into two additive shares; share 0 is uniform."""
-    x = np.asarray(x, dtype=np.uint64) & params.mask
+    x = ring_reduce(np.asarray(x, dtype=np.uint64), params)
     s0 = random_ring_elements(rng, x.shape, params)
     s1 = ring_sub(x, s0, params)
     return s0, s1
@@ -48,7 +49,7 @@ class SharedArray:
     scale: int = -1
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.uint64) & self.params.mask
+        self.values = ring_reduce(np.asarray(self.values, dtype=np.uint64), self.codec.params)
         if self.scale < 0:
             self.scale = self.codec.lf
 

@@ -11,6 +11,7 @@ round is one bidirectional exchange between the compute servers.
 
 from __future__ import annotations
 
+import math
 import queue
 import socket
 import struct
@@ -27,7 +28,7 @@ _HEADER = struct.Struct("<QQ")
 
 
 class ProtocolAbort(RuntimeError):
-    """Raised when a received message does not match the expected tag."""
+    """Raised when a received message does not match the expected tag or size."""
 
 
 @dataclass
@@ -85,8 +86,9 @@ class RoundStats:
 
 
 def encode_message(tag: int, payload: np.ndarray) -> bytes:
-    words = np.ascontiguousarray(payload, dtype=np.uint64).ravel()
-    return _HEADER.pack(tag, words.size) + words.astype("<u8").tobytes()
+    # On a little-endian host the words are already "<u8" and go out uncopied.
+    words = np.ascontiguousarray(payload, dtype=np.uint64).astype("<u8", copy=False)
+    return b"".join((_HEADER.pack(tag, words.size), words.ravel()))
 
 
 def decode_header(raw: bytes):
@@ -111,7 +113,7 @@ class Link:
 
 
 class QueueLink(Link):
-    def __init__(self, out_q: queue.Queue, in_q: queue.Queue, abort=None):
+    def __init__(self, out_q: queue.SimpleQueue, in_q: queue.SimpleQueue, abort=None):
         self.out_q = out_q
         self.in_q = in_q
         self.abort = abort
@@ -177,13 +179,17 @@ class Channel:
         self.link.send_bytes(encode_message(tag, payload))
         self.stats.note_send(payload.size, self.offline)
 
-    def recv(self, tag: int, shape=None) -> np.ndarray:
+    def recv(self, tag: int, shape: tuple | None = None) -> np.ndarray:
         got_tag, count = decode_header(self.link.recv_bytes(_HEADER.size))
         if got_tag != tag:
             raise ProtocolAbort(f"expected message tag {tag}, received {got_tag}")
         payload = decode_payload(self.link.recv_bytes(8 * count), count)
         self.stats.note_recv(count, self.offline)
         if shape is not None:
+            want = math.prod(shape)
+            if count != want:
+                raise ProtocolAbort(f"message tag {tag}: expected {want} words, "
+                                    f"received {count}")
             payload = payload.reshape(shape)
         return payload
 
@@ -200,7 +206,7 @@ class LocalHub:
     """In-process transport: six queues wiring the three parties together."""
 
     def __init__(self):
-        self.queues = {(a, b): queue.Queue()
+        self.queues = {(a, b): queue.SimpleQueue()
                        for a in (P0, P1, ASSISTANT)
                        for b in (P0, P1, ASSISTANT) if a != b}
         self.abort = threading.Event()

@@ -126,6 +126,19 @@ def test_config_boolean_typo_rejected(tmp_path):
     assert cfg["has_header"] is False and cfg["normalize"] is False
 
 
+def test_config_numeric_value_rejected_with_key_and_line(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("l = 64\nlf = abc\n")
+    with pytest.raises(ValueError, match=r"cfg:2: lf must be an integer, got 'abc'"):
+        load_config(str(path))
+    path.write_text("r_max = 1,5\n")
+    with pytest.raises(ValueError, match=r"cfg:1: r_max must be a number, got '1,5'"):
+        load_config(str(path))
+    path.write_text("seeds = 1, two\n")
+    with pytest.raises(ValueError, match=r"cfg:1: seeds must be a list of integers"):
+        load_config(str(path))
+
+
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("bogus = 1\n")

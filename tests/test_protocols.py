@@ -10,6 +10,7 @@ from ssgpr.offline import gen_material
 from ssgpr.protocols import (ProtocolError, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
                              ss_reciprocal, ss_sqrt, _consume)
+from ssgpr.ring import FixedPointCodec, RingParams
 from ssgpr.session import DivisionConfig
 from ssgpr.sharing import reconstruct
 from ssgpr.transport import P0, P1
@@ -283,3 +284,35 @@ def test_sockets_backend_end_to_end():
     res = run_shared(lambda rt, a, b: ss_mul(rt, a, b),
                      [np.array([2.0]), np.array([3.0])], backend="sockets")
     assert abs(float(open_result(res)[0]) - 6.0) <= QUANTUM
+
+
+def test_narrow_ring_products_and_inverse():
+    # At l = 48 every operation must reduce its words itself, since the
+    # uint64 wrap is not the ring's.
+    codec = FixedPointCodec(RingParams(48, 16))
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-4, 4, 50), rng.uniform(-4, 4, 50)
+    x = np.random.default_rng(8).uniform(-2, 2, (4, 2))
+    u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(4)
+
+    def job(rt, sa, sb, su):
+        words = []
+        send = rt.net.peer.send
+
+        def recording_send(tag, payload):
+            words.append(int(np.max(payload, initial=0)))
+            send(tag, payload)
+
+        rt.net.peer.send = recording_send
+        return ss_mul(rt, sa, sb), pp_matinv(rt, su, (0.05, 2.2)), max(words)
+
+    res = run_shared(job, [a, b, u], codec=codec)
+    prod = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+    inv = reconstruct(res.outputs[P0][1], res.outputs[P1][1])
+    assert np.max(np.abs(prod - a * b)) <= 1e-4
+    assert np.max(np.abs(inv - np.linalg.inv(u))) <= 5e-4
+    for party in (P0, P1):
+        prod_share, inv_share, peer_max = res.outputs[party]
+        assert int(prod_share.values.max()) < 1 << 48
+        assert int(inv_share.values.max()) < 1 << 48
+        assert peer_max < 1 << 48

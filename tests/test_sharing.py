@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from helpers import CODEC, QUANTUM
 from ssgpr.ring import FixedPointCodec, RingParams, ring_sub
@@ -112,3 +113,10 @@ def test_random_ring_elements_respect_mask():
     rng = np.random.default_rng(13)
     r = random_ring_elements(rng, 1000, RingParams(8, 3))
     assert r.max() < 256
+
+
+def test_random_ring_elements_uniform_top_byte():
+    # At l = 64 nothing is masked away, so the top byte must be uniform too.
+    r = random_ring_elements(np.random.default_rng(14), 25_600, RingParams(64, 26))
+    counts = np.bincount((r >> np.uint64(56)).astype(np.int64), minlength=256)
+    assert scipy.stats.chisquare(counts).pvalue > 1e-3

@@ -5,6 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import CODEC
+from ssgpr.session import run_session
 from ssgpr.transport import (ASSISTANT, P0, P1, Channel, LocalHub, ProtocolAbort,
                              RoundStats, TcpHub, decode_header, decode_payload,
                              encode_message)
@@ -130,3 +132,20 @@ def test_offline_channel_not_counted_online():
     ch[P0].send(1, np.arange(4, dtype=np.uint64))
     ch[ASSISTANT].recv(1)
     assert s.online_words_sent == 0 and s.offline_words == 4 and s.rounds == 0
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+def test_mis_sized_peer_message_aborts(backend):
+    # Party 1 sends three words where party 0's exchange expects two.
+    def job(rt):
+        if rt.party == P0:
+            return rt.exchange(np.zeros(2, dtype=np.uint64))
+        tag = rt.next_tag()
+        rt.net.peer.send(tag, np.zeros(3, dtype=np.uint64))
+        return rt.net.peer.recv(tag)
+
+    with pytest.raises(RuntimeError, match="session failed in party0") as info:
+        run_session(job, CODEC, backend=backend)
+    cause = info.value.__cause__
+    assert isinstance(cause, ProtocolAbort)
+    assert f"message tag {(1 << 32) + 1}: expected 2 words, received 3" in str(cause)
