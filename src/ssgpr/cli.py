@@ -1,8 +1,10 @@
 """Command-line driver: end-to-end runs, benchmarks, and analysis reports.
 
 Subcommands: run-gpr, bench-exp, bench-matinv, analyze-leakage and
-validate-params. Configuration is a flat key=value file; every key can be
-overridden by a command-line flag. Metrics are emitted as JSON.
+validate-params. Configuration is a flat key=value file whose keys are
+those of ``DEFAULTS``; the flags --scenario, --kernel, --seed, --backend
+and (for run-gpr) --test-size override their keys. Metrics are emitted
+as JSON.
 """
 
 from __future__ import annotations
@@ -36,10 +38,7 @@ DEFAULTS = {
     "scenario": "hds",
     "backend": "inproc",
     "seeds": [0],
-    "div_lo": 0.1,
-    "div_hi": 100.0,
     "div_iterations": 8,
-    "sqrt_lo": 0.002,
     "sqrt_hi": 16.0,
     "sqrt_iterations": 25,
     "normalize": True,
@@ -96,9 +95,7 @@ def _coerce(key: str, value: str):
 def session_pieces(cfg: dict):
     codec = FixedPointCodec(RingParams(cfg["l"], cfg["lf"]))
     exp_params = ExpParams(u_min=cfg["u_min"], r_max=cfg["r_max"])
-    div = DivisionConfig(lo=cfg["div_lo"], hi=cfg["div_hi"],
-                         iterations=cfg["div_iterations"],
-                         sqrt_lo=cfg["sqrt_lo"], sqrt_hi=cfg["sqrt_hi"],
+    div = DivisionConfig(iterations=cfg["div_iterations"], sqrt_hi=cfg["sqrt_hi"],
                          sqrt_iterations=cfg["sqrt_iterations"])
     kernel = KernelConfig(kind=cfg["kernel"], length_scale=cfg["length_scale"],
                           signal_variance=cfg["signal_variance"],

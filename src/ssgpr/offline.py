@@ -44,18 +44,12 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass
-class BeaverTriple:
-    """One party's shares of (u, v, c) with c = u * v elementwise."""
+class Triple:
+    """One party's shares of a Beaver triple (a, b, c).
 
-    u: np.ndarray
-    v: np.ndarray
-    c: np.ndarray
-    consumed: bool = False
-
-
-@dataclass
-class MatrixTriple:
-    """One party's shares of (A, B, C) with C = A @ B over the ring."""
+    c = a * b elementwise for a "triple" item and c = a @ b over the ring
+    for a "matrix" item.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -113,8 +107,8 @@ def _item_words(kind: str, spec) -> list[int]:
 def _layout(op: int, dims) -> tuple[int, int]:
     """Reply words of one item, and how many of them lead as uniform draws.
 
-    A triple's u and v, and a matrix triple's A and B, lead their slot;
-    the product follows. Exponent masks draw nothing uniform.
+    A triple's a and b lead their slot; the product follows. Exponent
+    masks draw nothing uniform.
     """
     if op == OP_TRIPLE:
         return 3 * dims[0], 2 * dims[0]
@@ -128,12 +122,12 @@ def _unpack(kind: str, spec, flat: np.ndarray):
     """One party's material object from its slot of a deal reply."""
     if kind == "triple":
         n = _size(spec)
-        return BeaverTriple(*(flat[i * n:(i + 1) * n].reshape(spec) for i in range(3)))
+        return Triple(flat[:n].reshape(spec), flat[n:2 * n].reshape(spec),
+                      flat[2 * n:].reshape(spec))
     if kind == "matrix":
         m, n, k = spec
-        return MatrixTriple(flat[:m * n].reshape(m, n),
-                            flat[m * n:m * n + n * k].reshape(n, k),
-                            flat[m * n + n * k:].reshape(m, k))
+        return Triple(flat[:m * n].reshape(m, n), flat[m * n:m * n + n * k].reshape(n, k),
+                      flat[m * n + n * k:].reshape(m, k))
     shape, _ = spec
     n = _size(shape)
     return ExpMask(flat[:n].reshape(shape), flat[n:].reshape(shape))
@@ -244,10 +238,10 @@ class AssistantClient:
                                 f"{got_kind} {got_spec}, but a {kind} {spec} was requested")
         return material
 
-    def get_triple(self, shape) -> BeaverTriple:
+    def get_triple(self, shape) -> Triple:
         return self._take("triple", shape)
 
-    def get_matrix_triple(self, m: int, n: int, k: int) -> MatrixTriple:
+    def get_matrix_triple(self, m: int, n: int, k: int) -> Triple:
         return self._take("matrix", (m, n, k))
 
     def get_exp_mask(self, shape, rmax_enc: int) -> ExpMask:

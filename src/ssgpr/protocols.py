@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offline import ProtocolError
-from .ring import (from_signed, ring_add, ring_matmul, ring_mul, ring_neg, ring_reduce,
-                   ring_sub, to_signed)
+from .ring import ring_add, ring_matmul, ring_mul, ring_neg, ring_reduce, ring_sub, to_signed
 from .session import PartyRuntime
 from .sharing import SharedArray
 
@@ -63,8 +62,7 @@ def _open_masked(d_mine: np.ndarray, e_mine: np.ndarray, theirs: np.ndarray, p):
             ring_add(e_mine, theirs[n:].reshape(e_mine.shape), p))
 
 
-def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None,
-             rounding: bool = True) -> SharedArray:
+def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None) -> SharedArray:
     """Drop ``bits`` fraction bits from a shared value.
 
     The masked words go to the assistant, which is exact to 1.5 quanta
@@ -72,8 +70,31 @@ def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None,
     """
     if bits is None:
         bits = x.codec.lf
-    vals = rt.trunc_values(x.values, bits, rounding)
+    vals = rt.trunc_values(x.values, bits)
     return SharedArray(x.party, vals, x.codec, x.scale - bits)
+
+
+def _beaver(rt: PartyRuntime, u: SharedArray, v: SharedArray, t, product,
+            truncate: bool) -> SharedArray:
+    """Beaver product of u and v with triple ``t`` under ``product``.
+
+    One exchange round opens d = u - a and e = v - b; then
+    z = u*e + d*v + c, and party 1 subtracts d*e.
+    """
+    t = _consume(t)
+    p = rt.params
+    d_mine = ring_sub(u.values, t.a, p)
+    e_mine = ring_sub(v.values, t.b, p)
+    theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
+    d, e = _open_masked(d_mine, e_mine, theirs, p)
+    z = ring_add(product(u.values, e, p), product(d, v.values, p), p)
+    z = ring_add(z, t.c, p)
+    if rt.party == 1:
+        z = ring_sub(z, product(d, e, p), p)
+    out = SharedArray(rt.party, z, u.codec, u.scale + v.scale)
+    if truncate:
+        out = _rescale(rt, out, v.scale)
+    return out
 
 
 def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
@@ -89,21 +110,8 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         u_b, v_b = np.broadcast_arrays(u.values, v.values)
         u = SharedArray(u.party, u_b.copy(), u.codec, u.scale)
         v = SharedArray(v.party, v_b.copy(), v.codec, v.scale)
-    p = rt.params
     with rt.scope("ss_mul"):
-        t = _consume(rt.assistant.get_triple(u.shape))
-        d_mine = ring_sub(u.values, t.u, p)
-        e_mine = ring_sub(v.values, t.v, p)
-        theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
-        d, e = _open_masked(d_mine, e_mine, theirs, p)
-        z = ring_add(ring_mul(u.values, e, p), ring_mul(d, v.values, p), p)
-        z = ring_add(z, t.c, p)
-        if rt.party == 1:
-            z = ring_sub(z, ring_mul(d, e, p), p)
-        out = SharedArray(rt.party, z, u.codec, u.scale + v.scale)
-        if truncate:
-            out = _rescale(rt, out, v.scale)
-    return out
+        return _beaver(rt, u, v, rt.assistant.get_triple(u.shape), ring_mul, truncate)
 
 
 def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
@@ -112,22 +120,9 @@ def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
     if u.values.ndim != 2 or v.values.ndim != 2 or u.shape[1] != v.shape[0]:
         raise ProtocolError(f"matmul dimension mismatch: {u.shape} x {v.shape}")
     m, n = u.shape
-    k = v.shape[1]
-    p = rt.params
     with rt.scope("ss_matmul"):
-        t = _consume(rt.assistant.get_matrix_triple(m, n, k))
-        d_mine = ring_sub(u.values, t.a, p)
-        e_mine = ring_sub(v.values, t.b, p)
-        theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
-        d, e = _open_masked(d_mine, e_mine, theirs, p)
-        z = ring_add(ring_matmul(u.values, e, p), ring_matmul(d, v.values, p), p)
-        z = ring_add(z, t.c, p)
-        if rt.party == 1:
-            z = ring_sub(z, ring_matmul(d, e, p), p)
-        out = SharedArray(rt.party, z, u.codec, u.scale + v.scale)
-        if truncate:
-            out = _rescale(rt, out, v.scale)
-    return out
+        return _beaver(rt, u, v, rt.assistant.get_matrix_triple(m, n, v.shape[1]),
+                       ring_matmul, truncate)
 
 
 def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None) -> SharedArray:
@@ -170,47 +165,42 @@ def _affine_reciprocal_init(rt: PartyRuntime, v: SharedArray, lo: float, hi: flo
     return y.add_public(alpha)
 
 
-def ss_reciprocal(rt: PartyRuntime, v: SharedArray, iterations: int | None = None,
-                  domain: tuple[float, float] | None = None) -> SharedArray:
-    """Newton reciprocal y <- y (2 - v y) on a public positive domain.
+def ss_reciprocal(rt: PartyRuntime, v: SharedArray,
+                  domain: tuple[float, float]) -> SharedArray:
+    """Newton reciprocal y <- y (2 - v y) on a public positive domain (lo, hi).
 
     Two rounds per iteration. The caller guarantees the reconstructed
     divisor lies in the domain; nothing is detectable online otherwise.
     """
-    iterations = rt.div.iterations if iterations is None else iterations
-    lo, hi = domain if domain is not None else (rt.div.lo, rt.div.hi)
+    lo, hi = domain
     with rt.scope("ss_div"):
         y = _affine_reciprocal_init(rt, v, lo, hi)
-        for _ in range(iterations):
+        for _ in range(rt.div.iterations):
             t = ss_mul(rt, v, y)
             y = ss_mul(rt, y, (-t).add_public(2.0))
     return y
 
 
 def ss_div(rt: PartyRuntime, u: SharedArray, v: SharedArray,
-           iterations: int | None = None,
-           domain: tuple[float, float] | None = None) -> SharedArray:
+           domain: tuple[float, float]) -> SharedArray:
     """Shared division u / v as one reciprocal plus one product."""
     with rt.scope("ss_div"):
-        return ss_mul(rt, u, ss_reciprocal(rt, v, iterations, domain))
+        return ss_mul(rt, u, ss_reciprocal(rt, v, domain))
 
 
-def ss_sqrt(rt: PartyRuntime, x: SharedArray, iterations: int | None = None,
-            domain: tuple[float, float] | None = None) -> SharedArray:
+def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     """Shared square root via inverse-square-root Newton iterations.
 
-    z <- z (3 - x z^2) / 2 from a tangent-line first guess, then one
-    product by x. Three rounds per iteration. Exact zero inputs map to
-    zero since the final multiply scales the bounded iterate by x.
+    z <- z (3 - x z^2) / 2 from a tangent-line first guess at sqrt_hi / 2,
+    then one product by x. Three rounds per iteration. Exact zero inputs
+    map to zero since the final multiply scales the bounded iterate by x.
     """
-    iterations = rt.div.sqrt_iterations if iterations is None else iterations
-    lo, hi = domain if domain is not None else (rt.div.sqrt_lo, rt.div.sqrt_hi)
-    x0 = hi / 2.0
+    x0 = rt.div.sqrt_hi / 2.0
     a = 1.5 / math.sqrt(x0)
     b = 0.5 / x0 ** 1.5
     with rt.scope("ss_sqrt"):
         z = _rescale(rt, -x.scale_public(b)).add_public(a)
-        for _ in range(iterations):
+        for _ in range(rt.div.sqrt_iterations):
             s = ss_mul(rt, z, z)
             t = ss_mul(rt, x, s)
             z = ss_mul(rt, z, (-t).add_public(3.0))
@@ -219,18 +209,16 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray, iterations: int | None = None,
 
 
 def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
-           policy: str = "strict", raw: bool = False) -> SharedArray:
+           policy: str = "strict") -> SharedArray:
     """Masked exponentiation: shares of e^u for shared u in [u_min, 0].
 
     The servers open d = u + r for a pre-shared random mask r, evaluate
     e^{d} publicly and correct with their shares of e^{-r}. One exchange
     round and 2nl bits of online traffic for an n-element input.
 
-    With ``raw=True`` the public factor is encoded at scale l_f and the
-    output is the uncorrected double-scale product, exact on the grid
-    under the Theorem-1 parameter bound. The default path encodes the
-    public factor at scale 2*l_f and rescales locally, which halves the
-    mask-quantization error and returns shares at scale l_f.
+    The public factor is encoded at scale 2*l_f and the product rescaled
+    locally, which halves the mask-quantization error against an l_f-scale
+    factor, and the shares come back at scale l_f.
 
     ``policy`` controls out-of-range openings: "strict" rejects a public
     d outside what [u_min, 0] inputs can produce, "clamp" proceeds (the
@@ -258,11 +246,6 @@ def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
             d_hat = np.minimum(d_hat, params.r_max + slack)
         else:
             raise ValueError(f"unknown pp_exp policy {policy!r}")
-
-        if raw:
-            e_pub = from_signed(np.round(np.exp(d_hat) * (1 << lf)), p)
-            out = SharedArray(rt.party, ring_mul(e_pub, mask.m, p), u.codec, 2 * lf)
-            return out
 
         # High-precision public factor; the product and rescaling run on
         # native integers so the double-width intermediate never wraps.
@@ -295,7 +278,7 @@ def _column(x: SharedArray, rows, col) -> SharedArray:
 
 
 def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
-                    pivot_domain: tuple[float, float] | None = None) -> LdlFactors:
+                    pivot_domain: tuple[float, float]) -> LdlFactors:
     """LDL^T decomposition of a shared positive-definite matrix.
 
     Column k costs four product rounds (the pivot update and the column
@@ -320,7 +303,7 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
         pivot = SharedArray(rt.party, u.values[0:1, 0:1], codec)
         col = _column(u, slice(0, n), 0)
         rt.assistant.deal(_div_plan(rt, (n, 1), (1, 1)))
-        l_col = ss_div(rt, col, pivot, domain=pivot_domain)
+        l_col = ss_div(rt, col, pivot, pivot_domain)
         L.values[:, 0] = l_col.values[:, 0]
 
         for k in range(1, n):
@@ -349,7 +332,7 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
             hat = SharedArray(rt.party, ring_sub(u.values[k + 1:, k:k + 1],
                                                  acc2.values, p), codec)
             # One division by the shared pivot.
-            l_col = ss_div(rt, hat, d_k, domain=pivot_domain)
+            l_col = ss_div(rt, hat, d_k, pivot_domain)
             L.values[k + 1:, k] = l_col.values[:, 0]
             L.values[k, k] = codec.encode(1.0) if rt.party == 0 else 0
 
@@ -380,7 +363,7 @@ def pp_forward(rt: PartyRuntime, L: SharedArray) -> SharedArray:
 
 
 def pp_backward(rt: PartyRuntime, V: SharedArray, D: SharedArray,
-                pivot_domain: tuple[float, float] | None = None) -> SharedArray:
+                pivot_domain: tuple[float, float]) -> SharedArray:
     """Combine the factors into the inverse: Lambda = V^T D^{-1} V.
 
     One vector division for D^{-1} (reciprocal rounds plus the product
@@ -390,14 +373,14 @@ def pp_backward(rt: PartyRuntime, V: SharedArray, D: SharedArray,
     with rt.scope("pp_backward"):
         d_col = SharedArray(rt.party, D.values.reshape(-1, 1), D.codec, D.scale)
         rt.assistant.deal(_reciprocal_plan(rt, (n, 1)))
-        recip = ss_reciprocal(rt, d_col, domain=pivot_domain)
+        recip = ss_reciprocal(rt, d_col, pivot_domain)
         scaled = ss_mul(rt, SharedArray(rt.party, np.broadcast_to(
             recip.values, (n, n)).copy(), V.codec, recip.scale), V)
         return ss_matmul(rt, V.T, scaled)
 
 
 def pp_matinv(rt: PartyRuntime, u: SharedArray,
-              pivot_domain: tuple[float, float] | None = None) -> SharedArray:
+              pivot_domain: tuple[float, float]) -> SharedArray:
     """Invert a shared positive-definite matrix via LDL^T factors.
 
     Total rounds (21n - 23) + (n - 1) + 18 = 22n - 6 at the default

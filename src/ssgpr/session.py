@@ -20,18 +20,16 @@ from .transport import ASSISTANT, P0, P1, LocalHub, PartyNetwork, TcpHub
 
 @dataclass(frozen=True)
 class DivisionConfig:
-    """Public domain and iteration counts for the Newton-based protocols.
+    """Iteration counts of the Newton-based protocols and the square root's domain.
 
-    ``lo``/``hi`` bound the divisor values the caller guarantees; the
-    affine initial guess is derived from them. Eight reciprocal iterations
-    keep the division round budget at the conventional 17 (16 iteration
-    rounds plus the final product).
+    Eight reciprocal iterations keep the division round budget at the
+    conventional 17 (16 iteration rounds plus the final product). A
+    division's domain is an argument: the matrix inversion takes it from
+    the kernel's public pivot bounds. The square root's first guess is
+    fitted at ``sqrt_hi / 2``, so inputs should lie in [0, sqrt_hi].
     """
 
-    lo: float = 0.1
-    hi: float = 100.0
     iterations: int = 8
-    sqrt_lo: float = 0.002
     sqrt_hi: float = 16.0
     sqrt_iterations: int = 25
 
@@ -108,12 +106,12 @@ class PartyRuntime:
         self._offsets_at = at + n
         return self._offsets[at:at + n]
 
-    def trunc_values(self, values: np.ndarray, bits: int,
-                     rounding: bool = True) -> np.ndarray:
+    def trunc_values(self, values: np.ndarray, bits: int) -> np.ndarray:
         """Shift shared raw words right by ``bits`` via the assistant.
 
         Party 0 adds a public offset that makes the hidden value strictly
-        positive (and a half quantum when rounding); party 1 adds a random
+        positive, plus half an output quantum so that the shift rounds;
+        party 1 adds a random
         offset drawn from the generator both servers share but the
         assistant does not know. The masked sum can never wrap the ring,
         so the assistant's public shift is exact and the subtracted offset
@@ -123,8 +121,7 @@ class PartyRuntime:
         shape = values.shape
         lam = self._pair_offsets(values.size).reshape(shape)
         if self.party == 0:
-            off = delta + ((1 << (bits - 1)) if rounding else 0)
-            w = values + np.uint64(off)
+            w = values + np.uint64(delta + (1 << (bits - 1)))
         else:
             w = values + lam
         t = self.assistant.trunc(w, bits).reshape(shape)
@@ -178,8 +175,6 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
             # Recorded before this party's links close, so the peers'
             # follow-on connection errors always come later.
             failures.append((name, exc))
-            if hasattr(hub, "abort"):
-                hub.abort.set()
         finally:
             if net is not None:
                 net.close()
@@ -190,8 +185,7 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
         t.start()
     for t in threads:
         t.join()
-    if hasattr(hub, "close"):
-        hub.close()
+    hub.close()
 
     if failures:
         name, exc = failures[0]

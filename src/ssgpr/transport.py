@@ -7,6 +7,9 @@ both little-endian u64) followed by the payload as little-endian 64-bit
 words. Traffic statistics distinguish online traffic between the compute
 servers from offline traffic involving the assistant, and a communication
 round is one bidirectional exchange between the compute servers.
+
+Both backends report a closed peer the same way: a receive on a link
+whose other end has closed raises ``ConnectionError`` at once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 import queue
 import socket
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,9 @@ P1 = 1
 ASSISTANT = 2
 
 _HEADER = struct.Struct("<QQ")
+
+# How long a receive waits for a live but silent peer before giving up.
+RECV_TIMEOUT_S = 300
 
 
 class ProtocolAbort(RuntimeError):
@@ -99,50 +104,39 @@ def decode_payload(raw: bytes, count: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8", count=count).astype(np.uint64)
 
 
-class Link:
-    """One directed or bidirectional pipe endpoint; backends implement I/O."""
+class QueueLink:
+    """One end of a pair of in-process queues; ``close`` sends an end-of-stream marker."""
 
-    def send_bytes(self, data: bytes):
-        raise NotImplementedError
-
-    def recv_bytes(self, n: int) -> bytes:
-        raise NotImplementedError
-
-    def close(self):
-        pass
-
-
-class QueueLink(Link):
-    def __init__(self, out_q: queue.SimpleQueue, in_q: queue.SimpleQueue, abort=None):
+    def __init__(self, out_q: queue.SimpleQueue, in_q: queue.SimpleQueue):
         self.out_q = out_q
         self.in_q = in_q
-        self.abort = abort
         self._buf = b""
 
     def send_bytes(self, data: bytes):
         self.out_q.put(data)
 
     def recv_bytes(self, n: int) -> bytes:
-        waited = 0.0
         while len(self._buf) < n:
-            # Poll so a crashed peer cannot hang the whole session.
             try:
-                self._buf += self.in_q.get(timeout=0.2)
+                chunk = self.in_q.get(timeout=RECV_TIMEOUT_S)
             except queue.Empty:
-                waited += 0.2
-                if self.abort is not None and self.abort.is_set():
-                    raise ConnectionError("peer aborted") from None
-                if waited > 600:
-                    raise TimeoutError("no message from peer") from None
+                raise TimeoutError("no message from peer") from None
+            if chunk is None:
+                self.in_q.put(None)  # every later receive sees the end too
+                raise ConnectionError("peer closed the connection")
+            self._buf += chunk
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 
+    def close(self):
+        self.out_q.put(None)
 
-class SocketLink(Link):
+
+class SocketLink:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.settimeout(300)
+        self.sock.settimeout(RECV_TIMEOUT_S)
 
     def send_bytes(self, data: bytes):
         self.sock.sendall(data)
@@ -169,7 +163,7 @@ class SocketLink(Link):
 class Channel:
     """Tagged-message channel to one peer, with traffic accounting."""
 
-    def __init__(self, link: Link, stats: RoundStats, offline: bool):
+    def __init__(self, link: QueueLink | SocketLink, stats: RoundStats, offline: bool):
         self.link = link
         self.stats = stats
         self.offline = offline
@@ -209,10 +203,12 @@ class LocalHub:
         self.queues = {(a, b): queue.SimpleQueue()
                        for a in (P0, P1, ASSISTANT)
                        for b in (P0, P1, ASSISTANT) if a != b}
-        self.abort = threading.Event()
 
     def link(self, me: int, peer: int) -> QueueLink:
-        return QueueLink(self.queues[(me, peer)], self.queues[(peer, me)], self.abort)
+        return QueueLink(self.queues[(me, peer)], self.queues[(peer, me)])
+
+    def close(self):
+        """Nothing to release; each link closes its own end."""
 
 
 class TcpHub:

@@ -146,6 +146,16 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(str(path))
 
 
+def test_removed_domain_keys_rejected(tmp_path):
+    # A division's domain comes from the kernel and the square root needs
+    # only sqrt_hi, so these keys would be accepted and then ignored.
+    path = tmp_path / "cfg"
+    for line in ("div_lo = 0.5\n", "sqrt_lo = 0.01\n"):
+        path.write_text(line)
+        with pytest.raises(ValueError, match="cfg:1: unknown key"):
+            load_config(str(path))
+
+
 def test_config_flag_overrides(tmp_path, capsys):
     path = tmp_path / "cfg"
     path.write_text("lf = 29\nu_min = -4\nr_max = 16\n")

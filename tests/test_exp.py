@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import CODEC, QUANTUM, open_result, run_shared
+from helpers import QUANTUM, open_result, run_shared
 from ssgpr.protocols import ExpParams, pp_exp
-from ssgpr.transport import P0, P1
+from ssgpr.transport import P0
 
 EP = ExpParams()
 
@@ -36,13 +36,6 @@ def test_exp_single_round_and_volume():
     s = res.stats[P0].summary()["per_protocol"]["pp_exp"]
     assert s["rounds"] == 1
     assert s["words_sent"] == n  # one ring element per input per direction
-
-
-def test_exp_raw_mode_scale():
-    res = run_shared(lambda rt, x: pp_exp(rt, x, EP, raw=True), [np.array([-0.5])])
-    assert res.outputs[P0].scale == 2 * CODEC.lf
-    got = open_result(res)
-    assert abs(float(got[0]) - np.exp(-0.5)) <= 4 * QUANTUM
 
 
 def test_exp_strict_policy_rejects_out_of_range():

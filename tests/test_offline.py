@@ -16,15 +16,15 @@ P64 = CODEC.params
 
 def test_triple_is_multiplicative():
     s0, s1 = gen_material(np.random.default_rng(0), "triple", (50,), P64)
-    u = rec(s0.u, s1.u, P64)
-    v = rec(s0.v, s1.v, P64)
+    u = rec(s0.a, s1.a, P64)
+    v = rec(s0.b, s1.b, P64)
     c = rec(s0.c, s1.c, P64)
     assert np.array_equal(c, ring_mul(u, v, P64))
 
 
 def test_triple_batch_independent():
     s0, s1 = gen_material(np.random.default_rng(1), "triple", (1000,), P64)
-    u = rec(s0.u, s1.u, P64)
+    u = rec(s0.a, s1.a, P64)
     assert len(np.unique(u)) > 990
 
 
@@ -97,7 +97,7 @@ def test_triple_values_uniform_chi_squared():
     # 10^4 triples on l=16: reconstructed a-values spread uniformly.
     p = RingParams(16, 3)
     s0, s1 = gen_material(np.random.default_rng(12), "triple", (10_000,), p)
-    u = rec(s0.u, s1.u, p)
+    u = rec(s0.a, s1.a, p)
     counts = np.bincount((u >> np.uint64(10)).astype(np.int64), minlength=64)
     assert scipy.stats.chisquare(counts).pvalue > 1e-3
 
@@ -127,7 +127,7 @@ def test_dealt_material_is_multiplicative():
     t0, m0, s0 = res.outputs[P0]
     t1, m1, s1 = res.outputs[P1]
     for a, b in ((t0, t1), (s0, s1)):
-        u, v, c = (rec(x, y, P64) for x, y in ((a.u, b.u), (a.v, b.v), (a.c, b.c)))
+        u, v, c = (rec(x, y, P64) for x, y in ((a.a, b.a), (a.b, b.b), (a.c, b.c)))
         assert np.array_equal(c, ring_mul(u, v, P64))
     a, b, c = (rec(x, y, P64) for x, y in ((m0.a, m1.a), (m0.b, m1.b), (m0.c, m1.c)))
     assert a.shape == (2, 3) and b.shape == (3, 4)

@@ -115,31 +115,33 @@ def test_dist_rejects_1d():
 
 # ---------------------------------------------------------------- division
 
+DOMAIN = (0.1, 100.0)  # public divisor bounds of the tests below
+
 def test_reciprocal_of_one():
-    res = run_shared(lambda rt, v: ss_reciprocal(rt, v), [np.array([1.0])])
+    res = run_shared(lambda rt, v: ss_reciprocal(rt, v, DOMAIN), [np.array([1.0])])
     assert abs(float(open_result(res)[0]) - 1.0) <= 10 * QUANTUM
 
 
 def test_reciprocal_of_four():
-    res = run_shared(lambda rt, v: ss_reciprocal(rt, v), [np.array([4.0])])
+    res = run_shared(lambda rt, v: ss_reciprocal(rt, v, DOMAIN), [np.array([4.0])])
     assert abs(float(open_result(res)[0]) - 0.25) <= 1e-4 * 0.25
 
 
 def test_reciprocal_domain_sweep():
     v = np.array([0.5, 1.0, 2.0, 4.0, 10.0, 40.0])
-    res = run_shared(lambda rt, x: ss_reciprocal(rt, x), [v])
+    res = run_shared(lambda rt, x: ss_reciprocal(rt, x, DOMAIN), [v])
     rel = np.abs(open_result(res) - 1.0 / v) * v
     assert np.max(rel) <= 1e-4
 
 
 def test_div_example():
-    res = run_shared(lambda rt, u, v: ss_div(rt, u, v),
+    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, DOMAIN),
                      [np.array([6.0]), np.array([3.0])])
     assert abs(float(open_result(res)[0]) - 2.0) <= 1e-4 * 2.0
 
 
 def test_div_round_budget():
-    res = run_shared(lambda rt, u, v: ss_div(rt, u, v),
+    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, DOMAIN),
                      [np.array([6.0]), np.array([3.0])])
     assert scoped(res, "ss_div")["rounds"] == 17
 
@@ -201,8 +203,9 @@ def test_cholesky_round_count():
 
 
 def test_cholesky_rejects_nonsquare():
-    with pytest.raises(RuntimeError):
-        run_shared(lambda rt, a: pp_cholesky_ldl(rt, a), [np.ones((2, 3))])
+    with pytest.raises(RuntimeError) as info:
+        run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.5, 2.0)), [np.ones((2, 3))])
+    assert isinstance(info.value.__cause__, ProtocolError)
 
 
 def test_forward_identity():

@@ -103,7 +103,8 @@ def test_recv_shape():
 
 
 def test_tcp_exchange():
-    c0, c1, s0, s1 = _pair(TcpHub())
+    hub = TcpHub()
+    c0, c1, s0, s1 = _pair(hub)
     out = {}
 
     def go(ch, key, val):
@@ -115,6 +116,18 @@ def test_tcp_exchange():
     assert np.all(out[0] == 2) and np.all(out[1] == 1)
     assert s0.rounds == 1 and s1.online_words_sent == 100
     c0.link.close(); c1.link.close()
+    hub.close()
+
+
+@pytest.mark.parametrize("make_hub", [LocalHub, TcpHub], ids=["inproc", "sockets"])
+def test_closed_peer_is_immediate_eof(make_hub):
+    hub = make_hub()
+    c0, c1, _, _ = _pair(hub)
+    c0.link.close()
+    with pytest.raises(ConnectionError):
+        c1.recv(1)
+    c1.link.close()
+    hub.close()
 
 
 def test_offline_channel_not_counted_online():
