@@ -23,7 +23,9 @@ class ExpParamReport:
     (r_max - u_min) * log2(e) <= l_f < (l - 1) / 2.
     ``precision_slack_bits`` is l_f minus the left-hand side;
     ``overflow_slack_bits`` is (l-1)/2 minus l_f. Both must be
-    non-negative to accept.
+    non-negative to accept, and the input range [u_min, 0] and the mask
+    range [-r_max, r_max) must be non-empty; together these keep the
+    public factor e^d * 2^(2 l_f) below 2^(2 l_f + 32).
     """
 
     accepted: bool
@@ -37,7 +39,8 @@ def validate_exp_params(params: ExpParams, ring: RingParams) -> ExpParamReport:
     precision_slack = ring.lf - required
     overflow_slack = (ring.l - 1) / 2 - ring.lf
     return ExpParamReport(
-        accepted=(precision_slack >= 0 and overflow_slack > 0),
+        accepted=(precision_slack >= 0 and overflow_slack > 0
+                  and params.u_min <= 0 < params.r_max),
         precision_slack_bits=precision_slack,
         overflow_slack_bits=overflow_slack,
         required_lf=required,

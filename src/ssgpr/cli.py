@@ -102,7 +102,8 @@ def session_pieces(cfg: dict):
                           noise_variance=cfg["noise_variance"])
     report = validate_exp_params(exp_params, codec.params)
     if not report.accepted:
-        raise ValueError("exponentiation parameters fail the correctness bound: "
+        raise ValueError("exponentiation parameters fail the correctness bound "
+                         "u_min <= 0 < r_max, (r_max - u_min)*log2(e) <= l_f < (l-1)/2: "
                          f"required l_f >= {report.required_lf:.2f}")
     return codec, exp_params, div, kernel
 
@@ -145,6 +146,7 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
             "construction_seconds": result.outputs[P0][2],
             "prediction_seconds": result.outputs[P0][3],
             "rounds": stats["rounds"],
+            "exp_openings_outside_window": stats["exp_openings_outside_window"],
             "per_protocol": stats["per_protocol"],
             "matinv_rounds_expected": matinv_expected,
             "matinv_rounds_recorded": matinv_rounds,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offline import ProtocolError
-from .ring import ring_add, ring_matmul, ring_mul, ring_neg, ring_reduce, ring_sub, to_signed
+from .ring import (RingParams, ring_add, ring_matmul, ring_mul, ring_neg, ring_reduce, ring_sub,
+                   to_signed)
 from .session import PartyRuntime
 from .sharing import SharedArray
 
@@ -78,8 +79,9 @@ def _beaver(rt: PartyRuntime, u: SharedArray, v: SharedArray, t, product,
             truncate: bool) -> SharedArray:
     """Beaver product of u and v with triple ``t`` under ``product``.
 
-    One exchange round opens d = u - a and e = v - b; then
-    z = u*e + d*v + c, and party 1 subtracts d*e.
+    One exchange round opens d = u - a and e = v - b; then party i takes
+    z = u*e + d*(v - i*e) + c, the same ring value as u*e + d*v + c - i*d*e
+    in two products instead of three.
     """
     t = _consume(t)
     p = rt.params
@@ -87,10 +89,9 @@ def _beaver(rt: PartyRuntime, u: SharedArray, v: SharedArray, t, product,
     e_mine = ring_sub(v.values, t.b, p)
     theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
     d, e = _open_masked(d_mine, e_mine, theirs, p)
-    z = ring_add(product(u.values, e, p), product(d, v.values, p), p)
+    v_term = v.values if rt.party == 0 else ring_sub(v.values, e, p)
+    z = ring_add(product(u.values, e, p), product(d, v_term, p), p)
     z = ring_add(z, t.c, p)
-    if rt.party == 1:
-        z = ring_sub(z, product(d, e, p), p)
     out = SharedArray(rt.party, z, u.codec, u.scale + v.scale)
     if truncate:
         out = _rescale(rt, out, v.scale)
@@ -208,6 +209,55 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
         return ss_mul(rt, x, z)
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _exp_correction(x_pub: np.ndarray, m: np.ndarray, party: int, p: RingParams,
+                    shift: int) -> np.ndarray:
+    """One party's share of x_pub * e^{-r}, rescaled by ``shift`` bits.
+
+    ``x_pub`` holds the public factor (non-negative integer-valued
+    floats, possibly above 2^64) and ``m`` this party's share of the
+    mask's e^{-r}. Party 0 returns floor((x*m + 2^(shift-1)) / 2^shift)
+    and party 1 returns -floor(x*(2^l - m) / 2^shift), both mod 2^l, so
+    the two shares sum to the rounded product without the double-width
+    intermediate ever wrapping.
+
+    Each x = M * 2^E with M < 2^53 is exact in float64, so the product
+    M * factor (under 2^117) is built from 32-bit limbs in a high and a
+    low uint64 word, and each element shifts right by its own shift - E.
+    """
+    _, exp2 = np.frexp(x_pub)
+    e_pow = np.maximum(exp2 - 53, 0)
+    mant = np.ldexp(x_pub, -e_pow).astype(np.uint64)
+    if np.any(e_pow >= shift):
+        raise ProtocolError("public exponent factor too large for the rescaling shift")
+    s = (shift - e_pow).astype(np.uint64)
+    if party == 0:
+        factor = m
+    else:
+        # 2^l - m; at l = 64 the complement of m = 0 is 2^64, which wraps
+        # to 0 here and is restored below as M in the high word.
+        factor = np.uint64(p.modulus & 0xFFFFFFFFFFFFFFFF) - m
+    m_lo, m_hi = mant & _LOW32, mant >> _32
+    f_lo, f_hi = factor & _LOW32, factor >> _32
+    low = m_lo * f_lo
+    mid_a = m_lo * f_hi
+    mid_b = m_hi * f_lo
+    carry = (low >> _32) + (mid_a & _LOW32) + (mid_b & _LOW32)
+    lo = (low & _LOW32) | (carry << _32)
+    hi = m_hi * f_hi + (mid_a >> _32) + (mid_b >> _32) + (carry >> _32)
+    if party == 0:
+        rounded = lo + (np.uint64(1) << (s - np.uint64(1)))
+        hi += rounded < lo
+        lo = rounded
+    else:
+        hi += mant * (factor == 0)
+    out = (lo >> s) | (hi << (np.uint64(64) - s))
+    return ring_reduce(out, p) if party == 0 else ring_neg(out, p)
+
+
 def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
            policy: str = "strict") -> SharedArray:
     """Masked exponentiation: shares of e^u for shared u in [u_min, 0].
@@ -218,12 +268,20 @@ def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
 
     The public factor is encoded at scale 2*l_f and the product rescaled
     locally, which halves the mask-quantization error against an l_f-scale
-    factor, and the shares come back at scale l_f.
+    factor, and the shares come back at scale l_f. The correction forms
+    the double-width product exactly in vectorised limbs
+    (``_exp_correction``).
 
-    ``policy`` controls out-of-range openings: "strict" rejects a public
-    d outside what [u_min, 0] inputs can produce, "clamp" proceeds (the
-    natural underflow of e^d keeps far-negative inputs near zero).
+    Openings outside [u_min - r_max, r_max), the window the Theorem-2
+    leakage bound covers (widened by a 4-quantum encoding slack), are
+    counted on ``RoundStats.exp_openings_outside_window``. Both servers
+    see every opening, so the count reveals nothing new. ``policy``
+    decides what such an opening does: "strict" rejects it, "clamp"
+    proceeds (the natural underflow of e^d keeps far-negative inputs near
+    zero).
     """
+    if policy not in ("strict", "clamp"):
+        raise ValueError(f"unknown pp_exp policy {policy!r}")
     lf = rt.codec.lf
     p = rt.params
     rmax_enc = params.rmax_enc(lf)
@@ -234,34 +292,18 @@ def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
         d = to_signed(ring_add(d_mine, d_theirs, p), p)
         d_hat = d.astype(np.float64) / (1 << lf)
         slack = 4.0 / (1 << lf)
-        if policy == "strict":
-            if np.any(d_hat < params.u_min - params.r_max - slack) or \
-               np.any(d_hat >= params.r_max + slack):
-                raise ProtocolError("opened exponent outside the configured input range")
-        elif policy == "clamp":
-            # Valid inputs never open above r_max; capping there keeps a
-            # corrupted or out-of-domain opening finite instead of
-            # overflowing e^d. Far-negative openings need no cap since
-            # e^d underflows to the correct zero.
-            d_hat = np.minimum(d_hat, params.r_max + slack)
-        else:
-            raise ValueError(f"unknown pp_exp policy {policy!r}")
-
-        # High-precision public factor; the product and rescaling run on
-        # native integers so the double-width intermediate never wraps.
+        outside = int(np.count_nonzero((d_hat < params.u_min - params.r_max - slack)
+                                       | (d_hat >= params.r_max + slack)))
+        rt.stats.exp_openings_outside_window += outside
+        if outside and policy == "strict":
+            raise ProtocolError("opened exponent outside the configured input range")
+        # Valid inputs never open above r_max; capping there keeps a
+        # corrupted or out-of-domain opening finite instead of
+        # overflowing e^d. Far-negative openings need no cap since e^d
+        # underflows to the correct zero.
+        d_hat = np.minimum(d_hat, params.r_max + slack)
         x_pub = np.round(np.exp(d_hat) * float(1 << (2 * lf)))
-        x_int = [int(v) for v in np.ravel(x_pub)]
-        modulus = p.modulus
-        shift = 2 * lf
-        half = 1 << (shift - 1)
-        vals = []
-        for xe, me in zip(x_int, np.ravel(mask.m)):
-            if rt.party == 0:
-                s = (xe * int(me) + half) >> shift
-            else:
-                s = -((xe * (modulus - int(me))) >> shift)
-            vals.append(s % modulus)
-        out_vals = np.array(vals, dtype=np.uint64).reshape(u.shape)
+        out_vals = _exp_correction(x_pub, mask.m, rt.party, p, 2 * lf)
         return SharedArray(rt.party, out_vals, u.codec, lf)
 
 

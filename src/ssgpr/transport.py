@@ -42,13 +42,15 @@ class RoundStats:
 
     Traffic is attributed to the protocol name at the bottom of the scope
     stack, so nested sub-protocol calls roll up into the operation the
-    caller asked for.
+    caller asked for. ``exp_openings_outside_window`` counts the pp_exp
+    openings that fell outside the Theorem-2 window (leakage telemetry).
     """
 
     rounds: int = 0
     online_words_sent: int = 0
     online_words_received: int = 0
     offline_words: int = 0
+    exp_openings_outside_window: int = 0
     per_protocol: dict = field(default_factory=dict)
     _scopes: list = field(default_factory=list)
 
@@ -86,6 +88,7 @@ class RoundStats:
             "online_words_received": self.online_words_received,
             "online_bytes_sent": 8 * self.online_words_sent,
             "offline_words": self.offline_words,
+            "exp_openings_outside_window": self.exp_openings_outside_window,
             "per_protocol": {k: dict(v) for k, v in self.per_protocol.items()},
         }
 

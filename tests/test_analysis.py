@@ -33,6 +33,17 @@ def test_validate_default_session_params():
     assert rep.accepted
 
 
+@pytest.mark.parametrize("params", [ExpParams(u_min=20.0, r_max=40.0),
+                                    ExpParams(u_min=-1.0, r_max=0.0)])
+def test_validate_empty_input_or_mask_range_rejected(params):
+    # Both pass the slack bounds at (64, 29), but [u_min, 0] or
+    # [-r_max, r_max) is empty; r_max = 40 would also push the public
+    # factor past what the exact correction can rescale.
+    rep = validate_exp_params(params, RingParams(64, 29))
+    assert rep.precision_slack_bits >= 0 and rep.overflow_slack_bits > 0
+    assert not rep.accepted
+
+
 def test_leakage_worked_example():
     rep = leakage_enumerate(3, 5)
     assert rep.expected_leakage == Fraction(7, 15)

@@ -72,6 +72,7 @@ def test_run_gpr_end_to_end(tmp_path, capsys):
     assert report["loss_var_mean"] <= 1e-3
     run = report["runs"][0]
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
+    assert isinstance(run["exp_openings_outside_window"], int)
 
 
 def test_matinv_closed_form_follows_division_budget():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import QUANTUM, open_result, run_shared
-from ssgpr.protocols import ExpParams, pp_exp
-from ssgpr.transport import P0
+from ssgpr.protocols import ExpParams, _exp_correction, pp_exp
+from ssgpr.ring import FixedPointCodec, RingParams
+from ssgpr.transport import P0, P1
 
 EP = ExpParams()
 
@@ -66,3 +67,82 @@ def test_exp_matrix_shape_preserved():
 
 def test_exp_rmax_enc():
     assert EP.rmax_enc(26) == int(round(1.25 * (1 << 26)))
+
+
+# ------------------------------------------------ exact correction oracle
+
+def loop_correction(x_pub, m, party, p, shift):
+    """The per-element Python-int correction, the reference for _exp_correction."""
+    half = 1 << (shift - 1)
+    vals = []
+    for xe, me in zip(np.ravel(x_pub), np.ravel(m)):
+        xe, me = int(xe), int(me)
+        if party == 0:
+            s = (xe * me + half) >> shift
+        else:
+            s = -((xe * (p.modulus - me)) >> shift)
+        vals.append(s % p.modulus)
+    return np.array(vals, dtype=np.uint64).reshape(np.shape(x_pub))
+
+
+@pytest.mark.parametrize("ring, params", [
+    (RingParams(64, 26), EP),
+    (RingParams(60, 20), EP),
+    (RingParams(48, 12), EP),
+    (RingParams(64, 29), ExpParams(u_min=-4.0, r_max=16.0)),
+], ids=["64-26", "60-20", "48-12", "64-29-rmax16"])
+def test_exp_correction_matches_integer_loop(ring, params):
+    lf = ring.lf
+    rng = np.random.default_rng(ring.l * 64 + lf)
+    slack = 4.0 / (1 << lf)
+    ceiling = np.round(np.exp(params.r_max + slack) * float(1 << (2 * lf)))
+    d_hat = rng.uniform(params.u_min - params.r_max - 2.0, params.r_max + slack, 40)
+    x_pub = np.concatenate([[0.0, 1.0, ceiling], np.round(np.exp(d_hat) * float(1 << (2 * lf)))])
+    edges = np.array([0, 1, ring.modulus - 1], dtype=np.uint64)
+    m = np.concatenate([edges, rng.integers(0, ring.modulus, 40, dtype=np.uint64)])
+    xx, mm = np.meshgrid(x_pub, m)
+    for party in (0, 1):
+        got = _exp_correction(xx, mm, party, ring, 2 * lf)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, loop_correction(xx, mm, party, ring, 2 * lf))
+
+
+def test_exp_correction_rejects_factor_past_the_shift():
+    # r_max = 40 fails validate_exp_params; called directly, its clamp
+    # ceiling e^40 * 2^52 needs more than the 52-bit shift can take.
+    ring = RingParams(64, 26)
+    x_pub = np.array([np.round(np.exp(40.0) * float(1 << 52))])
+    with pytest.raises(RuntimeError, match="too large"):
+        _exp_correction(x_pub, np.array([5], dtype=np.uint64), 0, ring, 52)
+
+
+@pytest.mark.parametrize("ring", [RingParams(60, 20), RingParams(48, 12)], ids=["l60", "l48"])
+def test_exp_accuracy_narrow_rings(ring):
+    codec = FixedPointCodec(ring)
+    u = np.random.default_rng(3).uniform(-4.0, 0.0, 2000)
+    res = run_shared(lambda rt, x: pp_exp(rt, x, EP), [u], codec=codec)
+    assert np.max(np.abs(open_result(res) - np.exp(u))) <= 4 * codec.quantum
+
+
+# ---------------------------------------------------- leakage telemetry
+
+def outside_counts(res):
+    return [res.stats[p].summary()["exp_openings_outside_window"] for p in (P0, P1)]
+
+
+def test_exp_openings_in_window_not_counted():
+    u = np.concatenate([np.random.default_rng(4).uniform(EP.u_min, 0.0, 500), [EP.u_min, 0.0]])
+    res = run_shared(lambda rt, x: pp_exp(rt, x, EP, policy="clamp"), [u])
+    assert outside_counts(res) == [0, 0]
+
+
+def test_exp_far_negative_openings_counted_under_clamp():
+    n = 9
+    res = run_shared(lambda rt, x: pp_exp(rt, x, EP, policy="clamp"), [np.full(n, -40.0)])
+    assert outside_counts(res) == [n, n]
+
+
+def test_exp_outside_count_agrees_between_servers():
+    u = np.array([-40.0, -2.0, 3.0, -0.5, -12.0, 0.0, 2.5])
+    res = run_shared(lambda rt, x: pp_exp(rt, x, EP, policy="clamp"), [u], seed=5)
+    assert outside_counts(res) == [4, 4]

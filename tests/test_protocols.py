@@ -84,6 +84,59 @@ def test_matmul_dimension_mismatch():
                    [np.ones((2, 3)), np.ones((2, 3))])
 
 
+@pytest.mark.parametrize("codec", [CODEC, FixedPointCodec(RingParams(48, 16))],
+                         ids=["l64", "l48"])
+@pytest.mark.parametrize("op", ["mul", "matmul"])
+def test_beaver_shares_match_textbook(codec, op):
+    # Textbook Beaver shares are z_i = c_i + a_i*e + d*b_i + i*d*e from the
+    # dealt triple and the opened d, e. The servers split the same product
+    # differently: z_i = u_i*e + d*(v_i - i*e) + c_i, which moves
+    # d_0*e + d*e_0 (P0's own halves of the openings) from P1's share to
+    # P0's. Recomputed here on Python ints, independent of ring.py.
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-3, 3, (3, 4))
+    y = rng.uniform(-3, 3, (3, 4) if op == "mul" else (4, 2))
+    protocol = ss_mul if op == "mul" else ss_matmul
+
+    def job(rt, sx, sy):
+        seen = {}
+        take, exchange = rt.assistant._take, rt.exchange
+
+        def record_take(kind, spec):
+            t = take(kind, spec)
+            seen["a"], seen["b"], seen["c"] = t.a.copy(), t.b.copy(), t.c.copy()
+            return t
+
+        def record_exchange(payload):
+            theirs = exchange(payload)
+            seen["mine"], seen["theirs"] = payload.copy(), theirs.copy()
+            return theirs
+
+        rt.assistant._take, rt.exchange = record_take, record_exchange
+        return protocol(rt, sx, sy, truncate=False).values, seen
+
+    res = run_shared(job, [x, y], codec=codec)
+    mod = codec.params.modulus
+    mul = (lambda p, q: p * q) if op == "mul" else (lambda p, q: p @ q)
+    z0, seen0 = res.outputs[P0]
+    z1, seen1 = res.outputs[P1]
+    n = x.size
+    halves0 = seen0["mine"].astype(object)
+    opened = (halves0 + seen0["theirs"].astype(object)) % mod
+    d, e = opened[:n].reshape(x.shape), opened[n:].reshape(y.shape)
+    d0, e0 = halves0[:n].reshape(x.shape), halves0[n:].reshape(y.shape)
+    resplit = mul(d0, e) + mul(d, e0)
+    for i, (z, seen) in enumerate(((z0, seen0), (z1, seen1))):
+        a, b, c = (seen[k].astype(object) for k in "abc")
+        textbook = c + mul(a, e) + mul(d, b) + i * mul(d, e)
+        want = (textbook + (1 - 2 * i) * resplit) % mod
+        assert np.array_equal(z.astype(object), want)
+    # The opened product is exactly (a + d)(b + e) over the ring.
+    u = (seen0["a"].astype(object) + seen1["a"].astype(object) + d) % mod
+    v = (seen0["b"].astype(object) + seen1["b"].astype(object) + e) % mod
+    assert np.array_equal((z0.astype(object) + z1.astype(object)) % mod, mul(u, v) % mod)
+
+
 # --------------------------------------------------------------- distances
 
 def test_dist_self_zero_diagonal():
