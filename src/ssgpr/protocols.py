@@ -211,6 +211,9 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
+# Elements per block of _exp_correction: its ~30 passes over a block of
+# this size stay in cache, where whole 50k-word arrays fall out of it.
+_EXP_BLOCK = 4096
 
 
 def _exp_correction(x_pub: np.ndarray, m: np.ndarray, party: int, p: RingParams,
@@ -227,7 +230,19 @@ def _exp_correction(x_pub: np.ndarray, m: np.ndarray, party: int, p: RingParams,
     Each x = M * 2^E with M < 2^53 is exact in float64, so the product
     M * factor (under 2^117) is built from 32-bit limbs in a high and a
     low uint64 word, and each element shifts right by its own shift - E.
+    The work runs over blocks of ``_EXP_BLOCK`` elements.
     """
+    x_flat, m_flat = np.ravel(x_pub), np.ravel(m)
+    out = np.empty(m_flat.shape, dtype=np.uint64)
+    for i in range(0, out.size, _EXP_BLOCK):
+        j = i + _EXP_BLOCK
+        out[i:j] = _exp_correction_block(x_flat[i:j], m_flat[i:j], party, p, shift)
+    return out.reshape(np.shape(m))
+
+
+def _exp_correction_block(x_pub: np.ndarray, m: np.ndarray, party: int, p: RingParams,
+                          shift: int) -> np.ndarray:
+    """``_exp_correction`` on one block of flat arrays."""
     _, exp2 = np.frexp(x_pub)
     e_pow = np.maximum(exp2 - 53, 0)
     mant = np.ldexp(x_pub, -e_pow).astype(np.uint64)

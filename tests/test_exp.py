@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import QUANTUM, open_result, run_shared
-from ssgpr.protocols import ExpParams, _exp_correction, pp_exp
+from ssgpr.protocols import _EXP_BLOCK, ExpParams, _exp_correction, pp_exp
 from ssgpr.ring import FixedPointCodec, RingParams
 from ssgpr.transport import P0, P1
 
@@ -105,6 +105,20 @@ def test_exp_correction_matches_integer_loop(ring, params):
         got = _exp_correction(xx, mm, party, ring, 2 * lf)
         assert got.dtype == np.uint64
         assert np.array_equal(got, loop_correction(xx, mm, party, ring, 2 * lf))
+
+
+def test_exp_correction_blocks_match_integer_loop():
+    # Past _EXP_BLOCK elements the correction runs block by block; a
+    # ragged last block and a 2-d shape must come back in place.
+    ring = RingParams(64, 26)
+    rng = np.random.default_rng(7)
+    shape = (3, _EXP_BLOCK // 2 + 5)
+    x_pub = np.round(np.exp(rng.uniform(-20.0, 1.0, shape)) * float(1 << 52))
+    m = rng.integers(0, ring.modulus, shape, dtype=np.uint64)
+    for party in (0, 1):
+        got = _exp_correction(x_pub, m, party, ring, 52)
+        assert got.shape == shape
+        assert np.array_equal(got, loop_correction(x_pub, m, party, ring, 52))
 
 
 def test_exp_correction_rejects_factor_past_the_shift():

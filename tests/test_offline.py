@@ -6,7 +6,7 @@ import scipy.stats
 
 from helpers import CODEC
 from ssgpr.offline import ProtocolError, _parse_plan, gen_material
-from ssgpr.ring import FixedPointCodec, RingParams, ring_matmul, ring_mul, to_signed
+from ssgpr.ring import FixedPointCodec, RingParams, _use_limbs, ring_matmul, ring_mul, to_signed
 from ssgpr.session import run_session
 from ssgpr.sharing import rec
 from ssgpr.transport import P0, P1, ProtocolAbort
@@ -34,6 +34,17 @@ def test_matrix_triple_2x2():
     b = rec(s0.b, s1.b, P64)
     c = rec(s0.c, s1.c, P64)
     assert np.array_equal(c, ring_matmul(a, b, P64))
+
+
+def test_matrix_triple_on_the_limb_path():
+    # At this shape the assistant's c = a @ b runs on ring_matmul's float64
+    # limb path; the native uint64 product is the independent oracle.
+    assert _use_limbs(500, 100, 100)
+    s0, s1 = gen_material(np.random.default_rng(5), "matrix", (500, 100, 100), P64)
+    a = rec(s0.a, s1.a, P64)
+    b = rec(s0.b, s1.b, P64)
+    c = rec(s0.c, s1.c, P64)
+    assert np.array_equal(c, a @ b)
 
 
 def test_matrix_triple_1x1x1_is_scalar_beaver():
