@@ -193,8 +193,10 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     """Shared square root via inverse-square-root Newton iterations.
 
     z <- z (3 - x z^2) / 2 from a tangent-line first guess at sqrt_hi / 2,
-    then one product by x. Three rounds per iteration. Exact zero inputs
-    map to zero since the final multiply scales the bounded iterate by x.
+    then one product by x. Three rounds and six assistant round trips per
+    iteration: the halving rides on the third product's truncation. Exact
+    zero inputs map to zero since the final multiply scales the bounded
+    iterate by x.
     """
     x0 = rt.div.sqrt_hi / 2.0
     a = 1.5 / math.sqrt(x0)
@@ -204,8 +206,10 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
         for _ in range(rt.div.sqrt_iterations):
             s = ss_mul(rt, z, z)
             t = ss_mul(rt, x, s)
-            z = ss_mul(rt, z, (-t).add_public(3.0))
-            z = _rescale(rt, z.scale_public(0.5))
+            y = (-t).add_public(3.0)
+            raw = ss_mul(rt, z, y, truncate=False)
+            # One bit more than y's scale halves the product at z's scale.
+            z = SharedArray(rt.party, rt.trunc_values(raw.values, y.scale + 1), z.codec, z.scale)
         return ss_mul(rt, x, z)
 
 

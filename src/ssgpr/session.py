@@ -40,8 +40,9 @@ class DivisionConfig:
 
 
 # Truncation offsets are drawn from the pair generator this many at a
-# time. A bounded uint64 draw takes whole generator words per element, so
-# the offsets come out the same as one draw per truncation would give.
+# time. The 8-bit draws in a block share generator words, so the offsets
+# differ from what one draw per truncation would give; both servers draw
+# the same blocks, so their offsets still agree.
 PAIR_OFFSET_BLOCK = 4096
 
 
@@ -98,9 +99,14 @@ class PartyRuntime:
         """The next ``n`` truncation offsets, uniform on [delta, 2^l - 2 delta)."""
         at = self._offsets_at
         if at + n > self._offsets.size:
-            fresh = self.pair_rng.integers(
-                self._delta, self.params.modulus - 2 * self._delta,
-                size=max(n, PAIR_OFFSET_BLOCK), dtype=np.uint64)
+            # The range is five delta-wide cells above delta, so an offset
+            # is (q + 1) delta + r with q uniform on {0, ..., 4} and r the
+            # top l - 3 bits of a raw generator word.
+            size = max(n, PAIR_OFFSET_BLOCK)
+            cell = self.pair_rng.integers(1, 6, size=size, dtype=np.uint8).astype(np.uint64)
+            low_bits = self.params.l - 3
+            within = self.pair_rng.bit_generator.random_raw(size) >> np.uint64(64 - low_bits)
+            fresh = (cell << np.uint64(low_bits)) | within
             self._offsets = np.concatenate([self._offsets[at:], fresh])
             at = 0
         self._offsets_at = at + n

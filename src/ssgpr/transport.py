@@ -1,15 +1,18 @@
 """Message transport between the three parties.
 
-Two interchangeable backends carry the same wire format: an in-process
-queue hub for tests and benchmarks, and TCP sockets for separate
-processes. Every message is a 16-byte header (message tag and word count,
-both little-endian u64) followed by the payload as little-endian 64-bit
-words. Traffic statistics distinguish online traffic between the compute
-servers from offline traffic involving the assistant, and a communication
-round is one bidirectional exchange between the compute servers.
+A message is a tag and a flat array of 64-bit ring words. Two
+interchangeable backends carry it: an in-process queue hub for tests and
+benchmarks, which hands each receiver its own copy of the words, and TCP
+sockets for separate processes, which frame each message as a 16-byte
+header (tag and word count, both little-endian u64) followed by the
+words, little-endian. Traffic statistics distinguish online traffic
+between the compute servers from offline traffic involving the
+assistant, and a communication round is one bidirectional exchange
+between the compute servers.
 
 Both backends report a closed peer the same way: a receive on a link
-whose other end has closed raises ``ConnectionError`` at once.
+whose other end has closed raises ``ConnectionError`` at once. On both,
+a received array is writable and shares no memory with the sender's.
 """
 
 from __future__ import annotations
@@ -93,43 +96,26 @@ class RoundStats:
         }
 
 
-def encode_message(tag: int, payload: np.ndarray) -> bytes:
-    # On a little-endian host the words are already "<u8" and go out uncopied.
-    words = np.ascontiguousarray(payload, dtype=np.uint64).astype("<u8", copy=False)
-    return b"".join((_HEADER.pack(tag, words.size), words.ravel()))
-
-
-def decode_header(raw: bytes):
-    return _HEADER.unpack(raw)
-
-
-def decode_payload(raw: bytes, count: int) -> np.ndarray:
-    return np.frombuffer(raw, dtype="<u8", count=count).astype(np.uint64)
-
-
 class QueueLink:
     """One end of a pair of in-process queues; ``close`` sends an end-of-stream marker."""
 
     def __init__(self, out_q: queue.SimpleQueue, in_q: queue.SimpleQueue):
         self.out_q = out_q
         self.in_q = in_q
-        self._buf = b""
 
-    def send_bytes(self, data: bytes):
-        self.out_q.put(data)
+    def send(self, tag: int, words: np.ndarray):
+        # The receiver owns and may write the words, so it gets a copy.
+        self.out_q.put((tag, words.flatten()))
 
-    def recv_bytes(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            try:
-                chunk = self.in_q.get(timeout=RECV_TIMEOUT_S)
-            except queue.Empty:
-                raise TimeoutError("no message from peer") from None
-            if chunk is None:
-                self.in_q.put(None)  # every later receive sees the end too
-                raise ConnectionError("peer closed the connection")
-            self._buf += chunk
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+    def recv(self) -> tuple[int, np.ndarray]:
+        try:
+            message = self.in_q.get(timeout=RECV_TIMEOUT_S)
+        except queue.Empty:
+            raise TimeoutError("no message from peer") from None
+        if message is None:
+            self.in_q.put(None)  # every later receive sees the end too
+            raise ConnectionError("peer closed the connection")
+        return message
 
     def close(self):
         self.out_q.put(None)
@@ -140,20 +126,27 @@ class SocketLink:
         self.sock = sock
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock.settimeout(RECV_TIMEOUT_S)
+        self._header = bytearray(_HEADER.size)
 
-    def send_bytes(self, data: bytes):
-        self.sock.sendall(data)
+    def send(self, tag: int, words: np.ndarray):
+        # On a little-endian host the words are already "<u8" and go out uncopied.
+        wire = words.astype("<u8", copy=False).ravel()
+        self.sock.sendall(b"".join((_HEADER.pack(tag, wire.size), wire)))
 
-    def recv_bytes(self, n: int) -> bytes:
-        chunks = []
+    def _recv_into(self, buf: memoryview):
         got = 0
-        while got < n:
-            chunk = self.sock.recv(n - got)
-            if not chunk:
+        while got < len(buf):
+            n = self.sock.recv_into(buf[got:])
+            if not n:
                 raise ConnectionError("peer closed the connection")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+            got += n
+
+    def recv(self) -> tuple[int, np.ndarray]:
+        self._recv_into(memoryview(self._header))
+        tag, count = _HEADER.unpack(self._header)
+        words = np.empty(count, dtype="<u8")
+        self._recv_into(memoryview(words.view(np.uint8)))
+        return tag, words.astype(np.uint64, copy=False)
 
     def close(self):
         try:
@@ -173,14 +166,14 @@ class Channel:
 
     def send(self, tag: int, payload: np.ndarray):
         payload = np.ascontiguousarray(payload, dtype=np.uint64)
-        self.link.send_bytes(encode_message(tag, payload))
+        self.link.send(tag, payload)
         self.stats.note_send(payload.size, self.offline)
 
     def recv(self, tag: int, shape: tuple | None = None) -> np.ndarray:
-        got_tag, count = decode_header(self.link.recv_bytes(_HEADER.size))
+        got_tag, payload = self.link.recv()
         if got_tag != tag:
             raise ProtocolAbort(f"expected message tag {tag}, received {got_tag}")
-        payload = decode_payload(self.link.recv_bytes(8 * count), count)
+        count = payload.size
         self.stats.note_recv(count, self.offline)
         if shape is not None:
             want = math.prod(shape)

@@ -11,7 +11,7 @@ from ssgpr.protocols import (ProtocolError, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
                              ss_reciprocal, ss_sqrt, _consume)
 from ssgpr.ring import FixedPointCodec, RingParams
-from ssgpr.session import DivisionConfig
+from ssgpr.session import PAIR_OFFSET_BLOCK, DivisionConfig, PartyRuntime
 from ssgpr.sharing import reconstruct
 from ssgpr.transport import P0, P1
 
@@ -221,6 +221,38 @@ def test_sqrt_sweep():
     res = run_shared(lambda rt, v: ss_sqrt(rt, v), [x])
     rel = np.abs(open_result(res) - np.sqrt(x)) / np.sqrt(x)
     assert np.max(rel) <= 1e-3
+
+
+def test_sqrt_assistant_round_trips():
+    # Per iteration three products, each a one-item deal and a truncation;
+    # plus the first guess's truncation and the final product's two.
+    def job(rt, x):
+        before = rt.assistant._tag
+        ss_sqrt(rt, x)
+        return rt.assistant._tag - before
+
+    res = run_shared(job, [np.array([4.0, 9.0])], div=DivisionConfig(sqrt_iterations=5))
+    assert res.outputs[P0] == res.outputs[P1] == 6 * 5 + 3
+
+
+# ------------------------------------------------------ truncation offsets
+
+@pytest.mark.parametrize("l", [64, 48])
+def test_truncation_offsets_uniform_on_their_range(l):
+    rt = PartyRuntime(0, None, FixedPointCodec(RingParams(l, 16)), None,
+                      np.random.default_rng(l))
+    delta = 1 << (l - 3)
+    # Calls below and above a block, so that blocks are both split and refilled.
+    lam = np.concatenate([rt._pair_offsets(k)
+                          for k in (1, 3000, 2 * PAIR_OFFSET_BLOCK + 7, 50_000)])
+    assert int(lam.min()) >= delta and int(lam.max()) < (1 << l) - 2 * delta
+    # The range [delta, 2^l - 2 delta) is five delta-wide cells.
+    cell, within = np.divmod(lam - np.uint64(delta), np.uint64(delta))
+    counts = np.bincount(cell.astype(np.int64), minlength=5)
+    expected = lam.size / 5
+    assert ((counts - expected) ** 2 / expected).sum() < 18.47  # chi-square, 4 dof, p = 0.001
+    # Uniform within a cell: mean position 1/2, standard error about 0.0012.
+    assert abs(float(np.mean(within / delta)) - 0.5) < 0.006
 
 
 # --------------------------------------------------- matrix inversion chain

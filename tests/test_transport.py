@@ -1,5 +1,6 @@
 """Message framing, round/byte accounting, and the two transports."""
 
+import struct
 import threading
 
 import numpy as np
@@ -8,16 +9,9 @@ import pytest
 from helpers import CODEC
 from ssgpr.session import run_session
 from ssgpr.transport import (ASSISTANT, P0, P1, Channel, LocalHub, ProtocolAbort,
-                             RoundStats, TcpHub, decode_header, decode_payload,
-                             encode_message)
+                             RoundStats, TcpHub)
 
-
-def test_message_roundtrip():
-    payload = np.array([1, 2, 3], dtype=np.uint64)
-    raw = encode_message(7, payload)
-    tag, count = decode_header(raw[:16])
-    assert (tag, count) == (7, 3)
-    assert np.array_equal(decode_payload(raw[16:], count), payload)
+BACKENDS = pytest.mark.parametrize("make_hub", [LocalHub, TcpHub], ids=["inproc", "sockets"])
 
 
 def test_round_stats_counters():
@@ -56,6 +50,51 @@ def _pair(hub):
     t1 = threading.Thread(target=build, args=(P1, P0, s1))
     t0.start(); t1.start(); t0.join(); t1.join()
     return ch[P0], ch[P1], s0, s1
+
+
+@BACKENDS
+def test_message_roundtrip(make_hub):
+    hub = make_hub()
+    c0, c1, _, _ = _pair(hub)
+    payloads = [np.array([], dtype=np.uint64),
+                np.random.default_rng(3).bit_generator.random_raw(1 << 20)]
+
+    def send_all():
+        for tag, words in enumerate(payloads, 1):
+            c1.send(tag, words)
+
+    # A receiver must drain a large message while it is sent over TCP.
+    sender = threading.Thread(target=send_all)
+    sender.start()
+    got = [c0.recv(1), c0.recv(2)]
+    sender.join(timeout=60)
+    assert not sender.is_alive()
+    for sent, received in zip(payloads, got):
+        assert received.dtype == np.uint64 and received.tobytes() == sent.tobytes()
+        # The receiver owns its words: it may write them, and the sender's stay put.
+        assert received.flags.writeable and not np.shares_memory(received, sent)
+    c0.link.close(); c1.link.close()
+    hub.close()
+
+
+def test_local_send_copies_the_words():
+    c0, c1, _, _ = _pair(LocalHub())
+    words = np.arange(5, dtype=np.uint64)
+    c1.send(1, words)
+    words[:] = 99
+    assert np.array_equal(c0.recv(1), np.arange(5, dtype=np.uint64))
+
+
+def test_socket_eof_in_mid_payload():
+    hub = TcpHub()
+    c0, c1, _, _ = _pair(hub)
+    # A header promising ten words, then three words and the end of the stream.
+    c1.link.sock.sendall(struct.pack("<QQ", 1, 10) + bytes(24))
+    c1.link.close()
+    with pytest.raises(ConnectionError):
+        c0.recv(1)
+    c0.link.close()
+    hub.close()
 
 
 def test_local_exchange_counts_one_round():
@@ -119,7 +158,7 @@ def test_tcp_exchange():
     hub.close()
 
 
-@pytest.mark.parametrize("make_hub", [LocalHub, TcpHub], ids=["inproc", "sockets"])
+@BACKENDS
 def test_closed_peer_is_immediate_eof(make_hub):
     hub = make_hub()
     c0, c1, _, _ = _pair(hub)
