@@ -2,7 +2,8 @@
 
 Parameter validation for the masked exponentiation, exact enumeration of
 its information leakage, and the closed-form communication-round counts
-of the matrix-inversion pipeline, peer rounds and assistant round trips.
+of the matrix-inversion pipeline and the square root, peer rounds and
+assistant round trips.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .protocols import ExpParams
+from .protocols import ExpParams, sqrt_deal_group
 from .ring import RingParams
 
 
@@ -154,3 +155,23 @@ def matinv_assistant_round_trips(n: int, r_div: int = 17) -> int:
     truncations = (r_div + 1) + (n - 2) * (r_div + 5) + 2 + (n - 1) + (r_div + 2)
     deals = 2 * n + 2
     return truncations + deals
+
+
+def sqrt_rounds(iterations: int) -> int:
+    """Peer rounds of one ss_sqrt: two per iteration plus the final product."""
+    return 2 * iterations + 1
+
+
+def sqrt_assistant_round_trips(iterations: int, size: int) -> int:
+    """Closed-form assistant round trips of one ss_sqrt on ``size`` elements.
+
+    Truncations: the first guess, two per iteration and the final
+    product, 2 * iterations + 2. Deals: one per group of
+    g = protocols.sqrt_deal_group(size) iterations, the last also carrying
+    the final product's triple, so ceil(iterations / g), or one for the
+    final triple alone at zero iterations; when g = 0 every product
+    fetches its own, 2 * iterations + 1.
+    """
+    group = sqrt_deal_group(size)
+    deals = max(1, -(-iterations // group)) if group else 2 * iterations + 1
+    return 2 * iterations + 2 + deals

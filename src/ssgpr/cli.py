@@ -18,8 +18,9 @@ import numpy as np
 
 from .analysis import expected_rounds, leakage_enumerate, validate_exp_params
 from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenario, standardize
-from .gpr import (KernelConfig, Predictions, gpr_predict_plaintext, kernel_matrix_plaintext,
-                  loss_metrics, pp_gpr_construct, pp_gpr_predict)
+from .gpr import (MATERN32, KernelConfig, Predictions, gpr_predict_plaintext,
+                  kernel_matrix_plaintext, loss_metrics, pp_gpr_construct, pp_gpr_predict,
+                  sqdist_matrix)
 from .protocols import ExpParams, pp_exp, pp_matinv
 from .ring import FixedPointCodec, RingParams
 from .session import DivisionConfig, run_session
@@ -113,6 +114,14 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
     codec, exp_params, div, kernel = session_pieces(cfg)
     ds, prep = standardize(dataset, cfg["normalize"])
     xs = prep.apply_x(x_star)
+    if kernel.kind == MATERN32:
+        # The square root takes 3 d for every training-training and
+        # test-training squared distance d, and is fitted on [0, sqrt_hi].
+        need = 3.0 * float(sqdist_matrix(np.vstack([ds.X, np.atleast_2d(xs)]), ds.X).max())
+        if div.sqrt_hi < need:
+            raise ValueError(f"sqrt_hi = {div.sqrt_hi:g} is below 3 x the largest squared "
+                             f"distance between the standardised points, {need:.4g}; "
+                             "the Matern square root would leave its domain")
     oracle = gpr_predict_plaintext(ds.X, ds.y, xs, kernel)
     oracle = Predictions(oracle.mean + prep.y_shift, oracle.variance)
     split = ScenarioSplit(scenario=cfg["scenario"])

@@ -133,18 +133,38 @@ def pp_kernel(rt: PartyRuntime, dist: SharedArray, config: KernelConfig,
     return _rescale(rt, k.scale_public(config.signal_variance))
 
 
+def _pp_gram(rt: PartyRuntime, x: SharedArray, config: KernelConfig,
+             exp_params: ExpParams, policy: str) -> SharedArray:
+    """Shares of the gram matrix K, evaluated on its strict upper triangle.
+
+    The kernel runs on the n(n-1)/2 distances above the diagonal and is
+    mirrored below it, so K's shares are exactly symmetric. The diagonal
+    is k(x, x) = signal_variance by stationarity, a public value; writing
+    it directly sidesteps the square root's zero-distance edge case on
+    the Matern path. The triangle's temporaries die with this call.
+    """
+    n = x.shape[0]
+    upper = pp_kernel(rt, ss_dist(rt, x, upper=True), config, exp_params, policy).values
+    rows, cols = np.triu_indices(n, 1)
+    k = np.empty((n, n), dtype=np.uint64)
+    k[rows, cols] = upper
+    k[cols, rows] = upper
+    np.fill_diagonal(k, rt.codec.encode(config.signal_variance) if rt.party == 0 else 0)
+    return SharedArray(rt.party, k, x.codec)
+
+
 def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
                      config: KernelConfig, exp_params: ExpParams,
                      policy: str = "clamp", y_shift: float = 0.0) -> GprModelShares:
-    """Model construction: gram matrix and the shared inverse."""
+    """Model construction: gram matrix and the shared inverse.
+
+    The kernel runs on the gram's strict upper triangle only (``_pp_gram``),
+    so its square root, exponentiation and truncations carry n(n-1)/2
+    elements rather than n^2.
+    """
     n = x.shape[0]
-    dist = ss_dist(rt, x)
-    k = pp_kernel(rt, dist, config, exp_params, policy)
-    # The gram diagonal is k(x, x) = signal_variance by stationarity, a
-    # public value; writing it directly sidesteps the square root's
-    # zero-distance edge case on the Matern path.
+    k = _pp_gram(rt, x, config, exp_params, policy)
     idx = np.arange(n)
-    k.values[idx, idx] = rt.codec.encode(config.signal_variance) if rt.party == 0 else 0
     m = k.copy()
     if rt.party == 0:
         m.values[idx, idx] = ring_add(m.values[idx, idx],

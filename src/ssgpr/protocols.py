@@ -126,24 +126,33 @@ def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
                        ring_matmul, truncate)
 
 
-def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None) -> SharedArray:
+def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None,
+            upper: bool = False) -> SharedArray:
     """Squared-Euclidean distance matrix between shared point sets.
 
     Uses ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with all combining done
     on raw double-scale values so that one truncation covers each output
     entry. The self-distance form cancels exactly, giving a zero diagonal
-    up to the truncation's last bit.
+    up to the truncation's last bit. With ``upper`` the self form returns
+    only the strict upper triangle, flat in ``np.triu_indices(n, 1)``
+    order, and truncates only those entries.
     """
     if x.values.ndim != 2:
         raise ProtocolError("ss_dist expects 2-d point matrices")
+    if upper and y is not None:
+        raise ProtocolError("ss_dist returns an upper triangle only in its self form")
     p = rt.params
     with rt.scope("ss_dist"):
         if y is None:
-            cross = ss_matmul(rt, x, x.T, truncate=False)
-            norms = SharedArray(rt.party, np.diagonal(cross.values).copy(),
-                                x.codec, cross.scale)
-            raw = ring_sub(ring_add(norms.values[:, None], norms.values[None, :], p),
-                           ring_mul(np.uint64(2), cross.values, p), p)
+            cross = ss_matmul(rt, x, x.T, truncate=False).values
+            norms = np.diagonal(cross).copy()
+            if upper:
+                rows, cols = np.triu_indices(x.shape[0], 1)
+                raw = ring_sub(ring_add(norms[rows], norms[cols], p),
+                               ring_mul(np.uint64(2), cross[rows, cols], p), p)
+            else:
+                raw = ring_sub(ring_add(norms[:, None], norms[None, :], p),
+                               ring_mul(np.uint64(2), cross, p), p)
         else:
             if y.values.ndim != 2 or x.shape[1] != y.shape[1]:
                 raise ProtocolError(f"ss_dist feature mismatch: {x.shape} vs {y.shape}")
@@ -189,27 +198,62 @@ def ss_div(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         return ss_mul(rt, u, ss_reciprocal(rt, v, domain))
 
 
+# Words of triples per party that one ss_sqrt deal may carry. Whole
+# iterations (9 words per element each) share a deal up to this cap;
+# per-iteration deals at the construction's n(n-1)/2-element input
+# raised peak memory by several MiB.
+_SQRT_DEAL_WORDS = 1 << 15
+
+
+def sqrt_deal_group(size: int) -> int:
+    """Iterations ss_sqrt deals at once on ``size`` elements; 0 fetches on demand."""
+    return _SQRT_DEAL_WORDS // (9 * max(size, 1))
+
+
 def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     """Shared square root via inverse-square-root Newton iterations.
 
-    z <- z (3 - x z^2) / 2 from a tangent-line first guess at sqrt_hi / 2,
-    then one product by x. Three rounds and six assistant round trips per
-    iteration: the halving rides on the third product's truncation. Exact
-    zero inputs map to zero since the final multiply scales the bounded
+    z <- (3z - (xz) z^2) / 2 from a tangent-line first guess at
+    sqrt_hi / 2, then one product by x. Two rounds per iteration: one
+    stacked product [z; x] * [z; z] gives z^2 and xz, and a second, left
+    at the raw double scale, gives (xz) z^2. Subtracting that from 3z
+    lifted to the raw scale is local, and one truncation by one bit more
+    than z's scale halves the difference back to z's scale. So an
+    iteration makes two truncations, and the raw word is the same as
+    z (3 - x z^2) would give, with the same overflow envelope.
+
+    The triples are dealt ahead, ``sqrt_deal_group(x.size)`` whole
+    iterations per deal, the last deal carrying the final product's
+    triple too; an input too large for one iteration per deal fetches
+    each product's triple on demand. analysis.sqrt_rounds and
+    analysis.sqrt_assistant_round_trips give the counts. Exact zero
+    inputs map to zero since the final multiply scales the bounded
     iterate by x.
     """
     x0 = rt.div.sqrt_hi / 2.0
     a = 1.5 / math.sqrt(x0)
     b = 0.5 / x0 ** 1.5
+    p = rt.params
+    iterations = rt.div.sqrt_iterations
+    group = sqrt_deal_group(x.values.size)
+    stacked = (2, *x.shape)
     with rt.scope("ss_sqrt"):
         z = _rescale(rt, -x.scale_public(b)).add_public(a)
-        for _ in range(rt.div.sqrt_iterations):
-            s = ss_mul(rt, z, z)
-            t = ss_mul(rt, x, s)
-            y = (-t).add_public(3.0)
-            raw = ss_mul(rt, z, y, truncate=False)
-            # One bit more than y's scale halves the product at z's scale.
-            z = SharedArray(rt.party, rt.trunc_values(raw.values, y.scale + 1), z.codec, z.scale)
+        three = np.uint64(3 << z.scale)
+        for i in range(iterations):
+            if group and i % group == 0:
+                plan = [("triple", stacked), ("triple", x.shape)] * min(group, iterations - i)
+                if i + group >= iterations:
+                    plan.append(("triple", x.shape))
+                rt.assistant.deal(plan)
+            pair = ss_mul(rt, SharedArray(rt.party, np.stack([z.values, x.values]), z.codec,
+                                          z.scale),
+                          SharedArray(rt.party, np.stack([z.values, z.values]), z.codec,
+                                      z.scale))
+            z_sq, xz = pair[0], pair[1]
+            raw = ss_mul(rt, xz, z_sq, truncate=False)
+            diff = ring_sub(ring_mul(z.values, three, p), raw.values, p)
+            z = SharedArray(rt.party, rt.trunc_values(diff, z.scale + 1), z.codec, z.scale)
         return ss_mul(rt, x, z)
 
 

@@ -33,6 +33,9 @@ _HEADER = struct.Struct("<QQ")
 
 # How long a receive waits for a live but silent peer before giving up.
 RECV_TIMEOUT_S = 300
+# The most words a socket message header may announce (2 GiB of payload);
+# a larger count is a corrupt or hostile header, not a message.
+MAX_MESSAGE_WORDS = 1 << 28
 
 
 class ProtocolAbort(RuntimeError):
@@ -122,21 +125,38 @@ class QueueLink:
 
 
 class SocketLink:
+    """One end of a TCP connection.
+
+    The socket stays blocking, and the kernel enforces ``RECV_TIMEOUT_S``
+    on each send and receive call (``SO_SNDTIMEO``/``SO_RCVTIMEO``), so no
+    Python-level poll precedes them. An expired wait raises
+    ``TimeoutError`` as ``QueueLink`` does.
+    """
+
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        self.sock.setblocking(True)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.settimeout(RECV_TIMEOUT_S)
+        wait = struct.pack("ll", *divmod(round(RECV_TIMEOUT_S * 1e6), 1_000_000))
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, wait)
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, wait)
         self._header = bytearray(_HEADER.size)
 
     def send(self, tag: int, words: np.ndarray):
         # On a little-endian host the words are already "<u8" and go out uncopied.
         wire = words.astype("<u8", copy=False).ravel()
-        self.sock.sendall(b"".join((_HEADER.pack(tag, wire.size), wire)))
+        try:
+            self.sock.sendall(b"".join((_HEADER.pack(tag, wire.size), wire)))
+        except BlockingIOError:
+            raise TimeoutError("peer took no message") from None
 
     def _recv_into(self, buf: memoryview):
         got = 0
         while got < len(buf):
-            n = self.sock.recv_into(buf[got:])
+            try:
+                n = self.sock.recv_into(buf[got:])
+            except BlockingIOError:
+                raise TimeoutError("no message from peer") from None
             if not n:
                 raise ConnectionError("peer closed the connection")
             got += n
@@ -144,6 +164,9 @@ class SocketLink:
     def recv(self) -> tuple[int, np.ndarray]:
         self._recv_into(memoryview(self._header))
         tag, count = _HEADER.unpack(self._header)
+        if count > MAX_MESSAGE_WORDS:
+            raise ProtocolAbort(f"message tag {tag} announces {count} words, more than "
+                                f"the bound of {MAX_MESSAGE_WORDS}")
         words = np.empty(count, dtype="<u8")
         self._recv_into(memoryview(words.view(np.uint8)))
         return tag, words.astype(np.uint64, copy=False)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ssgpr.cli import bench_matinv, load_config, main, run_gpr
-from ssgpr.data import Dataset
+from ssgpr.data import Dataset, standardize
+from ssgpr.gpr import sqdist_matrix
 
 
 def run_cli(args, capsys):
@@ -73,6 +74,20 @@ def test_run_gpr_end_to_end(tmp_path, capsys):
     run = report["runs"][0]
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
     assert isinstance(run["exp_openings_outside_window"], int)
+
+
+def test_matern_sqrt_domain_below_the_data_rejected():
+    # Standardised 10-d points lie far enough apart that 3 d passes 16.
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-0.25, 0.25, (24, 10))
+    y = 10.0 + np.sin(x.sum(axis=1))
+    cfg = load_config(None)
+    cfg.update(kernel="matern32", sqrt_hi=16.0)
+    ds, prep = standardize(Dataset(x[:20], y[:20]))
+    need = 3.0 * sqdist_matrix(np.vstack([ds.X, prep.apply_x(x[20:])]), ds.X).max()
+    assert need > 16.0
+    with pytest.raises(ValueError, match=rf"sqrt_hi = 16 is below .* {need:.4g}"):
+        run_gpr(Dataset(x[:20], y[:20]), x[20:], cfg)
 
 
 def test_matinv_closed_form_follows_division_budget():

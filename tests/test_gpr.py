@@ -134,6 +134,27 @@ def test_construct_matern_gram_diagonal_is_signal_variance():
     assert np.max(np.abs(K - kernel_matrix_plaintext(x, x, cfg))[off]) <= 1e-4
 
 
+@pytest.mark.parametrize("kind", ["se", "matern32"])
+def test_construct_gram_is_exactly_symmetric(kind):
+    # The kernel runs on the strict upper triangle only and is mirrored.
+    n = 7
+    x = np.random.default_rng(5).uniform(-0.8, 0.8, (n, 2))
+    cfg = KernelConfig(kind=kind, signal_variance=0.5, noise_variance=0.1)
+
+    def job(rt, xs, ys):
+        return pp_gpr_construct(rt, xs, ys, cfg, EP, policy="clamp").K
+
+    res = run_shared(job, [x, np.zeros(n)], seed=47)
+    for party in (P0, P1):
+        share = res.outputs[party].values
+        assert np.array_equal(share, share.T)
+        assert res.stats[party].summary()["per_protocol"]["pp_exp"]["words_sent"] == \
+            n * (n - 1) // 2
+    K = open_result(res)
+    assert np.array_equal(K, K.T)
+    assert np.max(np.abs(K - kernel_matrix_plaintext(x, x, cfg))) <= 1e-4
+
+
 def test_construct_inverse_identity_product():
     rng = np.random.default_rng(4)
     x = rng.uniform(-10, 10, (8, 2))

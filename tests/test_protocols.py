@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import CODEC, QUANTUM, open_result, run_shared
-from ssgpr.analysis import matinv_assistant_round_trips
+from ssgpr.analysis import (matinv_assistant_round_trips, sqrt_assistant_round_trips,
+                            sqrt_rounds)
 from ssgpr.offline import gen_material
 from ssgpr.protocols import (ProtocolError, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
-                             ss_reciprocal, ss_sqrt, _consume)
+                             ss_reciprocal, ss_sqrt, sqrt_deal_group, _consume)
 from ssgpr.ring import FixedPointCodec, RingParams
 from ssgpr.session import PAIR_OFFSET_BLOCK, DivisionConfig, PartyRuntime
 from ssgpr.sharing import reconstruct
@@ -224,15 +225,41 @@ def test_sqrt_sweep():
 
 
 def test_sqrt_assistant_round_trips():
-    # Per iteration three products, each a one-item deal and a truncation;
-    # plus the first guess's truncation and the final product's two.
+    # Two truncations per iteration, plus the first guess's and the final
+    # product's; one deal carries all eleven triples.
     def job(rt, x):
         before = rt.assistant._tag
         ss_sqrt(rt, x)
         return rt.assistant._tag - before
 
     res = run_shared(job, [np.array([4.0, 9.0])], div=DivisionConfig(sqrt_iterations=5))
-    assert res.outputs[P0] == res.outputs[P1] == 6 * 5 + 3
+    assert res.outputs[P0] == res.outputs[P1] == 2 * 5 + 2 + 1
+
+
+@pytest.mark.parametrize("size, iterations, group, deals", [
+    (1000, 7, 3, 3),       # groups of 3, 3 and 1 iterations
+    (3641, 2, 0, 5),       # one iteration is over the cap: every triple on demand
+])
+def test_sqrt_counts_match_closed_forms(size, iterations, group, deals):
+    x = np.linspace(0.5, 12.0, size)
+
+    def job(rt, v):
+        before = rt.assistant._tag
+        out = ss_sqrt(rt, v)
+        return out, rt.assistant._tag - before
+
+    res = run_shared(job, [x], div=DivisionConfig(sqrt_iterations=iterations))
+    assert sqrt_deal_group(size) == group
+    assert sqrt_assistant_round_trips(iterations, size) == 2 * iterations + 2 + deals
+    for party in (P0, P1):
+        assert res.outputs[party][1] == sqrt_assistant_round_trips(iterations, size)
+        summary = res.stats[party].summary()
+        assert summary["per_protocol"]["ss_sqrt"]["rounds"] == sqrt_rounds(iterations)
+        # Four words per element per round on the stacked product, two on the other.
+        assert summary["online_words_sent"] == (6 * iterations + 2) * size
+    got = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+    if iterations >= 7:  # two iterations are too few to converge
+        assert np.max(np.abs(got - np.sqrt(x)) / np.sqrt(x)) <= 1e-3
 
 
 # ------------------------------------------------------ truncation offsets

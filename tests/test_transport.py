@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import CODEC
+from ssgpr import transport
 from ssgpr.session import run_session
-from ssgpr.transport import (ASSISTANT, P0, P1, Channel, LocalHub, ProtocolAbort,
-                             RoundStats, TcpHub)
+from ssgpr.transport import (ASSISTANT, MAX_MESSAGE_WORDS, P0, P1, Channel, LocalHub,
+                             ProtocolAbort, RoundStats, TcpHub)
 
 BACKENDS = pytest.mark.parametrize("make_hub", [LocalHub, TcpHub], ids=["inproc", "sockets"])
 
@@ -94,6 +95,27 @@ def test_socket_eof_in_mid_payload():
     with pytest.raises(ConnectionError):
         c0.recv(1)
     c0.link.close()
+    hub.close()
+
+
+@BACKENDS
+def test_silent_peer_times_out(make_hub, monkeypatch):
+    monkeypatch.setattr(transport, "RECV_TIMEOUT_S", 1)
+    hub = make_hub()
+    c0, c1, _, _ = _pair(hub)
+    with pytest.raises(TimeoutError, match="no message from peer"):
+        c0.recv(1)
+    c0.link.close(); c1.link.close()
+    hub.close()
+
+
+def test_socket_header_over_the_word_bound_aborts():
+    hub = TcpHub()
+    c0, c1, _, _ = _pair(hub)
+    c1.link.sock.sendall(struct.pack("<QQ", 1, 1 << 62))
+    with pytest.raises(ProtocolAbort, match=f"announces {1 << 62} words.*{MAX_MESSAGE_WORDS}"):
+        c0.recv(1)
+    c0.link.close(); c1.link.close()
     hub.close()
 
 
