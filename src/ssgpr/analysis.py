@@ -169,9 +169,7 @@ def sqrt_assistant_round_trips(iterations: int, size: int) -> int:
     product, 2 * iterations + 2. Deals: one per group of
     g = protocols.sqrt_deal_group(size) iterations, the last also carrying
     the final product's triple, so ceil(iterations / g), or one for the
-    final triple alone at zero iterations; when g = 0 every product
-    fetches its own, 2 * iterations + 1.
+    final triple alone at zero iterations.
     """
-    group = sqrt_deal_group(size)
-    deals = max(1, -(-iterations // group)) if group else 2 * iterations + 1
+    deals = max(1, -(-iterations // sqrt_deal_group(size)))
     return 2 * iterations + 2 + deals

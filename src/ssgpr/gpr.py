@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocols import (ExpParams, _rescale, pp_exp, pp_matinv, ss_dist, ss_matmul,
-                        ss_mul, ss_sqrt)
+from .protocols import (ExpParams, _rescale, mirror_upper, pp_exp, pp_matinv, ss_dist,
+                        ss_matmul, ss_mul, ss_sqrt)
 from .ring import ring_add
 from .session import PartyRuntime
 from .sharing import SharedArray
@@ -133,37 +133,23 @@ def pp_kernel(rt: PartyRuntime, dist: SharedArray, config: KernelConfig,
     return _rescale(rt, k.scale_public(config.signal_variance))
 
 
-def _pp_gram(rt: PartyRuntime, x: SharedArray, config: KernelConfig,
-             exp_params: ExpParams, policy: str) -> SharedArray:
-    """Shares of the gram matrix K, evaluated on its strict upper triangle.
-
-    The kernel runs on the n(n-1)/2 distances above the diagonal and is
-    mirrored below it, so K's shares are exactly symmetric. The diagonal
-    is k(x, x) = signal_variance by stationarity, a public value; writing
-    it directly sidesteps the square root's zero-distance edge case on
-    the Matern path. The triangle's temporaries die with this call.
-    """
-    n = x.shape[0]
-    upper = pp_kernel(rt, ss_dist(rt, x, upper=True), config, exp_params, policy).values
-    rows, cols = np.triu_indices(n, 1)
-    k = np.empty((n, n), dtype=np.uint64)
-    k[rows, cols] = upper
-    k[cols, rows] = upper
-    np.fill_diagonal(k, rt.codec.encode(config.signal_variance) if rt.party == 0 else 0)
-    return SharedArray(rt.party, k, x.codec)
-
-
 def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
                      config: KernelConfig, exp_params: ExpParams,
                      policy: str = "clamp", y_shift: float = 0.0) -> GprModelShares:
     """Model construction: gram matrix and the shared inverse.
 
-    The kernel runs on the gram's strict upper triangle only (``_pp_gram``),
-    so its square root, exponentiation and truncations carry n(n-1)/2
-    elements rather than n^2.
+    The kernel runs on the gram's strict upper triangle only, the self
+    form of ``ss_dist``, so its square root, exponentiation and
+    truncations carry n(n-1)/2 elements rather than n^2; ``mirror_upper``
+    copies it below the diagonal, so K's shares are exactly symmetric.
+    The diagonal is k(x, x) = signal_variance by stationarity, a public
+    value; writing it directly sidesteps the square root's zero-distance
+    edge case on the Matern path. The triangle's temporaries die before
+    the inversion.
     """
     n = x.shape[0]
-    k = _pp_gram(rt, x, config, exp_params, policy)
+    k = mirror_upper(rt, pp_kernel(rt, ss_dist(rt, x), config, exp_params, policy), n,
+                     config.signal_variance)
     idx = np.arange(n)
     m = k.copy()
     if rt.party == 0:

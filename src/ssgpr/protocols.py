@@ -126,33 +126,26 @@ def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
                        ring_matmul, truncate)
 
 
-def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None,
-            upper: bool = False) -> SharedArray:
-    """Squared-Euclidean distance matrix between shared point sets.
+def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None) -> SharedArray:
+    """Squared-Euclidean distances between shared point sets.
 
     Uses ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with all combining done
     on raw double-scale values so that one truncation covers each output
-    entry. The self-distance form cancels exactly, giving a zero diagonal
-    up to the truncation's last bit. With ``upper`` the self form returns
-    only the strict upper triangle, flat in ``np.triu_indices(n, 1)``
-    order, and truncates only those entries.
+    entry. The cross form ``ss_dist(x, y)`` returns the (m x k) matrix.
+    The self form ``ss_dist(x)`` returns only the n(n-1)/2 distances above
+    the diagonal, flat in ``np.triu_indices(n, 1)`` order, and truncates
+    only those; ``mirror_upper`` rebuilds a symmetric matrix from them.
     """
     if x.values.ndim != 2:
         raise ProtocolError("ss_dist expects 2-d point matrices")
-    if upper and y is not None:
-        raise ProtocolError("ss_dist returns an upper triangle only in its self form")
     p = rt.params
     with rt.scope("ss_dist"):
         if y is None:
             cross = ss_matmul(rt, x, x.T, truncate=False).values
-            norms = np.diagonal(cross).copy()
-            if upper:
-                rows, cols = np.triu_indices(x.shape[0], 1)
-                raw = ring_sub(ring_add(norms[rows], norms[cols], p),
-                               ring_mul(np.uint64(2), cross[rows, cols], p), p)
-            else:
-                raw = ring_sub(ring_add(norms[:, None], norms[None, :], p),
-                               ring_mul(np.uint64(2), cross, p), p)
+            norms = np.diagonal(cross)
+            rows, cols = np.triu_indices(x.shape[0], 1)
+            raw = ring_sub(ring_add(norms[rows], norms[cols], p),
+                           ring_mul(np.uint64(2), cross[rows, cols], p), p)
         else:
             if y.values.ndim != 2 or x.shape[1] != y.shape[1]:
                 raise ProtocolError(f"ss_dist feature mismatch: {x.shape} vs {y.shape}")
@@ -165,6 +158,20 @@ def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None,
                            ring_mul(np.uint64(2), cross.values, p), p)
         out = SharedArray(rt.party, raw, x.codec, 2 * x.scale)
         return _rescale(rt, out, x.scale)
+
+
+def mirror_upper(rt: PartyRuntime, upper: SharedArray, n: int, diagonal: float) -> SharedArray:
+    """Symmetric (n x n) shares from a strict upper triangle in ss_dist's self-form order.
+
+    The triangle is mirrored below the diagonal, so the shares are exactly
+    symmetric, and the diagonal holds the public value ``diagonal``.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    out = np.empty((n, n), dtype=np.uint64)
+    out[rows, cols] = upper.values
+    out[cols, rows] = upper.values
+    np.fill_diagonal(out, rt.codec.encode(diagonal) if rt.party == 0 else 0)
+    return SharedArray(rt.party, out, upper.codec, upper.scale)
 
 
 def _affine_reciprocal_init(rt: PartyRuntime, v: SharedArray, lo: float, hi: float) -> SharedArray:
@@ -199,15 +206,16 @@ def ss_div(rt: PartyRuntime, u: SharedArray, v: SharedArray,
 
 
 # Words of triples per party that one ss_sqrt deal may carry. Whole
-# iterations (9 words per element each) share a deal up to this cap;
-# per-iteration deals at the construction's n(n-1)/2-element input
-# raised peak memory by several MiB.
+# iterations (9 words per element each) share a deal up to this cap, and
+# an iteration over it is dealt alone. On matern-n100-sockets, dealing
+# all iterations at once (the 4950-element construction triangle's 25
+# iterations are 8.9 MB per party) raised peak RSS from 49 to 109 MiB.
 _SQRT_DEAL_WORDS = 1 << 15
 
 
 def sqrt_deal_group(size: int) -> int:
-    """Iterations ss_sqrt deals at once on ``size`` elements; 0 fetches on demand."""
-    return _SQRT_DEAL_WORDS // (9 * max(size, 1))
+    """Iterations ss_sqrt deals at once on ``size`` elements."""
+    return max(1, _SQRT_DEAL_WORDS // (9 * max(size, 1)))
 
 
 def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
@@ -219,13 +227,19 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     at the raw double scale, gives (xz) z^2. Subtracting that from 3z
     lifted to the raw scale is local, and one truncation by one bit more
     than z's scale halves the difference back to z's scale. So an
-    iteration makes two truncations, and the raw word is the same as
-    z (3 - x z^2) would give, with the same overflow envelope.
+    iteration makes two truncations. Before truncation noise the raw word
+    is the one z (3 - x z^2) would give, with the same overflow envelope.
+    The noise differs: the truncation errors e of z^2 and xz enter the raw
+    product as (xz) e + z^2 e, about z^2 e per iteration, where the
+    three-product form's error was about z e. So the iteration is noisier
+    by 1/sqrt(x). On [0.01, sqrt_hi) the final product's truncation adds
+    an error of the same order, and the measured relative error is
+    unchanged; below 0.01 the extra noise adds to an error that is
+    already large there.
 
     The triples are dealt ahead, ``sqrt_deal_group(x.size)`` whole
-    iterations per deal, the last deal carrying the final product's
-    triple too; an input too large for one iteration per deal fetches
-    each product's triple on demand. analysis.sqrt_rounds and
+    iterations per deal (at least one), the last deal carrying the final
+    product's triple too. analysis.sqrt_rounds and
     analysis.sqrt_assistant_round_trips give the counts. Exact zero
     inputs map to zero since the final multiply scales the bounded
     iterate by x.
@@ -241,7 +255,7 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
         z = _rescale(rt, -x.scale_public(b)).add_public(a)
         three = np.uint64(3 << z.scale)
         for i in range(iterations):
-            if group and i % group == 0:
+            if i % group == 0:
                 plan = [("triple", stacked), ("triple", x.shape)] * min(group, iterations - i)
                 if i + group >= iterations:
                     plan.append(("triple", x.shape))

@@ -18,6 +18,7 @@ a received array is writable and shares no memory with the sender's.
 from __future__ import annotations
 
 import math
+import os
 import queue
 import socket
 import struct
@@ -127,19 +128,25 @@ class QueueLink:
 class SocketLink:
     """One end of a TCP connection.
 
-    The socket stays blocking, and the kernel enforces ``RECV_TIMEOUT_S``
-    on each send and receive call (``SO_SNDTIMEO``/``SO_RCVTIMEO``), so no
-    Python-level poll precedes them. An expired wait raises
+    On POSIX hosts the socket stays blocking, and the kernel enforces
+    ``RECV_TIMEOUT_S`` on each send and receive call (``SO_SNDTIMEO``/
+    ``SO_RCVTIMEO``, packed as the ``struct timeval`` of Linux and the
+    BSDs), so no Python-level poll precedes them. Elsewhere, where those
+    options take another layout (a DWORD of milliseconds on Windows), the
+    socket keeps Python's own timeout. Either way an expired wait raises
     ``TimeoutError`` as ``QueueLink`` does.
     """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.sock.setblocking(True)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        wait = struct.pack("ll", *divmod(round(RECV_TIMEOUT_S * 1e6), 1_000_000))
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, wait)
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, wait)
+        if os.name == "posix":
+            self.sock.setblocking(True)
+            wait = struct.pack("ll", *divmod(round(RECV_TIMEOUT_S * 1e6), 1_000_000))
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, wait)
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, wait)
+        else:
+            self.sock.settimeout(RECV_TIMEOUT_S)
         self._header = bytearray(_HEADER.size)
 
     def send(self, tag: int, words: np.ndarray):
@@ -147,7 +154,7 @@ class SocketLink:
         wire = words.astype("<u8", copy=False).ravel()
         try:
             self.sock.sendall(b"".join((_HEADER.pack(tag, wire.size), wire)))
-        except BlockingIOError:
+        except (BlockingIOError, socket.timeout):
             raise TimeoutError("peer took no message") from None
 
     def _recv_into(self, buf: memoryview):
@@ -155,7 +162,7 @@ class SocketLink:
         while got < len(buf):
             try:
                 n = self.sock.recv_into(buf[got:])
-            except BlockingIOError:
+            except (BlockingIOError, socket.timeout):
                 raise TimeoutError("no message from peer") from None
             if not n:
                 raise ConnectionError("peer closed the connection")

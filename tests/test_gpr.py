@@ -95,7 +95,7 @@ def test_pp_kernel_matches_plaintext_gram():
     cfg = KernelConfig(kind="se")
 
     def job(rt, xs):
-        return pp_kernel(rt, ss_dist(rt, xs), cfg, EP, policy="clamp")
+        return pp_kernel(rt, ss_dist(rt, xs, xs), cfg, EP, policy="clamp")
 
     got = open_result(run_shared(job, [x], seed=23))
     want = kernel_matrix_plaintext(x, x, cfg)
@@ -107,7 +107,8 @@ def test_pp_kernel_matches_plaintext_gram():
 
 def test_pp_kernel_matern_matches_plaintext():
     # Well-spaced points keep 3*d inside the square root's public domain;
-    # the zero-distance diagonal is patched at the GPR layer instead.
+    # the self form leaves out the zero-distance diagonal, which the GPR
+    # layer writes directly.
     x = np.array([[0.0, 0.0], [0.7, 0.0], [0.0, 1.1], [-0.9, -0.4]])
     cfg = KernelConfig(kind="matern32", length_scale=1.0, signal_variance=0.5)
 
@@ -115,9 +116,8 @@ def test_pp_kernel_matern_matches_plaintext():
         return pp_kernel(rt, ss_dist(rt, xs), cfg, EP, policy="clamp")
 
     got = open_result(run_shared(job, [x], seed=29))
-    want = kernel_matrix_plaintext(x, x, cfg)
-    off = ~np.eye(4, dtype=bool)
-    assert np.max(np.abs(got - want)[off]) <= 1e-4
+    want = kernel_matrix_plaintext(x, x, cfg)[np.triu_indices(4, 1)]
+    assert np.max(np.abs(got - want)) <= 1e-4
 
 
 def test_construct_matern_gram_diagonal_is_signal_variance():

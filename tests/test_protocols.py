@@ -8,7 +8,7 @@ from helpers import CODEC, QUANTUM, open_result, run_shared
 from ssgpr.analysis import (matinv_assistant_round_trips, sqrt_assistant_round_trips,
                             sqrt_rounds)
 from ssgpr.offline import gen_material
-from ssgpr.protocols import (ProtocolError, pp_backward, pp_cholesky_ldl,
+from ssgpr.protocols import (ProtocolError, mirror_upper, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
                              ss_reciprocal, ss_sqrt, sqrt_deal_group, _consume)
 from ssgpr.ring import FixedPointCodec, RingParams
@@ -141,11 +141,36 @@ def test_beaver_shares_match_textbook(codec, op):
 # --------------------------------------------------------------- distances
 
 def test_dist_self_zero_diagonal():
+    # A point's distance to itself cancels exactly before the truncation.
     rng = np.random.default_rng(3)
     x = rng.uniform(-5, 5, (4, 2))
-    res = run_shared(lambda rt, a: ss_dist(rt, a), [x])
+    res = run_shared(lambda rt, a, b: ss_dist(rt, a, b), [x, x])
     got = open_result(res)
     assert np.max(np.abs(np.diag(got))) <= 2 * QUANTUM
+
+
+def test_dist_self_form_is_the_strict_upper_triangle():
+    rng = np.random.default_rng(8)
+    n = 6
+    x = rng.uniform(-5, 5, (n, 3))
+
+    def job(rt, a):
+        upper = ss_dist(rt, a)
+        return upper, mirror_upper(rt, upper, n, 1.5), ss_dist(rt, a, a)
+
+    res = run_shared(job, [x])
+    upper = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+    cross = reconstruct(res.outputs[P0][2], res.outputs[P1][2])
+    rows, cols = np.triu_indices(n, 1)
+    assert upper.shape == (n * (n - 1) // 2,)
+    # Both forms truncate the same exact raw distances of the encoded points.
+    assert np.max(np.abs(upper - cross[rows, cols])) <= 2 * QUANTUM
+    for party in (P0, P1):
+        share = res.outputs[party][1].values
+        assert np.array_equal(share, share.T)
+    full = reconstruct(res.outputs[P0][1], res.outputs[P1][1])
+    assert np.array_equal(full[rows, cols], upper)
+    assert np.array_equal(np.diag(full), np.full(n, 1.5))
 
 
 def test_dist_two_points():
@@ -157,7 +182,7 @@ def test_dist_two_points():
 def test_dist_symmetry():
     rng = np.random.default_rng(4)
     x = rng.uniform(-5, 5, (5, 3))
-    res = run_shared(lambda rt, a: ss_dist(rt, a), [x])
+    res = run_shared(lambda rt, a, b: ss_dist(rt, a, b), [x, x])
     got = open_result(res)
     assert np.max(np.abs(got - got.T)) <= QUANTUM
 
@@ -238,7 +263,7 @@ def test_sqrt_assistant_round_trips():
 
 @pytest.mark.parametrize("size, iterations, group, deals", [
     (1000, 7, 3, 3),       # groups of 3, 3 and 1 iterations
-    (3641, 2, 0, 5),       # one iteration is over the cap: every triple on demand
+    (3641, 2, 1, 2),       # one iteration is over the cap: one deal per iteration
 ])
 def test_sqrt_counts_match_closed_forms(size, iterations, group, deals):
     x = np.linspace(0.5, 12.0, size)

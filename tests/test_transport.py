@@ -103,6 +103,9 @@ def test_silent_peer_times_out(make_hub, monkeypatch):
     monkeypatch.setattr(transport, "RECV_TIMEOUT_S", 1)
     hub = make_hub()
     c0, c1, _, _ = _pair(hub)
+    if make_hub is TcpHub:
+        # The kernel, not a Python-level poll, times the wait out.
+        assert c0.link.sock.gettimeout() is None
     with pytest.raises(TimeoutError, match="no message from peer"):
         c0.recv(1)
     c0.link.close(); c1.link.close()
