@@ -117,11 +117,27 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
     if kernel.kind == MATERN32:
         # The square root takes 3 d for every training-training and
         # test-training squared distance d, and is fitted on [0, sqrt_hi].
-        need = 3.0 * float(sqdist_matrix(np.vstack([ds.X, np.atleast_2d(xs)]), ds.X).max())
+        points = np.vstack([ds.X, np.atleast_2d(xs)])
+        dist = sqdist_matrix(points, ds.X)
+        need = 3.0 * float(dist.max())
         if div.sqrt_hi < need:
             raise ValueError(f"sqrt_hi = {div.sqrt_hi:g} is below 3 x the largest squared "
                              f"distance between the standardised points, {need:.4g}; "
                              "the Matern square root would leave its domain")
+        # Its iterate z tends to 1/sqrt(3 d), and for 0 < 3 d < 2^-(l-3-2 l_f)
+        # z^2 leaves the truncation window, so the kernel value opens wrong
+        # (a sweep of ss_sqrt opened wrong values from 0.999 x that bound
+        # down and none above it; the 1% margin covers the shared d's
+        # noise). An exact zero opens right, and the gram's diagonal is public.
+        bound = 1.01 * 2.0 ** -(codec.params.l - 3 - 2 * codec.lf)
+        np.fill_diagonal(dist, np.inf)
+        rows, cols = np.nonzero(3.0 * dist < bound)
+        exact = ((points[rows] - ds.X[cols]) ** 2).sum(axis=1)  # 0 for equal points
+        if np.any(exact > 0):
+            raise ValueError(f"squared distance {exact[exact > 0].min():.4g} between "
+                             f"standardised points is below {bound / 3:.4g}, where 3 x "
+                             "it would wrap the Matern square root; drop or merge the "
+                             "near-duplicate points")
     oracle = gpr_predict_plaintext(ds.X, ds.y, xs, kernel)
     oracle = Predictions(oracle.mean + prep.y_shift, oracle.variance)
     split = ScenarioSplit(scenario=cfg["scenario"])
@@ -141,8 +157,7 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
             t2 = time.perf_counter()
             return mean, var, t1 - t0, t2 - t1
 
-        result = run_session(job, codec, seed=seed ^ 0x5EED, backend=cfg["backend"],
-                             div=div)
+        result = run_session(job, codec, seed=seed, backend=cfg["backend"], div=div)
         mean = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
         var = reconstruct(result.outputs[P0][1], result.outputs[P1][1])
         losses = loss_metrics(oracle, Predictions(mean, var))

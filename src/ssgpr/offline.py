@@ -4,7 +4,7 @@ The assistant is the only source of correlated randomness. Material is
 dealt: both compute servers send the same plan, a list of items (Beaver
 triples, matrix triples, exponent masks) in the order the protocol will
 consume them. The assistant checks that the two plans agree, generates
-every item in one vectorised pass from its own seed, and returns one
+every item in one vectorised pass from its own generator, and returns one
 additive share of the whole plan to each server. A protocol step that
 knows its material up front deals it in one round trip; a request for
 material nobody dealt becomes a plan of one item. One LDL matrix
@@ -12,7 +12,7 @@ inversion thus makes 2n + 2 deals and 25n - 4 assistant round trips in
 all, next to its 22n - 6 peer rounds.
 
 The assistant also offers a rescaling service: the servers submit shares
-of a value hidden under a random offset known only to them, and the
+of a value hidden under a random offset known only to party 1, and the
 assistant shifts the masked sum and deals it back as fresh shares. It sees
 only uniformly masked words, never an opening of the data.
 """
@@ -268,14 +268,14 @@ class AssistantClient:
         self.channel.send(tag, np.asarray([OP_SHUTDOWN], dtype=np.uint64))
 
 
-def serve_assistant(net: PartyNetwork, params: RingParams, seed: int):
+def serve_assistant(net: PartyNetwork, params: RingParams, rng: np.random.Generator):
     """Assistant main loop: answer matching requests until shutdown.
 
     Both compute servers must send byte-identical requests; any divergence
     aborts the protocol since it would indicate a corrupted or inconsistent
-    online phase. A request is a shutdown, a truncation, or a dealing plan.
+    online phase. A request is a shutdown, a truncation, or a dealing plan;
+    every dealt word comes from ``rng``, the assistant's own generator.
     """
-    rng = np.random.default_rng(np.random.Philox(seed))
     ch0, ch1 = net.channels[P0], net.channels[P1]
     tag = 0
     while True:

@@ -149,12 +149,13 @@ def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None) -> S
         else:
             if y.values.ndim != 2 or x.shape[1] != y.shape[1]:
                 raise ProtocolError(f"ss_dist feature mismatch: {x.shape} vs {y.shape}")
-            sq_x = ss_mul(rt, x, x, truncate=False)
-            sq_y = ss_mul(rt, y, y, truncate=False)
+            # One product squares both point sets; their row norms split after.
+            both = SharedArray(rt.party, np.vstack([x.values, y.values]), x.codec, x.scale)
+            sq = ss_mul(rt, both, both, truncate=False)
+            norms = ring_reduce(sq.values.sum(axis=1, dtype=np.uint64), p)
             cross = ss_matmul(rt, x, y.T, truncate=False)
-            nx = ring_reduce(sq_x.values.sum(axis=1, dtype=np.uint64), p)
-            ny = ring_reduce(sq_y.values.sum(axis=1, dtype=np.uint64), p)
-            raw = ring_sub(ring_add(nx[:, None], ny[None, :], p),
+            m = x.shape[0]
+            raw = ring_sub(ring_add(norms[:m, None], norms[None, m:], p),
                            ring_mul(np.uint64(2), cross.values, p), p)
         out = SharedArray(rt.party, raw, x.codec, 2 * x.scale)
         return _rescale(rt, out, x.scale)
@@ -493,8 +494,7 @@ def pp_backward(rt: PartyRuntime, V: SharedArray, D: SharedArray,
         d_col = SharedArray(rt.party, D.values.reshape(-1, 1), D.codec, D.scale)
         rt.assistant.deal(_reciprocal_plan(rt, (n, 1)))
         recip = ss_reciprocal(rt, d_col, pivot_domain)
-        scaled = ss_mul(rt, SharedArray(rt.party, np.broadcast_to(
-            recip.values, (n, n)).copy(), V.codec, recip.scale), V)
+        scaled = ss_mul(rt, recip, V)
         return ss_matmul(rt, V.T, scaled)
 
 

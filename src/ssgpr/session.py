@@ -8,6 +8,7 @@ the two transcripts stay aligned without negotiation.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass, field
 
@@ -39,11 +40,15 @@ class DivisionConfig:
         return 2 * self.iterations + 1
 
 
-# Truncation offsets are drawn from the pair generator this many at a
-# time. The 8-bit draws in a block share generator words, so the offsets
-# differ from what one draw per truncation would give; both servers draw
-# the same blocks, so their offsets still agree.
-PAIR_OFFSET_BLOCK = 4096
+# Party 1 draws its truncation offsets this many at a time; its 8-bit draws
+# share generator words, so they differ from one draw per truncation.
+TRUNC_OFFSET_BLOCK = 4096
+
+
+def party_rng(seed: int, party: int) -> np.random.Generator:
+    """Philox keyed by a one-way hash of (seed, party); its state holds no seed."""
+    key = hashlib.blake2b(f"{int(seed)}/{party}".encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
 
 
 class _Scope:
@@ -66,13 +71,13 @@ class PartyRuntime:
     """One compute server's sequential protocol state."""
 
     def __init__(self, party: int, net: PartyNetwork, codec: FixedPointCodec,
-                 assistant: AssistantClient, pair_rng: np.random.Generator,
+                 assistant: AssistantClient, rng: np.random.Generator,
                  div: DivisionConfig | None = None):
         self.party = party
         self.net = net
         self.codec = codec
         self.assistant = assistant
-        self.pair_rng = pair_rng
+        self.rng = rng
         self.div = div or DivisionConfig()
         self._tag = 1 << 32
         self._delta = 1 << (codec.params.l - 3)
@@ -95,17 +100,16 @@ class PartyRuntime:
         """One bidirectional exchange with the peer compute server."""
         return self.net.peer.exchange(self.next_tag(), payload)
 
-    def _pair_offsets(self, n: int) -> np.ndarray:
+    def _trunc_offsets(self, n: int) -> np.ndarray:
         """The next ``n`` truncation offsets, uniform on [delta, 2^l - 2 delta)."""
         at = self._offsets_at
         if at + n > self._offsets.size:
-            # The range is five delta-wide cells above delta, so an offset
-            # is (q + 1) delta + r with q uniform on {0, ..., 4} and r the
-            # top l - 3 bits of a raw generator word.
-            size = max(n, PAIR_OFFSET_BLOCK)
-            cell = self.pair_rng.integers(1, 6, size=size, dtype=np.uint8).astype(np.uint64)
+            # An offset is (q + 1) delta + r: q, uniform on {0, ..., 4}, picks one of
+            # five delta-wide cells above delta; r is the top l - 3 bits of a raw word.
+            size = max(n, TRUNC_OFFSET_BLOCK)
+            cell = self.rng.integers(1, 6, size=size, dtype=np.uint8).astype(np.uint64)
             low_bits = self.params.l - 3
-            within = self.pair_rng.bit_generator.random_raw(size) >> np.uint64(64 - low_bits)
+            within = self.rng.bit_generator.random_raw(size) >> np.uint64(64 - low_bits)
             fresh = (cell << np.uint64(low_bits)) | within
             self._offsets = np.concatenate([self._offsets[at:], fresh])
             at = 0
@@ -115,25 +119,23 @@ class PartyRuntime:
     def trunc_values(self, values: np.ndarray, bits: int) -> np.ndarray:
         """Shift shared raw words right by ``bits`` via the assistant.
 
-        Party 0 adds a public offset that makes the hidden value strictly
-        positive, plus half an output quantum so that the shift rounds;
-        party 1 adds a random
-        offset drawn from the generator both servers share but the
-        assistant does not know. The masked sum can never wrap the ring,
-        so the assistant's public shift is exact and the subtracted offset
-        shifts commute, leaving at most 1.5 quanta of error.
+        Party 0 adds the public offset delta = 2^(l-3) plus half an output
+        quantum, so the shift rounds; party 1 adds an offset lambda uniform
+        on [delta, 2^l - 2 delta) from its own generator, so the assistant
+        sees only the masked sum. The sum cannot wrap, and the shift is
+        exact, for a value in [-2 delta - 2^(bits-1), delta - 2^(bits-1));
+        outside that window some lambda opens it wrong. Each party then
+        subtracts its own shifted offset: at most 1.5 quanta of error.
         """
-        delta = self._delta
-        shape = values.shape
-        lam = self._pair_offsets(values.size).reshape(shape)
         if self.party == 0:
-            w = values + np.uint64(delta + (1 << (bits - 1)))
+            w = values + np.uint64(self._delta + (1 << (bits - 1)))
+            mine = np.uint64(self._delta >> bits)
         else:
+            lam = self._trunc_offsets(values.size).reshape(values.shape)
             w = values + lam
-        t = self.assistant.trunc(w, bits).reshape(shape)
-        if self.party == 0:
-            t = t - (lam >> np.uint64(bits)) - np.uint64(delta >> bits)
-        return ring_reduce(t, self.params)
+            mine = lam >> np.uint64(bits)
+        t = self.assistant.trunc(ring_reduce(w, self.params), bits).reshape(values.shape)
+        return ring_reduce(t - mine, self.params)
 
     def scope(self, name: str) -> _Scope:
         return _Scope(self.stats, name)
@@ -149,10 +151,10 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
                 div: DivisionConfig | None = None) -> SessionResult:
     """Run ``job(runtime) -> output`` on both compute servers.
 
-    The assistant thread serves correlated randomness generated from
-    ``seed`` and every truncation's masked rescaling request. If any party
-    fails, the session raises for the first failure; the connection errors
-    it then causes in the other parties are not reported.
+    Each party's thread gets only its own generator, ``party_rng(seed,
+    party)``. If any party fails, the session raises for the first
+    failure; the connection errors it then causes in the other parties
+    are not reported.
     """
     if backend == "inproc":
         hub = LocalHub()
@@ -165,17 +167,16 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
     stats = {}
     failures = []  # (party name, exception) in the order the parties failed
 
-    def party(name: str, me: int):
+    def party(name: str, me: int, rng: np.random.Generator):
         net = None
         try:
             net = PartyNetwork(me, hub)
             if me == ASSISTANT:
-                serve_assistant(net, codec.params, seed)
+                serve_assistant(net, codec.params, rng)
                 return
             stats[me] = net.stats
             client = AssistantClient(net.assistant)
-            pair_rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x7472756E63])
-            outputs[me] = job(PartyRuntime(me, net, codec, client, pair_rng, div))
+            outputs[me] = job(PartyRuntime(me, net, codec, client, rng, div))
             client.shutdown()
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             # Recorded before this party's links close, so the peers'
@@ -185,7 +186,7 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
             if net is not None:
                 net.close()
 
-    threads = [threading.Thread(target=party, args=(name, me), daemon=True)
+    threads = [threading.Thread(target=party, args=(name, me, party_rng(seed, me)), daemon=True)
                for name, me in (("assistant", ASSISTANT), ("party0", P0), ("party1", P1))]
     for t in threads:
         t.start()

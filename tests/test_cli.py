@@ -90,6 +90,33 @@ def test_matern_sqrt_domain_below_the_data_rejected():
         run_gpr(Dataset(x[:20], y[:20]), x[20:], cfg)
 
 
+def _matern_near_training(offset):
+    # 40 training points in 3-d and queries ``offset`` per coordinate from
+    # six of them, under criterion 6's kernel.
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(40, 3))
+    cfg = load_config(None)
+    cfg.update(kernel="matern32", sqrt_hi=200.0, signal_variance=0.1, seeds=[0, 1])
+    return Dataset(x, np.sin(x.sum(axis=1))), x[:6] + offset, cfg
+
+
+def test_matern_near_duplicate_queries_rejected():
+    # 3 d is about 1.4e-3 here, below the 2^-9 where the square root wraps.
+    data, queries, cfg = _matern_near_training(0.01)
+    ds, prep = standardize(data)
+    d = ((prep.apply_x(queries) - ds.X[:6]) ** 2).sum(axis=1).min()
+    assert 3 * d < 2.0 ** -9
+    with pytest.raises(ValueError, match=rf"squared distance {d:.4g} between .* below 0.0006576"):
+        run_gpr(data, queries, cfg)
+
+
+def test_matern_queries_equal_to_training_rows_run():
+    data, queries, cfg = _matern_near_training(0.0)
+    report = run_gpr(data, queries, cfg)
+    assert report["loss_mu_mean"] <= 1e-2, report["loss_mu_mean"]
+    assert report["loss_var_mean"] <= 1e-3, report["loss_var_mean"]
+
+
 def test_matinv_closed_form_follows_division_budget():
     # Ten reciprocal iterations make a 21-round division, so an n=8
     # inversion takes 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.

@@ -1,13 +1,19 @@
-"""Correlated-randomness generation and the assistant loop."""
+"""Correlated-randomness generation, the assistant loop, and each party's generator."""
+
+import copy
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import CODEC
-from ssgpr.offline import ProtocolError, _parse_plan, gen_material
-from ssgpr.ring import FixedPointCodec, RingParams, _use_limbs, ring_matmul, ring_mul, to_signed
-from ssgpr.session import run_session
+import ssgpr.session as session
+from helpers import CODEC, run_shared
+from ssgpr.data import Dataset, ScenarioSplit, split_scenario
+from ssgpr.offline import ProtocolError, _parse_plan, gen_material, serve_assistant
+from ssgpr.protocols import ss_dist, ss_mul
+from ssgpr.ring import (FixedPointCodec, RingParams, _use_limbs, ring_add, ring_matmul,
+                        ring_mul, to_signed)
+from ssgpr.session import PartyRuntime, run_session
 from ssgpr.sharing import rec
 from ssgpr.transport import P0, P1, ProtocolAbort
 
@@ -187,3 +193,70 @@ def test_malformed_plan_aborts():
         with pytest.raises(ProtocolAbort):
             _parse_plan(np.asarray(words, dtype=np.uint64))
     assert _parse_plan(np.asarray([1, 4, 3, 5, 7], dtype=np.uint64)) == [(1, (4,)), (3, (5, 7))]
+
+
+# ------------------------------------------------------ per-party generators
+
+SEED = 65792
+
+
+def test_one_seed_for_shares_and_session_reveals_nothing():
+    # split_scenario and run_session may take the same seed. Party 0 holds
+    # its share x0 of X and sees ss_dist's first opening d = X - a. Were the
+    # assistant's first mask a equal to x0, d would be party 1's share and
+    # party 0 would rebuild X as x0 + d.
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.uniform(-2.0, 2.0, (8, 3)), rng.normal(size=8))
+    bundles = split_scenario(ds, ds.X[:2], ScenarioSplit(), CODEC, SEED)
+
+    def job(rt):
+        opened = []
+        exchange = rt.net.peer.exchange
+
+        def recording_exchange(tag, payload):
+            theirs = exchange(tag, payload)
+            opened.append(ring_add(payload, theirs, P64))
+            return theirs
+
+        rt.net.peer.exchange = recording_exchange
+        ss_dist(rt, bundles[rt.party]["X"])
+        return opened[0][:ds.X.size]  # d leads the first opening
+
+    d = run_session(job, CODEC, seed=SEED).outputs[P0]
+    x0, x1 = (bundles[i]["X"].values.ravel() for i in (P0, P1))
+    assert not np.array_equal(d, x1)
+    assert not np.array_equal(rec(x0, d, P64), CODEC.encode(ds.X).ravel())
+
+
+def test_assistant_generator_holds_no_seed_and_cannot_rebuild_offsets(monkeypatch):
+    given = []
+
+    def spy(net, params, rng):
+        given.append(copy.deepcopy(rng))  # its state before the first draw
+        serve_assistant(net, params, rng)
+
+    monkeypatch.setattr(session, "serve_assistant", spy)
+    res = run_shared(lambda rt, a, b: (ss_mul(rt, a, b), rt._offsets.copy()),
+                     [np.arange(4.0), np.ones(4)], seed=SEED)
+    rng = given[0]
+    assert isinstance(rng, np.random.Generator)
+    entropy = getattr(rng.bit_generator.seed_seq, "entropy", None)
+    assert entropy is None or SEED not in np.ravel(entropy).tolist()
+    offsets = res.outputs[P1][1]
+    assert offsets.size == session.TRUNC_OFFSET_BLOCK
+    # Neither the assistant's stream nor the pair generator the two servers
+    # once shared, keyed by the seed and the tag b"trunc", gives them.
+    pair = np.random.default_rng([SEED, int.from_bytes(b"trunc", "big")])
+    for candidate in (rng, pair):
+        rebuilt = PartyRuntime(P1, None, CODEC, None, candidate)._trunc_offsets(offsets.size)
+        assert not np.array_equal(rebuilt, offsets)
+
+
+def test_party0_draws_no_truncation_offsets():
+    def job(rt, a, b):
+        ss_mul(rt, a, b)
+        return rt._offsets.size
+
+    res = run_shared(job, [np.arange(4.0), np.ones(4)], seed=SEED)
+    assert res.outputs[P0] == 0
+    assert res.outputs[P1] == session.TRUNC_OFFSET_BLOCK

@@ -11,9 +11,9 @@ from ssgpr.offline import gen_material
 from ssgpr.protocols import (ProtocolError, mirror_upper, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
                              ss_reciprocal, ss_sqrt, sqrt_deal_group, _consume)
-from ssgpr.ring import FixedPointCodec, RingParams
-from ssgpr.session import PAIR_OFFSET_BLOCK, DivisionConfig, PartyRuntime
-from ssgpr.sharing import reconstruct
+from ssgpr.ring import FixedPointCodec, RingParams, from_signed
+from ssgpr.session import TRUNC_OFFSET_BLOCK, DivisionConfig, PartyRuntime
+from ssgpr.sharing import SharedArray, reconstruct, shr
 from ssgpr.transport import P0, P1
 
 
@@ -291,12 +291,12 @@ def test_sqrt_counts_match_closed_forms(size, iterations, group, deals):
 
 @pytest.mark.parametrize("l", [64, 48])
 def test_truncation_offsets_uniform_on_their_range(l):
-    rt = PartyRuntime(0, None, FixedPointCodec(RingParams(l, 16)), None,
+    rt = PartyRuntime(1, None, FixedPointCodec(RingParams(l, 16)), None,
                       np.random.default_rng(l))
     delta = 1 << (l - 3)
     # Calls below and above a block, so that blocks are both split and refilled.
-    lam = np.concatenate([rt._pair_offsets(k)
-                          for k in (1, 3000, 2 * PAIR_OFFSET_BLOCK + 7, 50_000)])
+    lam = np.concatenate([rt._trunc_offsets(k)
+                          for k in (1, 3000, 2 * TRUNC_OFFSET_BLOCK + 7, 50_000)])
     assert int(lam.min()) >= delta and int(lam.max()) < (1 << l) - 2 * delta
     # The range [delta, 2^l - 2 delta) is five delta-wide cells.
     cell, within = np.divmod(lam - np.uint64(delta), np.uint64(delta))
@@ -305,6 +305,29 @@ def test_truncation_offsets_uniform_on_their_range(l):
     assert ((counts - expected) ** 2 / expected).sum() < 18.47  # chi-square, 4 dof, p = 0.001
     # Uniform within a cell: mean position 1/2, standard error about 0.0012.
     assert abs(float(np.mean(within / delta)) - 0.5) < 0.006
+
+
+@pytest.mark.parametrize("ratio, offset", [(-1.99, "min"), (-1.5, "min"), (-1.01, "min"),
+                                           (0.99, "max"), (-1.99, "max"), (0.99, "min")])
+def test_truncation_exact_across_its_window(ratio, offset):
+    # Party 0's public offset delta = 2^(l-3) puts the no-wrap window at
+    # [-2 delta - 2^(b-1), delta - 2^(b-1)), so a raw value in (-2 delta, -delta)
+    # must survive party 1's smallest offset, delta, and one just below
+    # delta its largest. Without party 0's delta, the first would wrap.
+    p, lf = CODEC.params, CODEC.lf
+    delta = 1 << (p.l - 3)
+    lam = delta if offset == "min" else (1 << p.l) - 2 * delta - 1
+    value = ratio * delta / 2.0 ** (2 * lf)  # the real value at scale 2 l_f
+    shares = shr(from_signed(np.full(3, ratio * delta), p), np.random.default_rng(5), p)
+
+    def job(rt):
+        if rt.party == 1:
+            rt._trunc_offsets = lambda n: np.full(n, lam, dtype=np.uint64)
+        vals = rt.trunc_values(shares[rt.party], lf)
+        return SharedArray(rt.party, vals, CODEC, lf)
+
+    res = run_shared(job, [])
+    assert np.max(np.abs(open_result(res) - value)) <= 1.5 * QUANTUM
 
 
 # --------------------------------------------------- matrix inversion chain
@@ -437,13 +460,14 @@ def test_narrow_ring_products_and_inverse():
 
     def job(rt, sa, sb, su):
         words = []
-        send = rt.net.peer.send
+        # Words sent to the peer, and to the assistant (truncation requests
+        # carry this server's share of the masked value).
+        for channel in (rt.net.peer, rt.assistant.channel):
+            def recording_send(tag, payload, send=channel.send):
+                words.append(int(np.max(payload, initial=0)))
+                send(tag, payload)
 
-        def recording_send(tag, payload):
-            words.append(int(np.max(payload, initial=0)))
-            send(tag, payload)
-
-        rt.net.peer.send = recording_send
+            channel.send = recording_send
         return ss_mul(rt, sa, sb), pp_matinv(rt, su, (0.05, 2.2)), max(words)
 
     res = run_shared(job, [a, b, u], codec=codec)
@@ -452,7 +476,7 @@ def test_narrow_ring_products_and_inverse():
     assert np.max(np.abs(prod - a * b)) <= 1e-4
     assert np.max(np.abs(inv - np.linalg.inv(u))) <= 5e-4
     for party in (P0, P1):
-        prod_share, inv_share, peer_max = res.outputs[party]
+        prod_share, inv_share, sent_max = res.outputs[party]
         assert int(prod_share.values.max()) < 1 << 48
         assert int(inv_share.values.max()) < 1 << 48
-        assert peer_max < 1 << 48
+        assert sent_max < 1 << 48
