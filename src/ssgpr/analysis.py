@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .protocols import ExpParams, sqrt_deal_group
+from .protocols import ExpParams
 from .ring import RingParams
 
 
@@ -145,16 +145,15 @@ def matinv_assistant_round_trips(n: int, r_div: int = 17) -> int:
     Truncations: every truncated product and every affine reciprocal
     start is one, so a division costs R_div + 1 and a bare reciprocal
     R_div. Cholesky makes (R_div+1) + (n-2)(R_div+5) + 2, forward n-1 and
-    backward R_div + 2: 23n - 6 at R_div = 17. Deals: one per Cholesky
-    column, one for backward's reciprocal, and one each for forward's
-    n - 1 products and backward's last two, 2n + 2 in all. The total is
-    25n - 4 at R_div = 17.
+    backward R_div + 2: 23n - 6 at R_div = 17. Requests for material
+    alone, 2n - 1: one per Cholesky column after the first, per forward
+    product and for backward's last product; the first column's and
+    backward's divisions ride on a truncation. The total is 25n - 7.
     """
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
     truncations = (r_div + 1) + (n - 2) * (r_div + 5) + 2 + (n - 1) + (r_div + 2)
-    deals = 2 * n + 2
-    return truncations + deals
+    return truncations + 2 * n - 1
 
 
 def sqrt_rounds(iterations: int) -> int:
@@ -162,14 +161,10 @@ def sqrt_rounds(iterations: int) -> int:
     return 2 * iterations + 1
 
 
-def sqrt_assistant_round_trips(iterations: int, size: int) -> int:
-    """Closed-form assistant round trips of one ss_sqrt on ``size`` elements.
+def sqrt_assistant_round_trips(iterations: int) -> int:
+    """Closed-form assistant round trips of one ss_sqrt, at any input size.
 
     Truncations: the first guess, two per iteration and the final
-    product, 2 * iterations + 2. Deals: one per group of
-    g = protocols.sqrt_deal_group(size) iterations, the last also carrying
-    the final product's triple, so ceil(iterations / g), or one for the
-    final triple alone at zero iterations.
+    product, 2 * iterations + 2. Every triple rides on one of them.
     """
-    deals = max(1, -(-iterations // sqrt_deal_group(size)))
-    return 2 * iterations + 2 + deals
+    return 2 * iterations + 2

@@ -5,16 +5,18 @@ dealt: both compute servers send the same plan, a list of items (Beaver
 triples, matrix triples, exponent masks) in the order the protocol will
 consume them. The assistant checks that the two plans agree, generates
 every item in one vectorised pass from its own generator, and returns one
-additive share of the whole plan to each server. A protocol step that
-knows its material up front deals it in one round trip; a request for
-material nobody dealt becomes a plan of one item. One LDL matrix
-inversion thus makes 2n + 2 deals and 25n - 4 assistant round trips in
-all, next to its 22n - 6 peer rounds.
+additive share of the whole plan to each server. This module alone
+decides when material travels: ``deal`` only queues a plan, which rides
+on the server's next assistant request, after a truncation's masked words,
+or alone when a take finds nothing dealt (just the item taken if nothing
+is pending). One LDL matrix inversion thus makes 25n - 7 assistant round
+trips, 2n - 1 of them for material alone, next to its 22n - 6 peer rounds.
 
 The assistant also offers a rescaling service: the servers submit shares
 of a value hidden under a random offset known only to party 1, and the
-assistant shifts the masked sum and deals it back as fresh shares. It sees
-only uniformly masked words, never an opening of the data.
+assistant shifts the masked sum and deals it back, with any plan's
+material after it, as fresh shares. It sees only uniformly masked words,
+never an opening of the data.
 """
 
 from __future__ import annotations
@@ -149,17 +151,19 @@ def _parse_plan(request: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
     return items
 
 
-def _deal_shares(rng: np.random.Generator, plan, params: RingParams):
-    """Both servers' replies to a parsed plan, generated in one pass.
+def _deal_shares(rng: np.random.Generator, plan, params: RingParams, lead=()):
+    """Both servers' replies to ``lead`` words and a parsed plan, in one pass.
 
     One uniform draw covers every item's random part, each product and
-    each exponent mask pair is written into its slot, and one ``shr`` call
-    splits the whole reply into the two servers' shares.
+    each exponent mask pair is written into its slot after ``lead``, and
+    one ``shr`` call splits the whole reply into the two servers' shares.
     """
     layout = [_layout(op, dims) for op, dims in plan]
     uniform = random_ring_elements(rng, sum(head for _, head in layout), params)
-    secret = np.empty(sum(size for size, _ in layout), dtype=np.uint64)
-    at = drawn = 0
+    at = len(lead)
+    secret = np.empty(at + sum(size for size, _ in layout), dtype=np.uint64)
+    secret[:at] = lead
+    drawn = 0
     for (op, dims), (size, head) in zip(plan, layout):
         slot = secret[at:at + size]
         slot[:head] = uniform[drawn:drawn + head]
@@ -197,6 +201,7 @@ class AssistantClient:
     def __init__(self, channel: Channel):
         self.channel = channel
         self._tag = 0
+        self._pending = []  # (kind, spec, words) planned but not yet requested
         self._dealt = deque()  # (kind, spec, material) in dealing order
 
     def _next_tag(self) -> int:
@@ -209,26 +214,34 @@ class AssistantClient:
         return self.channel.recv(tag)
 
     def deal(self, items):
-        """Fetch the material of ``items`` in one round trip and queue it.
+        """Plan the material of ``items``; it rides on the next request.
 
         ``items`` lists ("triple", shape), ("matrix", (m, n, k)) and
         ("exp_mask", (shape, rmax_enc)) in the order the protocol will take
-        them; both servers must deal the same plan.
+        them; both servers must deal the same plan. Nothing is sent here.
         """
         items = [(kind, _canonical(kind, spec)) for kind, spec in items]
         if not items:
             raise ValueError("a deal needs at least one item")
-        plan = [_item_words(kind, spec) for kind, spec in items]
-        out = self._request([w for words in plan for w in words])
+        self._pending += [(kind, spec, _item_words(kind, spec)) for kind, spec in items]
+
+    def _plan_words(self) -> np.ndarray:
+        return np.asarray([w for _, _, words in self._pending for w in words], dtype=np.uint64)
+
+    def _queue(self, out: np.ndarray):
+        """Unpack the pending plan's material from ``out`` into the dealt queue."""
         at = 0
-        for (kind, spec), words in zip(items, plan):
+        for kind, spec, words in self._pending:
             size, _ = _layout(words[0], words[1:])
             self._dealt.append((kind, spec, _unpack(kind, spec, out[at:at + size])))
             at += size
+        self._pending = []
 
     def _take(self, kind: str, spec):
         if not self._dealt:
-            self.deal([(kind, spec)])
+            if not self._pending:
+                self.deal([(kind, spec)])
+            self._queue(self._request(self._plan_words()))
         got_kind, got_spec, material = self._dealt.popleft()
         # Shapes usually arrive canonical already; only a mismatch pays for
         # the conversion.
@@ -252,17 +265,22 @@ class AssistantClient:
 
         Both servers send their share of the masked value; the assistant
         reconstructs it (learning only the masked sum), shifts, and returns
-        a fresh additive sharing of the result.
+        a fresh additive sharing of the result, any pending plan's after it.
         """
         masked = np.ascontiguousarray(masked, dtype=np.uint64).ravel()
         head = np.asarray([OP_TRUNC, bits, masked.size], dtype=np.uint64)
-        return self._request(np.concatenate([head, masked]))
+        if not self._pending:
+            return self._request(np.concatenate([head, masked]))
+        out = self._request(np.concatenate([head, masked, self._plan_words()]))
+        self._queue(out[masked.size:])
+        return out[:masked.size]
 
     def shutdown(self):
-        """End the session; dealt material that was never taken is an error."""
-        if self._dealt:
-            kind, spec, _ = self._dealt[0]
-            raise ProtocolError(f"{len(self._dealt)} dealt items were never used, the first "
+        """End the session; material dealt and never taken is an error."""
+        unused = [*self._dealt, *self._pending]
+        if unused:
+            kind, spec, _ = unused[0]
+            raise ProtocolError(f"{len(unused)} dealt items were never used, the first "
                                 f"a {kind} {spec}; every dealt item must be consumed")
         tag = self._next_tag()
         self.channel.send(tag, np.asarray([OP_SHUTDOWN], dtype=np.uint64))
@@ -271,10 +289,11 @@ class AssistantClient:
 def serve_assistant(net: PartyNetwork, params: RingParams, rng: np.random.Generator):
     """Assistant main loop: answer matching requests until shutdown.
 
-    Both compute servers must send byte-identical requests; any divergence
-    aborts the protocol since it would indicate a corrupted or inconsistent
-    online phase. A request is a shutdown, a truncation, or a dealing plan;
-    every dealt word comes from ``rng``, the assistant's own generator.
+    Both compute servers must send identical requests but for a
+    truncation's masked shares; any divergence aborts the protocol since it
+    would indicate a corrupted or inconsistent online phase. A request is a
+    shutdown, a dealing plan, or a truncation that a plan may follow; every
+    dealt word comes from ``rng``, the assistant's own generator.
     """
     ch0, ch1 = net.channels[P0], net.channels[P1]
     tag = 0
@@ -283,18 +302,26 @@ def serve_assistant(net: PartyNetwork, params: RingParams, rng: np.random.Genera
         req0 = ch0.recv(tag)
         req1 = ch1.recv(tag)
         op = int(req0[0]) if req0.size else -1
-        # A truncation request's words past its 3-word head are each
-        # server's own share, so only the head must match.
-        head = 3 if op == OP_TRUNC else req0.size
-        if req0.size != req1.size or req0[:head].tobytes() != req1[:head].tobytes():
+        # A truncation's words 3 .. stop are each server's own masked share;
+        # every other word must match.
+        start = stop = 0
+        if op == OP_TRUNC:
+            n = int(req0[2]) if req0.size >= 3 else -1
+            start, stop = 3, 3 + n
+            if not 3 <= stop <= req0.size:
+                raise ProtocolAbort(f"malformed truncation request: its head announces {n} "
+                                    f"masked words, but it holds {max(req0.size - 3, 0)}")
+        if (req0.size != req1.size or req0[:start].tobytes() != req1[:start].tobytes()
+                or req0[stop:].tobytes() != req1[stop:].tobytes()):
             raise ProtocolAbort("compute servers sent diverging assistant requests")
         if op == OP_SHUTDOWN:
             return
         if op == OP_TRUNC:
-            bits, n = int(req0[1]), int(req0[2])
-            total = ring_reduce(req0[3:3 + n] + req1[3:3 + n], params)
-            shifted = total >> np.uint64(bits)
-            t0, t1 = shr(shifted, rng, params)
+            shifted = ring_reduce(req0[3:stop] + req1[3:stop], params) >> req0[1]
+            if stop == req0.size:
+                t0, t1 = shr(shifted, rng, params)
+            else:
+                t0, t1 = _deal_shares(rng, _parse_plan(req0[stop:]), params, shifted)
         else:
             t0, t1 = _deal_shares(rng, _parse_plan(req0), params)
         ch0.send(tag, t0)

@@ -5,8 +5,8 @@ which stay in lockstep through the exchange barriers. Round costs match
 the standard accounting: one round per Beaver product, 2k+1 rounds for a
 division with k Newton iterations, and one round total for the masked
 exponentiation regardless of input size. A step whose material is known
-up front deals it from the assistant in one round trip; every other
-product fetches its own.
+up front deals it ahead, and ``offline`` decides when it travels; every
+other product takes whatever the assistant next hands it.
 """
 
 from __future__ import annotations
@@ -46,14 +46,10 @@ def _consume(material):
     return material
 
 
-def _reciprocal_plan(rt: PartyRuntime, shape) -> list:
-    """The triples ss_reciprocal takes at the default division budget."""
-    return [("triple", shape)] * (2 * rt.div.iterations)
-
-
 def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
     """The triples ss_div takes: the reciprocal's, then the broadcast product's."""
-    return _reciprocal_plan(rt, v_shape) + [("triple", np.broadcast_shapes(u_shape, v_shape))]
+    return ([("triple", v_shape)] * (2 * rt.div.iterations)
+            + [("triple", np.broadcast_shapes(u_shape, v_shape))])
 
 
 def _open_masked(d_mine: np.ndarray, e_mine: np.ndarray, theirs: np.ndarray, p):
@@ -206,19 +202,6 @@ def ss_div(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         return ss_mul(rt, u, ss_reciprocal(rt, v, domain))
 
 
-# Words of triples per party that one ss_sqrt deal may carry. Whole
-# iterations (9 words per element each) share a deal up to this cap, and
-# an iteration over it is dealt alone. On matern-n100-sockets, dealing
-# all iterations at once (the 4950-element construction triangle's 25
-# iterations are 8.9 MB per party) raised peak RSS from 49 to 109 MiB.
-_SQRT_DEAL_WORDS = 1 << 15
-
-
-def sqrt_deal_group(size: int) -> int:
-    """Iterations ss_sqrt deals at once on ``size`` elements."""
-    return max(1, _SQRT_DEAL_WORDS // (9 * max(size, 1)))
-
-
 def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     """Shared square root via inverse-square-root Newton iterations.
 
@@ -238,29 +221,24 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     unchanged; below 0.01 the extra noise adds to an error that is
     already large there.
 
-    The triples are dealt ahead, ``sqrt_deal_group(x.size)`` whole
-    iterations per deal (at least one), the last deal carrying the final
-    product's triple too. analysis.sqrt_rounds and
-    analysis.sqrt_assistant_round_trips give the counts. Exact zero
-    inputs map to zero since the final multiply scales the bounded
-    iterate by x.
+    Each iteration's two triples (after the last, the final product's)
+    ride on the truncation before it, the first guess's or a halving, when
+    the previous iteration's are spent. analysis.sqrt_rounds and
+    analysis.sqrt_assistant_round_trips give the counts. Exact zero inputs
+    map to zero since the final multiply scales the bounded iterate by x.
     """
     x0 = rt.div.sqrt_hi / 2.0
     a = 1.5 / math.sqrt(x0)
     b = 0.5 / x0 ** 1.5
     p = rt.params
     iterations = rt.div.sqrt_iterations
-    group = sqrt_deal_group(x.values.size)
-    stacked = (2, *x.shape)
+    plans = ([[("triple", (2, *x.shape)), ("triple", x.shape)]] * iterations
+             + [[("triple", x.shape)]])
     with rt.scope("ss_sqrt"):
+        rt.assistant.deal(plans[0])
         z = _rescale(rt, -x.scale_public(b)).add_public(a)
         three = np.uint64(3 << z.scale)
         for i in range(iterations):
-            if i % group == 0:
-                plan = [("triple", stacked), ("triple", x.shape)] * min(group, iterations - i)
-                if i + group >= iterations:
-                    plan.append(("triple", x.shape))
-                rt.assistant.deal(plan)
             pair = ss_mul(rt, SharedArray(rt.party, np.stack([z.values, x.values]), z.codec,
                                           z.scale),
                           SharedArray(rt.party, np.stack([z.values, z.values]), z.codec,
@@ -268,6 +246,7 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
             z_sq, xz = pair[0], pair[1]
             raw = ss_mul(rt, xz, z_sq, truncate=False)
             diff = ring_sub(ring_mul(z.values, three, p), raw.values, p)
+            rt.assistant.deal(plans[i + 1])
             z = SharedArray(rt.party, rt.trunc_values(diff, z.scale + 1), z.codec, z.scale)
         return ss_mul(rt, x, z)
 
@@ -404,8 +383,9 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
     Column k costs four product rounds (the pivot update and the column
     update) plus one division by the pivot; the first column is a single
     division and the last column needs only its pivot. Total rounds
-    R_div + (n-2)(4+R_div) + 2. Each column deals all its material in one
-    assistant round trip.
+    R_div + (n-2)(4+R_div) + 2. Each column deals all its material ahead:
+    the first column's rides on its reciprocal's first truncation, and
+    every later column's is requested alone by its first product.
     """
     n = u.shape[0]
     if u.values.ndim != 2 or u.shape[1] != n:
@@ -486,16 +466,13 @@ def pp_backward(rt: PartyRuntime, V: SharedArray, D: SharedArray,
                 pivot_domain: tuple[float, float]) -> SharedArray:
     """Combine the factors into the inverse: Lambda = V^T D^{-1} V.
 
-    One vector division for D^{-1} (reciprocal rounds plus the product
-    with V's rows) and one matrix product round.
+    One division of V's rows by D, dealt ahead so that its triples ride
+    on the reciprocal's first truncation, and one matrix product round.
     """
-    n = V.shape[0]
     with rt.scope("pp_backward"):
         d_col = SharedArray(rt.party, D.values.reshape(-1, 1), D.codec, D.scale)
-        rt.assistant.deal(_reciprocal_plan(rt, (n, 1)))
-        recip = ss_reciprocal(rt, d_col, pivot_domain)
-        scaled = ss_mul(rt, recip, V)
-        return ss_matmul(rt, V.T, scaled)
+        rt.assistant.deal(_div_plan(rt, V.shape, d_col.shape))
+        return ss_matmul(rt, V.T, ss_div(rt, V, d_col, pivot_domain))
 
 
 def pp_matinv(rt: PartyRuntime, u: SharedArray,
@@ -503,8 +480,8 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
     """Invert a shared positive-definite matrix via LDL^T factors.
 
     Total rounds (21n - 23) + (n - 1) + 18 = 22n - 6 at the default
-    division budget, and 25n - 4 assistant round trips: 23n - 6
-    truncations and 2n + 2 deals (analysis.matinv_assistant_round_trips).
+    division budget, and 25n - 7 assistant round trips
+    (analysis.matinv_assistant_round_trips).
     """
     with rt.scope("pp_matinv"):
         factors = pp_cholesky_ldl(rt, u, pivot_domain)

@@ -230,14 +230,3 @@ class FixedPointCodec:
 
     def decode(self, e) -> np.ndarray:
         return to_signed(e, self.params).astype(np.float64) / self.params.scale
-
-    def truncate(self, e) -> np.ndarray:
-        """Rescale a raw double-precision product back to scale l_f.
-
-        Arithmetic right shift in the signed interpretation, rounding to
-        nearest (plain value-level truncation; shared values are rescaled
-        through the assistant by ``PartyRuntime.trunc_values``).
-        """
-        s = to_signed(e, self.params)
-        s = (s + (1 << (self.params.lf - 1))) >> np.int64(self.params.lf)
-        return from_signed(s, self.params)

@@ -34,6 +34,13 @@ class DivisionConfig:
     sqrt_hi: float = 16.0
     sqrt_iterations: int = 25
 
+    def __post_init__(self):
+        for name in ("iterations", "sqrt_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not 0 < self.sqrt_hi < np.inf:
+            raise ValueError(f"sqrt_hi must be finite and positive, got {self.sqrt_hi!r}")
+
     @property
     def rounds(self) -> int:
         """Round budget of one division (reciprocal plus one multiply)."""

@@ -105,10 +105,10 @@ def test_rounds_rejects_bad_args():
 
 def test_assistant_round_trips_matinv():
     for n in (2, 3, 10, 200):
-        assert matinv_assistant_round_trips(n) == 25 * n - 4
-    assert matinv_assistant_round_trips(200) == 4996
+        assert matinv_assistant_round_trips(n) == 25 * n - 7
+    assert matinv_assistant_round_trips(200) == 4993
     # Ten reciprocal iterations: R_div = 21, four more truncations a division.
-    assert matinv_assistant_round_trips(3, r_div=21) == 83
-    assert matinv_assistant_round_trips(10, r_div=21) == 286
+    assert matinv_assistant_round_trips(3, r_div=21) == 80
+    assert matinv_assistant_round_trips(10, r_div=21) == 283
     with pytest.raises(ValueError):
         matinv_assistant_round_trips(1)

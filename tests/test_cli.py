@@ -117,6 +117,24 @@ def test_matern_queries_equal_to_training_rows_run():
     assert report["loss_var_mean"] <= 1e-3, report["loss_var_mean"]
 
 
+@pytest.mark.parametrize("kernel, key, field, value", [
+    ("matern32", "sqrt_iterations", "sqrt_iterations", -1),
+    ("matern32", "sqrt_iterations", "sqrt_iterations", 0),
+    ("matern32", "sqrt_hi", "sqrt_hi", -200.0),
+    ("se", "div_iterations", "iterations", 0),
+    ("se", "div_iterations", "iterations", -1),
+])
+def test_run_gpr_rejects_out_of_domain_newton_settings(kernel, key, field, value):
+    # Each bad value fails by name before any session starts.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(22, 3))
+    cfg = load_config(None)
+    cfg.update(kernel=kernel, sqrt_hi=200.0, seeds=[0])
+    cfg[key] = value
+    with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
+        run_gpr(Dataset(x[:20], np.sin(x[:20].sum(axis=1))), x[20:], cfg)
+
+
 def test_matinv_closed_form_follows_division_budget():
     # Ten reciprocal iterations make a 21-round division, so an n=8
     # inversion takes 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.

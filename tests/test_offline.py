@@ -7,9 +7,10 @@ import pytest
 import scipy.stats
 
 import ssgpr.session as session
-from helpers import CODEC, run_shared
+from helpers import CODEC, QUANTUM, run_shared
 from ssgpr.data import Dataset, ScenarioSplit, split_scenario
-from ssgpr.offline import ProtocolError, _parse_plan, gen_material, serve_assistant
+from ssgpr.offline import (OP_TRIPLE, OP_TRUNC, ProtocolError, _parse_plan, gen_material,
+                           serve_assistant)
 from ssgpr.protocols import ss_dist, ss_mul
 from ssgpr.ring import (FixedPointCodec, RingParams, _use_limbs, ring_add, ring_matmul,
                         ring_mul, to_signed)
@@ -175,11 +176,84 @@ def test_unused_dealt_material_fails_shutdown():
     assert "triple (3,)" in str(info.value.__cause__)
 
 
+def test_unsent_deal_fails_shutdown():
+    # A deal sends nothing by itself; the plan nobody took a request for
+    # is still unused at the end of the session.
+    tags = []
+
+    def job(rt):
+        rt.assistant.deal([("triple", (3,))])
+        tags.append(rt.assistant._tag)
+
+    with pytest.raises(RuntimeError, match="session failed in party") as info:
+        run_session(job, CODEC)
+    assert tags == [0, 0]
+    assert isinstance(info.value.__cause__, ProtocolError)
+    assert "never used" in str(info.value.__cause__)
+    assert "triple (3,)" in str(info.value.__cause__)
+
+
+def test_deal_rides_on_the_next_truncation():
+    x = np.array([[1.5, -2.25, 0.0], [7.0, -0.5, 3.125]])
+
+    def job(rt, sx):
+        before = rt.assistant._tag
+        rt.assistant.deal([("triple", (2, 3)), ("matrix", (2, 3, 4))])
+        shifted = rt.trunc_values(sx.values, 3)
+        material = rt.assistant.get_triple((2, 3)), rt.assistant.get_matrix_triple(2, 3, 4)
+        return shifted, material, rt.assistant._tag - before
+
+    res = run_shared(job, [x])
+    (v0, (t0, m0), requests0), (v1, (t1, m1), requests1) = res.outputs[P0], res.outputs[P1]
+    assert requests0 == requests1 == 1
+    got = to_signed(rec(v0, v1, P64), P64).astype(np.float64) / (1 << (CODEC.lf - 3))
+    assert np.max(np.abs(got - x)) <= 1.5 * QUANTUM * 8
+    u, v, c = (rec(a, b, P64) for a, b in ((t0.a, t1.a), (t0.b, t1.b), (t0.c, t1.c)))
+    assert np.array_equal(c, ring_mul(u, v, P64))
+    a, b, c = (rec(p, q, P64) for p, q in ((m0.a, m1.a), (m0.b, m1.b), (m0.c, m1.c)))
+    assert np.array_equal(c, ring_matmul(a, b, P64))
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+def test_diverging_plans_on_a_truncation_abort(backend):
+    # The masked shares differ between the servers by design; the plans
+    # riding after them must not.
+    reached = []
+
+    def job(rt, sx):
+        rt.assistant.deal([("triple", (1,) if rt.party == 0 else (2,))])
+        reached.append(rt.assistant._tag)
+        rt.trunc_values(sx.values, 3)
+
+    with pytest.raises(RuntimeError, match="session failed in assistant") as info:
+        run_shared(job, [np.arange(4.0)], backend=backend)
+    assert reached == [0, 0]
+    assert isinstance(info.value.__cause__, ProtocolAbort)
+    assert "diverging" in str(info.value.__cause__)
+
+
+def test_truncation_head_announcing_too_many_words_aborts():
+    # The head announces five masked words, but four follow it, the last
+    # two of them a plan.
+    def job(rt):
+        tag = rt.assistant._next_tag()
+        rt.assistant.channel.send(tag, np.asarray([OP_TRUNC, 3, 5, 11, 12, OP_TRIPLE, 1],
+                                                  dtype=np.uint64))
+        rt.assistant.channel.recv(tag)
+
+    with pytest.raises(RuntimeError, match="session failed in assistant") as info:
+        run_session(job, CODEC, backend="inproc")
+    err = info.value.__cause__
+    assert isinstance(err, ProtocolAbort)
+    assert "announces 5 masked words" in str(err) and "holds 4" in str(err)
+
+
 @pytest.mark.parametrize("backend", ["inproc", "sockets"])
 def test_diverging_deal_plans_abort(backend):
     def job(rt):
         last = ("triple", (2,)) if rt.party == 0 else ("matrix", (1, 1, 2))
         rt.assistant.deal([("triple", (1,)), last])
+        rt.assistant.get_triple((1,))
 
     with pytest.raises(RuntimeError, match="session failed in assistant") as info:
         run_session(job, CODEC, backend=backend)

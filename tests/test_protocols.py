@@ -1,6 +1,8 @@
 """Interactive protocols: products, distances, Newton division and
 square root, and the matrix-inversion pipeline with its round counts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from ssgpr.analysis import (matinv_assistant_round_trips, sqrt_assistant_round_t
 from ssgpr.offline import gen_material
 from ssgpr.protocols import (ProtocolError, mirror_upper, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
-                             ss_reciprocal, ss_sqrt, sqrt_deal_group, _consume)
+                             ss_reciprocal, ss_sqrt, _consume)
 from ssgpr.ring import FixedPointCodec, RingParams, from_signed
 from ssgpr.session import TRUNC_OFFSET_BLOCK, DivisionConfig, PartyRuntime
 from ssgpr.sharing import SharedArray, reconstruct, shr
@@ -225,6 +227,17 @@ def test_div_round_budget():
     assert scoped(res, "ss_div")["rounds"] == 17
 
 
+BAD_NEWTON_SETTINGS = [("iterations", 0), ("iterations", -1), ("sqrt_iterations", 0),
+                       ("sqrt_iterations", -1), ("sqrt_hi", 0.0), ("sqrt_hi", -16.0),
+                       ("sqrt_hi", float("inf")), ("sqrt_hi", float("nan"))]
+
+
+@pytest.mark.parametrize("field, value", BAD_NEWTON_SETTINGS)
+def test_out_of_domain_newton_settings_rejected(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+        DivisionConfig(**{field: value})
+
+
 # ------------------------------------------------------------- square root
 
 def test_sqrt_of_four():
@@ -251,21 +264,23 @@ def test_sqrt_sweep():
 
 def test_sqrt_assistant_round_trips():
     # Two truncations per iteration, plus the first guess's and the final
-    # product's; one deal carries all eleven triples.
+    # product's; every triple rides on one of them.
     def job(rt, x):
         before = rt.assistant._tag
         ss_sqrt(rt, x)
         return rt.assistant._tag - before
 
     res = run_shared(job, [np.array([4.0, 9.0])], div=DivisionConfig(sqrt_iterations=5))
-    assert res.outputs[P0] == res.outputs[P1] == 2 * 5 + 2 + 1
+    assert res.outputs[P0] == res.outputs[P1] == 2 * 5 + 2
 
 
-@pytest.mark.parametrize("size, iterations, group, deals", [
-    (1000, 7, 3, 3),       # groups of 3, 3 and 1 iterations
-    (3641, 2, 1, 2),       # one iteration is over the cap: one deal per iteration
+@pytest.mark.parametrize("size, iterations", [
+    (1000, 7),
+    (3641, 2),
+    (4950, 25),  # the n = 100 gram's strict upper triangle at the default budget
+    (1000, 1),
 ])
-def test_sqrt_counts_match_closed_forms(size, iterations, group, deals):
+def test_sqrt_counts_match_closed_forms(size, iterations):
     x = np.linspace(0.5, 12.0, size)
 
     def job(rt, v):
@@ -274,16 +289,15 @@ def test_sqrt_counts_match_closed_forms(size, iterations, group, deals):
         return out, rt.assistant._tag - before
 
     res = run_shared(job, [x], div=DivisionConfig(sqrt_iterations=iterations))
-    assert sqrt_deal_group(size) == group
-    assert sqrt_assistant_round_trips(iterations, size) == 2 * iterations + 2 + deals
+    assert sqrt_assistant_round_trips(iterations) == 2 * iterations + 2
     for party in (P0, P1):
-        assert res.outputs[party][1] == sqrt_assistant_round_trips(iterations, size)
+        assert res.outputs[party][1] == sqrt_assistant_round_trips(iterations)
         summary = res.stats[party].summary()
         assert summary["per_protocol"]["ss_sqrt"]["rounds"] == sqrt_rounds(iterations)
         # Four words per element per round on the stacked product, two on the other.
         assert summary["online_words_sent"] == (6 * iterations + 2) * size
     got = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
-    if iterations >= 7:  # two iterations are too few to converge
+    if iterations >= 7:  # one or two iterations are too few to converge
         assert np.max(np.abs(got - np.sqrt(x)) / np.sqrt(x)) <= 1e-3
 
 
@@ -415,8 +429,8 @@ def test_matinv_round_count_n10():
     assert scoped(res, "pp_matinv")["rounds"] == 214 == 22 * n - 6
 
 
-@pytest.mark.parametrize("n, iterations, want", [(3, 8, 71), (10, 8, 246),
-                                                  (3, 10, 83), (10, 10, 286)])
+@pytest.mark.parametrize("n, iterations, want", [(3, 8, 68), (10, 8, 243),
+                                                  (3, 10, 80), (10, 10, 283)])
 def test_matinv_assistant_round_trips(n, iterations, want):
     x = np.random.default_rng(n).uniform(-10, 10, (n, 2))
     u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(n)

@@ -11,8 +11,6 @@ from ssgpr.ring import (_LIMB_MAX_K, _LIMB_MIN_DIM, _LIMB_WIDTHS, FixedPointCode
 
 L5 = RingParams(5, 3)
 C5 = FixedPointCodec(L5)
-L16 = RingParams(16, 3)
-C16 = FixedPointCodec(L16)
 
 
 def test_encode_examples_l5():
@@ -79,20 +77,6 @@ def test_signed_reinterpretation():
     assert int(from_signed(-1, L5)) == 31
     s = np.array([-16, -1, 0, 1, 15])
     assert np.array_equal(to_signed(from_signed(s, L5), L5), s)
-
-
-def test_truncate_product():
-    raw = ring_mul(C16.encode(1.5), C16.encode(2.0), L16)
-    assert int(C16.truncate(raw)) == int(C16.encode(3.0))
-
-
-def test_truncate_zero():
-    assert int(C16.truncate(0)) == 0
-
-
-def test_truncate_negative():
-    raw = from_signed(-8 * (1 << 3), L16)
-    assert int(C16.truncate(raw)) == int(C16.encode(-1.0))
 
 
 def test_l64_wraps_on_hardware():
