@@ -2,8 +2,8 @@
 
 Parameter validation for the masked exponentiation, exact enumeration of
 its information leakage, and the closed-form communication-round counts
-of the matrix-inversion pipeline and the square root, peer rounds and
-assistant round trips.
+of the matrix-inversion pipeline, the square root, GP model construction
+and a prediction batch, peer rounds and assistant round trips.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gpr import MATERN32, SQUARED_EXPONENTIAL
 from .protocols import ExpParams
 from .ring import RingParams
 
@@ -168,3 +169,69 @@ def sqrt_assistant_round_trips(iterations: int) -> int:
     product, 2 * iterations + 2. Every triple rides on one of them.
     """
     return 2 * iterations + 2
+
+
+def _kernel_rounds(kind: str, sqrt_iterations: int) -> int:
+    """Peer rounds of one kernel evaluation: pp_exp, and on Matern the
+    square root and the product (1 + s) e^-s."""
+    if kind == SQUARED_EXPONENTIAL:
+        return 1
+    if kind == MATERN32:
+        return sqrt_rounds(sqrt_iterations) + 2
+    raise ValueError(f"unknown kernel {kind!r}")
+
+
+def construct_rounds(kind: str, n: int, r_div: int = 17, sqrt_iterations: int = 25) -> int:
+    """Peer rounds of pp_gpr_construct.
+
+    ss_dist's self form, the kernel, the inversion, alpha = Inv @ y and
+    the one opening of both model masks: 22n - 6 + 4 on SE and
+    22n - 6 + 2k + 6 on Matern-3/2 at R_div = 17.
+    """
+    return 1 + _kernel_rounds(kind, sqrt_iterations) + expected_rounds("matinv", n, r_div) + 2
+
+
+def predict_rounds(kind: str, sqrt_iterations: int = 25) -> int:
+    """Peer rounds of one pp_gpr_predict batch, at any batch and model size.
+
+    ss_dist's one opening, the kernel, k* @ [Inv | alpha] and the
+    variance's product: 4 on SE and 2k + 6 on Matern-3/2.
+    """
+    return 1 + _kernel_rounds(kind, sqrt_iterations) + 2
+
+
+def _kernel_assistant_round_trips(kind: str, sqrt_iterations: int) -> int:
+    """Truncations of one kernel evaluation; its material rides on the last.
+
+    SE: the scaled argument. Matern: the square root, the scaled root and
+    the product.
+    """
+    if kind == SQUARED_EXPONENTIAL:
+        return 1
+    if kind == MATERN32:
+        return sqrt_assistant_round_trips(sqrt_iterations) + 2
+    raise ValueError(f"unknown kernel {kind!r}")
+
+
+def construct_assistant_round_trips(kind: str, n: int, r_div: int = 17,
+                                    sqrt_iterations: int = 25) -> int:
+    """Assistant round trips of pp_gpr_construct.
+
+    ss_dist's triple alone and its truncation, the kernel's truncations,
+    the inversion (25n - 7), and alpha's request, which carries both model
+    masks, with its truncation: 25n - 2 on SE and 25n + 2k + 1 on
+    Matern-3/2 at R_div = 17.
+    """
+    return (2 + _kernel_assistant_round_trips(kind, sqrt_iterations)
+            + matinv_assistant_round_trips(n, r_div) + 2)
+
+
+def predict_assistant_round_trips(kind: str, sqrt_iterations: int = 25) -> int:
+    """Assistant round trips of one pp_gpr_predict batch.
+
+    Three products each fetch their triple alone (ss_dist's kept triple,
+    k* @ [Inv | alpha]'s and the variance's) and truncate once, and the
+    kernel's material rides on its truncations: 7 on SE and 2k + 10 on
+    Matern-3/2.
+    """
+    return 6 + _kernel_assistant_round_trips(kind, sqrt_iterations)

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .analysis import expected_rounds, leakage_enumerate, validate_exp_params
+from .analysis import expected_rounds, leakage_enumerate, predict_rounds, validate_exp_params
 from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenario, standardize
 from .gpr import (MATERN32, KernelConfig, Predictions, gpr_predict_plaintext,
                   kernel_matrix_plaintext, loss_metrics, pp_gpr_construct, pp_gpr_predict,
@@ -96,6 +96,9 @@ def _coerce(key: str, value: str):
 def session_pieces(cfg: dict):
     codec = FixedPointCodec(RingParams(cfg["l"], cfg["lf"]))
     exp_params = ExpParams(u_min=cfg["u_min"], r_max=cfg["r_max"])
+    if cfg["div_iterations"] < 1:
+        # DivisionConfig would name its field, not the key the user wrote.
+        raise ValueError(f"div_iterations must be at least 1, got {cfg['div_iterations']!r}")
     div = DivisionConfig(iterations=cfg["div_iterations"], sqrt_hi=cfg["sqrt_hi"],
                          sqrt_iterations=cfg["sqrt_iterations"])
     kernel = KernelConfig(kind=cfg["kernel"], length_scale=cfg["length_scale"],
@@ -151,11 +154,11 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
             t0 = time.perf_counter()
             model = pp_gpr_construct(rt, b["X"], b["y"], kernel, exp_params,
                                      policy=cfg["exp_policy"], y_shift=prep.y_shift)
-            t1 = time.perf_counter()
+            t1, rounds = time.perf_counter(), rt.stats.rounds
             mean, var = pp_gpr_predict(rt, model, b["x_star"], exp_params,
                                        policy=cfg["exp_policy"])
             t2 = time.perf_counter()
-            return mean, var, t1 - t0, t2 - t1
+            return mean, var, t1 - t0, t2 - t1, rt.stats.rounds - rounds
 
         result = run_session(job, codec, seed=seed, backend=cfg["backend"], div=div)
         mean = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
@@ -164,6 +167,8 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
         stats = result.stats[P0].summary()
         matinv_rounds = stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0)
         matinv_expected = expected_rounds("matinv", ds.n, r_div=div.rounds)
+        predict_recorded = result.outputs[P0][4]
+        predict_expected = predict_rounds(kernel.kind, div.sqrt_iterations)
         runs.append({
             "seed": seed,
             **losses,
@@ -174,12 +179,17 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
             "per_protocol": stats["per_protocol"],
             "matinv_rounds_expected": matinv_expected,
             "matinv_rounds_recorded": matinv_rounds,
+            "predict_rounds_expected": predict_expected,
+            "predict_rounds_recorded": predict_recorded,
             "predictions_mean": mean.tolist(),
             "predictions_variance": var.tolist(),
         })
         if matinv_rounds != matinv_expected:
             raise RuntimeError("recorded matrix-inversion rounds diverge from the "
                                "closed form")
+        if predict_recorded != predict_expected:
+            raise RuntimeError(f"a prediction batch took {predict_recorded} peer rounds, "
+                               f"closed form {predict_expected}")
 
     mus = [r["loss_mu"] for r in runs]
     vars_ = [r["loss_var"] for r in runs]

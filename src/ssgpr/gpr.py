@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocols import (ExpParams, _rescale, mirror_upper, pp_exp, pp_matinv, ss_dist,
-                        ss_matmul, ss_mul, ss_sqrt)
+from .protocols import (MAX_EXP_SCALE, ExpParams, ModelOperand, _rescale, mirror_upper,
+                        open_model_masks, pp_exp, pp_matinv, ss_dist, ss_matmul, ss_mul,
+                        ss_sqrt)
 from .ring import ring_add
 from .session import PartyRuntime
 from .sharing import SharedArray
@@ -33,6 +34,8 @@ class KernelConfig:
             raise ValueError(f"unknown kernel {self.kind!r}")
         if min(self.length_scale, self.signal_variance, self.noise_variance) <= 0:
             raise ValueError("kernel hyperparameters must be strictly positive")
+        if self.signal_variance >= MAX_EXP_SCALE:
+            raise ValueError(f"signal_variance must be below 2^50, got {self.signal_variance!r}")
 
     @property
     def pivot_domain(self) -> tuple[float, float]:
@@ -108,35 +111,50 @@ def loss_metrics(oracle: Predictions, pp: Predictions):
 
 @dataclass
 class GprModelShares:
-    """One party's model state after the construction stage."""
+    """One party's model state after the construction stage.
+
+    ``x_norms`` holds the training rows' squared norms at the raw double
+    scale, ``alpha`` is Inv @ y, and ``Xt`` and ``R`` = [Inv | alpha] are
+    opened once against model masks the assistant keeps, so a prediction
+    batch opens only its own operands.
+    """
 
     X: SharedArray
     y: SharedArray
     K: SharedArray
     Inv: SharedArray
     config: KernelConfig
+    x_norms: SharedArray
+    alpha: SharedArray
+    Xt: ModelOperand
+    R: ModelOperand
     y_shift: float = 0.0
 
 
 def pp_kernel(rt: PartyRuntime, dist: SharedArray, config: KernelConfig,
               exp_params: ExpParams, policy: str = "clamp") -> SharedArray:
-    """Kernel values from shares of squared distances."""
+    """Kernel values from shares of squared distances.
+
+    The signal variance rides in pp_exp's public factor, so it costs no
+    truncation. The exponent mask, and on Matern the product's triple,
+    ride on the truncation just before pp_exp.
+    """
+    plan = [("exp_mask", (dist.shape, exp_params.rmax_enc(rt.codec.lf)))]
     if config.kind == SQUARED_EXPONENTIAL:
+        rt.assistant.deal(plan)
         arg = _rescale(rt, dist.scale_public(-1.0 / (2.0 * config.length_scale ** 2)))
-        e = pp_exp(rt, arg, exp_params, policy=policy)
-        return _rescale(rt, e.scale_public(config.signal_variance))
-    t = dist.scale_int(3)
-    s = ss_sqrt(rt, t)
+        return pp_exp(rt, arg, exp_params, policy=policy, scale=config.signal_variance)
+    s = ss_sqrt(rt, dist.scale_int(3))
+    rt.assistant.deal(plan + [("triple", dist.shape)])
     w = _rescale(rt, s.scale_public(1.0 / config.length_scale))
-    e = pp_exp(rt, -w, exp_params, policy=policy)
-    k = ss_mul(rt, w.add_public(1.0), e)
-    return _rescale(rt, k.scale_public(config.signal_variance))
+    e = pp_exp(rt, -w, exp_params, policy=policy, scale=config.signal_variance)
+    return ss_mul(rt, w.add_public(1.0), e)
 
 
 def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
                      config: KernelConfig, exp_params: ExpParams,
                      policy: str = "clamp", y_shift: float = 0.0) -> GprModelShares:
-    """Model construction: gram matrix and the shared inverse.
+    """Model construction: gram matrix, the shared inverse and the kept model.
 
     The kernel runs on the gram's strict upper triangle only, the self
     form of ``ss_dist``, so its square root, exponentiation and
@@ -146,9 +164,19 @@ def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
     value; writing it directly sidesteps the square root's zero-distance
     edge case on the Matern path. The triangle's temporaries die before
     the inversion.
+
+    The model is then finished for prediction: alpha = Inv @ y in one
+    product, and R = [Inv | alpha] and X^T opened against two model masks
+    in one exchange. Peer rounds: 22n - 6 for the inversion plus 4 on SE
+    (ss_dist, pp_exp, alpha, the opening) and plus 2k + 6 on Matern-3/2
+    with k square-root iterations; assistant round trips 25n - 7 plus 5
+    and plus 2k + 8 (``analysis.construct_rounds`` and
+    ``analysis.construct_assistant_round_trips``). alpha's request carries
+    both model masks.
     """
-    n = x.shape[0]
-    k = mirror_upper(rt, pp_kernel(rt, ss_dist(rt, x), config, exp_params, policy), n,
+    n, dim = x.shape
+    upper, x_norms = ss_dist(rt, x)
+    k = mirror_upper(rt, pp_kernel(rt, upper, config, exp_params, policy), n,
                      config.signal_variance)
     idx = np.arange(n)
     m = k.copy()
@@ -156,18 +184,36 @@ def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
         m.values[idx, idx] = ring_add(m.values[idx, idx],
                                       rt.codec.encode(config.noise_variance), rt.params)
     inv = pp_matinv(rt, m, pivot_domain=config.pivot_domain)
-    return GprModelShares(X=x, y=y, K=k, Inv=inv, config=config, y_shift=y_shift)
+    r_key, x_key = rt.assistant.new_key(), rt.assistant.new_key()
+    rt.assistant.deal([("matrix", (n, n, 1)), ("model_mask", (r_key, n, n + 1)),
+                       ("model_mask", (x_key, dim, n))])
+    alpha = ss_matmul(rt, inv, y.reshape(-1, 1))
+    r = SharedArray(rt.party, np.hstack([inv.values, alpha.values]), inv.codec, inv.scale)
+    r_model, xt_model = open_model_masks(rt, [(r_key, r), (x_key, x.T)])
+    return GprModelShares(X=x, y=y, K=k, Inv=inv, config=config, x_norms=x_norms,
+                          alpha=alpha.reshape(-1), Xt=xt_model, R=r_model, y_shift=y_shift)
 
 
 def pp_gpr_predict(rt: PartyRuntime, model: GprModelShares, x_star: SharedArray,
                    exp_params: ExpParams, policy: str = "clamp"):
-    """Prediction stage: shares of posterior means and variances."""
+    """Prediction stage: shares of posterior means and variances.
+
+    On SE a batch takes four peer rounds: ss_dist's one opening of
+    x* - A, pp_exp, one product k* @ [Inv | alpha] that gives w and the
+    mean, and the variance's product w * k*. Matern-3/2 adds the square
+    root's 2k + 1 rounds and one product, 2k + 6 in all. Assistant round
+    trips: 7 on SE and 2k + 10 on Matern (``analysis.predict_rounds`` and
+    ``analysis.predict_assistant_round_trips``). The kernel's material
+    rides on its truncation before pp_exp; each of the three products
+    fetches its triple alone, so no reply holds two batch-sized items.
+    """
     config = model.config
-    d_star = ss_dist(rt, x_star, model.X)
+    n = model.X.shape[0]
+    d_star = ss_dist(rt, x_star, model.Xt, model.x_norms)
     k_star = pp_kernel(rt, d_star, config, exp_params, policy)
-    w = ss_matmul(rt, k_star, model.Inv)
-    y_col = model.y.reshape(-1, 1)
-    mean = ss_matmul(rt, w, y_col).reshape(-1)
+    w_mean = ss_matmul(rt, k_star, model.R)
+    w = w_mean[:, :n]
+    mean = w_mean[:, n]
     if model.y_shift:
         mean = mean.add_public(np.full(mean.shape, model.y_shift))
 

@@ -6,7 +6,11 @@ the standard accounting: one round per Beaver product, 2k+1 rounds for a
 division with k Newton iterations, and one round total for the masked
 exponentiation regardless of input size. A step whose material is known
 up front deals it ahead, and ``offline`` decides when it travels; every
-other product takes whatever the assistant next hands it.
+other product takes whatever the assistant next hands it. One exchange
+may open several masked arrays (``_open``): a Beaver product's two, the
+model masks of a GP model, or ss_dist's x - A, which serves both of its
+products. A product by a ``ModelOperand`` opens only its left operand,
+against a mask the assistant keeps.
 """
 
 from __future__ import annotations
@@ -52,11 +56,15 @@ def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
             + [("triple", np.broadcast_shapes(u_shape, v_shape))])
 
 
-def _open_masked(d_mine: np.ndarray, e_mine: np.ndarray, theirs: np.ndarray, p):
-    """Open d and e from this server's halves and the peer's concatenated ones."""
-    n = d_mine.size
-    return (ring_add(d_mine, theirs[:n].reshape(d_mine.shape), p),
-            ring_add(e_mine, theirs[n:].reshape(e_mine.shape), p))
+def _open(rt: PartyRuntime, *mine: np.ndarray) -> list[np.ndarray]:
+    """Open several masked arrays in one exchange, from this server's halves and the peer's."""
+    p = rt.params
+    theirs = rt.exchange(np.concatenate([m.ravel() for m in mine]))
+    out, at = [], 0
+    for m in mine:
+        out.append(ring_add(m, theirs[at:at + m.size].reshape(m.shape), p))
+        at += m.size
+    return out
 
 
 def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None) -> SharedArray:
@@ -81,17 +89,61 @@ def _beaver(rt: PartyRuntime, u: SharedArray, v: SharedArray, t, product,
     """
     t = _consume(t)
     p = rt.params
-    d_mine = ring_sub(u.values, t.a, p)
-    e_mine = ring_sub(v.values, t.b, p)
-    theirs = rt.exchange(np.concatenate([d_mine.ravel(), e_mine.ravel()]))
-    d, e = _open_masked(d_mine, e_mine, theirs, p)
-    v_term = v.values if rt.party == 0 else ring_sub(v.values, e, p)
-    z = ring_add(product(u.values, e, p), product(d, v_term, p), p)
-    z = ring_add(z, t.c, p)
+    d, e = _open(rt, ring_sub(u.values, t.a, p), ring_sub(v.values, t.b, p))
+    z = ring_add(_combine(rt, u.values, v.values, d, e, product), t.c, p)
     out = SharedArray(rt.party, z, u.codec, u.scale + v.scale)
-    if truncate:
-        out = _rescale(rt, out, v.scale)
-    return out
+    return _rescale(rt, out, v.scale) if truncate else out
+
+
+def _combine(rt: PartyRuntime, u: np.ndarray, v: np.ndarray, d: np.ndarray, e: np.ndarray,
+             product) -> np.ndarray:
+    """This party's u*e + d*(v - i*e), a Beaver share before the triple's c."""
+    p = rt.params
+    v_term = v if rt.party == 0 else ring_sub(v, e, p)
+    return ring_add(product(u, e, p), product(d, v_term, p), p)
+
+
+@dataclass
+class ModelOperand:
+    """Shares of a per-model matrix, opened once as value - B against a kept mask B.
+
+    The assistant keeps B under ``key`` for the session, so a product by
+    this operand takes a fresh left mask A with C = A @ B and opens only
+    the left operand (SecureML's reuse of a fixed operand's mask).
+    """
+
+    value: SharedArray
+    opened: np.ndarray
+    key: int
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+
+def open_model_masks(rt: PartyRuntime, operands) -> list[ModelOperand]:
+    """Open each (key, shared matrix) minus its model mask, all in one exchange.
+
+    The masks come dealt under their keys; each is taken and opened once.
+    """
+    p = rt.params
+    with rt.scope("open_model_masks"):
+        masks = [_consume(rt.assistant.get_model_mask(key, x.shape)) for key, x in operands]
+        opened = _open(rt, *[ring_sub(x.values, mask.b, p)
+                             for (_, x), mask in zip(operands, masks)])
+    return [ModelOperand(x, f, key) for (key, x), f in zip(operands, opened)]
+
+
+def _kept_product(rt: PartyRuntime, u: SharedArray, v: ModelOperand, t) -> tuple:
+    """Raw shares of u @ v against v's kept mask, and the opened u - A.
+
+    One exchange opens d = u - A for the kept triple ``t`` (A, C = A @ B).
+    """
+    t = _consume(t)
+    (d,) = _open(rt, ring_sub(u.values, t.a, rt.params))
+    z = ring_add(_combine(rt, u.values, v.value.values, d, v.opened, ring_matmul), t.c,
+                 rt.params)
+    return z, d
 
 
 def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
@@ -111,26 +163,38 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         return _beaver(rt, u, v, rt.assistant.get_triple(u.shape), ring_mul, truncate)
 
 
-def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
+def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray | ModelOperand,
               truncate: bool = True) -> SharedArray:
-    """Beaver matrix product of shared (m x n) and (n x k) matrices."""
-    if u.values.ndim != 2 or v.values.ndim != 2 or u.shape[1] != v.shape[0]:
+    """Beaver matrix product of shared (m x n) and (n x k) matrices.
+
+    Against a ``ModelOperand`` only u's mask is opened.
+    """
+    if u.values.ndim != 2 or len(v.shape) != 2 or u.shape[1] != v.shape[0]:
         raise ProtocolError(f"matmul dimension mismatch: {u.shape} x {v.shape}")
     m, n = u.shape
     with rt.scope("ss_matmul"):
-        return _beaver(rt, u, v, rt.assistant.get_matrix_triple(m, n, v.shape[1]),
-                       ring_matmul, truncate)
+        if isinstance(v, SharedArray):
+            return _beaver(rt, u, v, rt.assistant.get_matrix_triple(m, n, v.shape[1]),
+                           ring_matmul, truncate)
+        z, _ = _kept_product(rt, u, v, rt.assistant.get_kept_triple(v.key, m, v.shape))
+        out = SharedArray(rt.party, z, u.codec, u.scale + v.value.scale)
+        return _rescale(rt, out, v.value.scale) if truncate else out
 
 
-def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None) -> SharedArray:
+def ss_dist(rt: PartyRuntime, x: SharedArray, y: ModelOperand | None = None,
+            y_norms: SharedArray | None = None):
     """Squared-Euclidean distances between shared point sets.
 
     Uses ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with all combining done
     on raw double-scale values so that one truncation covers each output
-    entry. The cross form ``ss_dist(x, y)`` returns the (m x k) matrix.
-    The self form ``ss_dist(x)`` returns only the n(n-1)/2 distances above
-    the diagonal, flat in ``np.triu_indices(n, 1)`` order, and truncates
-    only those; ``mirror_upper`` rebuilds a symmetric matrix from them.
+    entry. The self form ``ss_dist(x)`` returns the n(n-1)/2 distances
+    above the diagonal, flat in ``np.triu_indices(n, 1)`` order and
+    truncated, with the points' raw squared row norms; ``mirror_upper``
+    rebuilds a symmetric matrix from the distances. The cross form
+    ``ss_dist(x, y, y_norms)`` takes the points' transpose as a
+    ``ModelOperand`` and their raw norms from the self form, and returns
+    the (m x n) matrix in one round: one exchange opens x - A, and a kept
+    triple against y's mask gives both x @ y and x's row norms.
     """
     if x.values.ndim != 2:
         raise ProtocolError("ss_dist expects 2-d point matrices")
@@ -143,18 +207,20 @@ def ss_dist(rt: PartyRuntime, x: SharedArray, y: SharedArray | None = None) -> S
             raw = ring_sub(ring_add(norms[rows], norms[cols], p),
                            ring_mul(np.uint64(2), cross[rows, cols], p), p)
         else:
-            if y.values.ndim != 2 or x.shape[1] != y.shape[1]:
+            if len(y.shape) != 2 or x.shape[1] != y.shape[0]:
                 raise ProtocolError(f"ss_dist feature mismatch: {x.shape} vs {y.shape}")
-            # One product squares both point sets; their row norms split after.
-            both = SharedArray(rt.party, np.vstack([x.values, y.values]), x.codec, x.scale)
-            sq = ss_mul(rt, both, both, truncate=False)
-            norms = ring_reduce(sq.values.sum(axis=1, dtype=np.uint64), p)
-            cross = ss_matmul(rt, x, y.T, truncate=False)
             m = x.shape[0]
-            raw = ring_sub(ring_add(norms[:m, None], norms[None, m:], p),
-                           ring_mul(np.uint64(2), cross.values, p), p)
-        out = SharedArray(rt.party, raw, x.codec, 2 * x.scale)
-        return _rescale(rt, out, x.scale)
+            t = rt.assistant.get_kept_triple(y.key, m, y.shape, norms=True)
+            cross, d = _kept_product(rt, x, y, t)
+            # x's squared norms from the same opening: (A + d)^2 = A^2 + x*d + d*(x - d).
+            sq = _combine(rt, x.values, x.values, d, d, ring_mul).sum(axis=1, dtype=np.uint64)
+            x_norms = ring_add(sq, t.s, p)
+            raw = ring_sub(ring_add(x_norms[:, None], y_norms.values[None, :], p),
+                           ring_mul(np.uint64(2), cross, p), p)
+        out = _rescale(rt, SharedArray(rt.party, raw, x.codec, 2 * x.scale), x.scale)
+        if y is None:
+            return out, SharedArray(rt.party, norms.copy(), x.codec, 2 * x.scale)
+        return out
 
 
 def mirror_upper(rt: PartyRuntime, upper: SharedArray, n: int, diagonal: float) -> SharedArray:
@@ -315,13 +381,21 @@ def _exp_correction_block(x_pub: np.ndarray, m: np.ndarray, party: int, p: RingP
     return ring_reduce(out, p) if party == 0 else ring_neg(out, p)
 
 
+# _exp_correction takes a public factor below 2^(2 l_f + 53) and fails loudly
+# above it; e^d opens at most e^(r_max), about 3.5 at the defaults, so a
+# scale below 2^50 stays clear of that bound.
+MAX_EXP_SCALE = 2.0 ** 50
+
+
 def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
-           policy: str = "strict") -> SharedArray:
-    """Masked exponentiation: shares of e^u for shared u in [u_min, 0].
+           policy: str = "strict", scale: float = 1.0) -> SharedArray:
+    """Masked exponentiation: shares of scale * e^u for shared u in [u_min, 0].
 
     The servers open d = u + r for a pre-shared random mask r, evaluate
-    e^{d} publicly and correct with their shares of e^{-r}. One exchange
-    round and 2nl bits of online traffic for an n-element input.
+    scale * e^{d} publicly and correct with their shares of e^{-r}. One
+    exchange round and 2nl bits of online traffic for an n-element input.
+    The public ``scale`` (a kernel's signal variance) costs no truncation;
+    it must lie in (0, 2^50).
 
     The public factor is encoded at scale 2*l_f and the product rescaled
     locally, which halves the mask-quantization error against an l_f-scale
@@ -339,6 +413,8 @@ def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
     """
     if policy not in ("strict", "clamp"):
         raise ValueError(f"unknown pp_exp policy {policy!r}")
+    if not 0 < scale < MAX_EXP_SCALE:
+        raise ValueError(f"pp_exp scale must lie in (0, 2^50), got {scale!r}")
     lf = rt.codec.lf
     p = rt.params
     rmax_enc = params.rmax_enc(lf)
@@ -359,7 +435,7 @@ def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
         # overflowing e^d. Far-negative openings need no cap since e^d
         # underflows to the correct zero.
         d_hat = np.minimum(d_hat, params.r_max + slack)
-        x_pub = np.round(np.exp(d_hat) * float(1 << (2 * lf)))
+        x_pub = np.round(scale * np.exp(d_hat) * float(1 << (2 * lf)))
         out_vals = _exp_correction(x_pub, mask.m, rt.party, p, 2 * lf)
         return SharedArray(rt.party, out_vals, u.codec, lf)
 

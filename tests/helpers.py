@@ -3,6 +3,7 @@ small wrappers that run a two-server job and open the result."""
 
 import numpy as np
 
+from ssgpr.protocols import open_model_masks, ss_dist
 from ssgpr.ring import FixedPointCodec, RingParams
 from ssgpr.session import run_session
 from ssgpr.sharing import reconstruct, share_reals
@@ -31,3 +32,16 @@ def open_result(result):
 
 def open_item(result, index):
     return reconstruct(result.outputs[P0][index], result.outputs[P1][index])
+
+
+def cross_dist(rt, x, y):
+    """ss_dist's cross form from shared points x to shared points y.
+
+    y's raw norms come from the self form, and y^T is opened once against
+    a model mask, as model construction does for the training points.
+    """
+    _, norms = ss_dist(rt, y)
+    key = rt.assistant.new_key()
+    rt.assistant.deal([("model_mask", (key, *y.T.shape))])
+    (yt,) = open_model_masks(rt, [(key, y.T)])
+    return ss_dist(rt, x, yt, norms)

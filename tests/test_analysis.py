@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ssgpr.analysis import (expected_rounds, leakage_enumerate, matinv_assistant_round_trips,
-                            validate_exp_params)
+from ssgpr.analysis import (construct_assistant_round_trips, construct_rounds, expected_rounds,
+                            leakage_enumerate, matinv_assistant_round_trips,
+                            predict_assistant_round_trips, predict_rounds, validate_exp_params)
 from ssgpr.protocols import ExpParams
 from ssgpr.ring import RingParams
 
@@ -112,3 +113,30 @@ def test_assistant_round_trips_matinv():
     assert matinv_assistant_round_trips(10, r_div=21) == 283
     with pytest.raises(ValueError):
         matinv_assistant_round_trips(1)
+
+
+def test_construct_rounds_closed_form():
+    # 22n - 6 for the inversion; SE adds ss_dist, pp_exp, alpha and the
+    # one opening of both model masks; Matern adds the square root's
+    # 2k + 1 rounds and its product.
+    for n in (2, 10, 100, 200):
+        assert construct_rounds("se", n) == 22 * n - 6 + 4
+        assert construct_rounds("matern32", n, sqrt_iterations=7) == 22 * n - 6 + 2 * 7 + 6
+    assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 4438
+    assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 2246
+    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 2810
+    assert construct_rounds("se", 8, r_div=21) == 21 + 6 * 25 + 2 + 7 + 22 + 4
+    assert construct_assistant_round_trips("se", 200) == 25 * 200 - 2
+    assert construct_assistant_round_trips("matern32", 100) == 25 * 100 + 2 * 25 + 1
+    with pytest.raises(ValueError):
+        construct_rounds("linear", 10)
+
+
+def test_predict_batch_closed_form():
+    assert predict_rounds("se") == predict_rounds("se", sqrt_iterations=3) == 4
+    assert predict_rounds("matern32") == 56
+    assert predict_rounds("matern32", sqrt_iterations=3) == 12
+    assert predict_assistant_round_trips("se") == 7
+    assert predict_assistant_round_trips("matern32") == 60
+    with pytest.raises(ValueError):
+        predict_assistant_round_trips("linear")

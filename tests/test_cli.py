@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ssgpr import cli
 from ssgpr.cli import bench_matinv, load_config, main, run_gpr
 from ssgpr.data import Dataset, standardize
 from ssgpr.gpr import sqdist_matrix
@@ -73,6 +74,7 @@ def test_run_gpr_end_to_end(tmp_path, capsys):
     assert report["loss_var_mean"] <= 1e-3
     run = report["runs"][0]
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
+    assert run["predict_rounds_recorded"] == run["predict_rounds_expected"] == 4
     assert isinstance(run["exp_openings_outside_window"], int)
 
 
@@ -133,6 +135,29 @@ def test_run_gpr_rejects_out_of_domain_newton_settings(kernel, key, field, value
     cfg[key] = value
     with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
         run_gpr(Dataset(x[:20], np.sin(x[:20].sum(axis=1))), x[20:], cfg)
+
+
+def test_run_gpr_names_the_div_iterations_key():
+    # The config key, not DivisionConfig's field, names the bad value.
+    cfg = load_config(None)
+    cfg["div_iterations"] = 0
+    x = np.random.default_rng(5).normal(size=(12, 2))
+    with pytest.raises(ValueError, match=r"^div_iterations must be at least 1, got 0$"):
+        run_gpr(Dataset(x[:10], np.sin(x[:10, 0])), x[10:], cfg)
+
+
+@pytest.mark.parametrize("kernel, want", [("se", 4), ("matern32", 2 * 3 + 6)])
+def test_run_gpr_checks_the_predict_batch_closed_form(kernel, want, monkeypatch):
+    cfg = load_config(None)
+    cfg.update(kernel=kernel, sqrt_hi=200.0, sqrt_iterations=3)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(14, 2))
+    data = Dataset(x[:12], np.sin(x[:12, 0]))
+    run = run_gpr(data, x[12:], cfg)["runs"][0]
+    assert run["predict_rounds_recorded"] == run["predict_rounds_expected"] == want
+    monkeypatch.setattr(cli, "predict_rounds", lambda kind, k: want + 1)
+    with pytest.raises(RuntimeError, match=f"took {want} peer rounds, closed form {want + 1}"):
+        run_gpr(data, x[12:], cfg)
 
 
 def test_matinv_closed_form_follows_division_budget():

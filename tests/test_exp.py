@@ -1,11 +1,15 @@
 """Masked exponentiation: accuracy, cost, and opening policies."""
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import QUANTUM, open_result, run_shared
+from ssgpr.gpr import KernelConfig
 from ssgpr.protocols import _EXP_BLOCK, ExpParams, _exp_correction, pp_exp
 from ssgpr.ring import FixedPointCodec, RingParams
+from ssgpr.sharing import reconstruct
 from ssgpr.transport import P0, P1
 
 EP = ExpParams()
@@ -160,3 +164,33 @@ def test_exp_outside_count_agrees_between_servers():
     u = np.array([-40.0, -2.0, 3.0, -0.5, -12.0, 0.0, 2.5])
     res = run_shared(lambda rt, x: pp_exp(rt, x, EP, policy="clamp"), [u], seed=5)
     assert outside_counts(res) == [4, 4]
+
+
+@pytest.mark.parametrize("scale", [0.8, 3.0, 2.0 ** 20])
+def test_exp_public_scale_costs_no_truncation(scale):
+    # scale * e^u comes out of the one opening, within the unscaled error
+    # times the scale plus a quantum, and makes no assistant round trip
+    # beyond the mask's own request.
+    u = np.random.default_rng(3).uniform(-4.0, 0.0, 500)
+
+    def job(rt, x):
+        out = pp_exp(rt, x, EP, scale=scale)
+        return out, rt.assistant._tag
+
+    res = run_shared(job, [u], seed=5)
+    got = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+    assert np.max(np.abs(got - scale * np.exp(u))) <= (4 * scale + 1) * QUANTUM
+    assert res.outputs[P0][1] == res.outputs[P1][1] == 1
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, 2.0 ** 50, float("inf"), float("nan")])
+def test_exp_scale_outside_its_domain_rejected(scale):
+    with pytest.raises(RuntimeError) as info:
+        run_shared(lambda rt, x: pp_exp(rt, x, EP, scale=scale), [np.zeros(3)])
+    assert re.search(r"^pp_exp scale must lie in \(0, 2\^50\)", str(info.value.__cause__))
+
+
+def test_signal_variance_past_the_exp_scale_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^signal_variance must be below 2\^50"):
+        KernelConfig(signal_variance=2.0 ** 50)
+    KernelConfig(signal_variance=2.0 ** 49)

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import CODEC, open_item, open_result, run_shared
+from helpers import CODEC, cross_dist, open_item, open_result, run_shared
+from ssgpr.analysis import (construct_assistant_round_trips, construct_rounds,
+                            predict_assistant_round_trips, predict_rounds)
 from ssgpr.gpr import (KernelConfig, Predictions, gpr_predict_plaintext,
                        kernel_matrix_plaintext, kernel_plaintext, loss_metrics,
                        pp_gpr_construct, pp_gpr_predict, pp_kernel)
+from ssgpr.offline import OP_KEPT_TRIPLE, OP_MODEL_MASK, OP_TRUNC, _parse_plan
 from ssgpr.protocols import ExpParams, ss_dist
+from ssgpr.session import DivisionConfig
+from ssgpr.sharing import reconstruct
 from ssgpr.transport import P0, P1
 
 EP = ExpParams()
@@ -95,7 +100,7 @@ def test_pp_kernel_matches_plaintext_gram():
     cfg = KernelConfig(kind="se")
 
     def job(rt, xs):
-        return pp_kernel(rt, ss_dist(rt, xs, xs), cfg, EP, policy="clamp")
+        return pp_kernel(rt, cross_dist(rt, xs, xs), cfg, EP, policy="clamp")
 
     got = open_result(run_shared(job, [x], seed=23))
     want = kernel_matrix_plaintext(x, x, cfg)
@@ -113,7 +118,7 @@ def test_pp_kernel_matern_matches_plaintext():
     cfg = KernelConfig(kind="matern32", length_scale=1.0, signal_variance=0.5)
 
     def job(rt, xs):
-        return pp_kernel(rt, ss_dist(rt, xs), cfg, EP, policy="clamp")
+        return pp_kernel(rt, ss_dist(rt, xs)[0], cfg, EP, policy="clamp")
 
     got = open_result(run_shared(job, [x], seed=29))
     want = kernel_matrix_plaintext(x, x, cfg)[np.triu_indices(4, 1)]
@@ -207,3 +212,141 @@ def test_y_shift_applied_to_predictions():
     mean = open_item(res, 0)
     oracle = gpr_predict_plaintext(x, y, x, cfg)
     assert np.max(np.abs(mean - (oracle.mean + shift))) <= 1e-4
+
+
+# ------------------------------------------------ the model mask and batches
+
+def _session_counts(kind, batches, n=9, d=3, m=4, seed=51):
+    """Peer rounds, assistant round trips and online words per server:
+    construction alone, then after each of ``batches`` prediction batches."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, d))
+    y = rng.normal(size=n)
+    queries = rng.uniform(-1, 1, (batches, m, d))
+    cfg = KernelConfig(kind=kind, signal_variance=0.8, noise_variance=0.1)
+
+    def counts(rt):
+        return rt.stats.rounds, rt.assistant._tag, rt.stats.online_words_sent
+
+    def job(rt, xs, ys, *qs):
+        model = pp_gpr_construct(rt, xs, ys, cfg, EP, policy="clamp")
+        seen = [counts(rt)]
+        outs = []
+        for q in qs:
+            outs.append(pp_gpr_predict(rt, model, q, EP, policy="clamp"))
+            seen.append(counts(rt))
+        return seen, outs
+
+    res = run_shared(job, [x, y, *queries], seed=seed, div=DivisionConfig(sqrt_hi=40.0))
+    assert res.outputs[P0][0] == res.outputs[P1][0]
+    for b, q in enumerate(queries):
+        oracle = gpr_predict_plaintext(x, y, q, cfg)
+        mean = reconstruct(res.outputs[P0][1][b][0], res.outputs[P1][1][b][0])
+        var = reconstruct(res.outputs[P0][1][b][1], res.outputs[P1][1][b][1])
+        assert np.max(np.abs(mean - oracle.mean)) <= 1e-4
+        assert np.max(np.abs(var - oracle.variance)) <= 1e-4
+    return res.outputs[P0][0]
+
+
+@pytest.mark.parametrize("kind", ["se", "matern32"])
+@pytest.mark.parametrize("batches", [1, 2, 3])
+def test_batches_open_the_model_mask_once(kind, batches):
+    # Construction opens R = [Inv | alpha] and X^T against their model
+    # masks once; every batch after it has the same exact cost, which
+    # opens only its own operands: x* - A (m x d) once for both of
+    # ss_dist's products, the exponent's m x n, k* - A for k* @ R, and
+    # the variance product's two m x n arrays; Matern adds the square
+    # root's (6k + 2) m n words and the product's 2 m n.
+    n, d, m, k = 9, 3, 4, DivisionConfig().sqrt_iterations
+    seen = _session_counts(kind, batches, n, d, m)
+    rounds, trips, words = seen[0]
+    assert rounds == construct_rounds(kind, n)
+    assert trips == construct_assistant_round_trips(kind, n)
+    batch_words = m * d + 4 * m * n + ((6 * k + 4) * m * n if kind == "matern32" else 0)
+    for b in range(1, batches + 1):
+        assert seen[b] == (rounds + b * predict_rounds(kind),
+                           trips + b * predict_assistant_round_trips(kind),
+                           words + b * batch_words)
+
+
+def test_construction_opens_each_model_operand_once():
+    # Beyond ss_dist, the kernel and the inversion, construction sends
+    # alpha's product (n^2 + n words) and the one opening of R and X^T
+    # (n(n + 1) + d n words), in two peer rounds.
+    n, d = 9, 3
+    x = np.random.default_rng(53).uniform(-1, 1, (n, d))
+    cfg = KernelConfig(kind="se", noise_variance=0.1)
+
+    def job(rt, xs, ys):
+        model = pp_gpr_construct(rt, xs, ys, cfg, EP, policy="clamp")
+        return model, rt.stats.summary()["per_protocol"]
+
+    res = run_shared(job, [x, np.ones(n)], seed=53)
+    per = res.outputs[P0][1]
+    assert per["open_model_masks"] == {"rounds": 1, "words_sent": n * (n + 1) + d * n}
+    model0, model1 = res.outputs[P0][0], res.outputs[P1][0]
+    assert model0.R.key == model1.R.key and model0.Xt.key == model1.Xt.key
+    assert model0.R.key != model0.Xt.key
+    assert np.array_equal(model0.R.opened, model1.R.opened)
+    inv = reconstruct(model0.Inv, model1.Inv)
+    alpha = reconstruct(model0.alpha, model1.alpha)
+    assert np.max(np.abs(alpha - inv @ np.ones(n))) <= 1e-4
+
+
+def test_two_models_in_one_session_keep_separate_masks():
+    rng = np.random.default_rng(55)
+    x1, x2 = rng.uniform(-1, 1, (7, 2)), rng.uniform(-1, 1, (11, 2))
+    y1, y2 = rng.normal(size=7), rng.normal(size=11)
+    q = rng.uniform(-1, 1, (3, 2))
+    cfg = KernelConfig(kind="se", signal_variance=0.8, noise_variance=0.1)
+
+    def job(rt, a1, b1, a2, b2, qs):
+        m1 = pp_gpr_construct(rt, a1, b1, cfg, EP)
+        m2 = pp_gpr_construct(rt, a2, b2, cfg, EP)
+        # Interleaved batches: each product must take its own model's mask.
+        out = [pp_gpr_predict(rt, m, qs, EP) for m in (m1, m2, m1, m2)]
+        return out, {m1.R.key, m1.Xt.key, m2.R.key, m2.Xt.key}
+
+    res = run_shared(job, [x1, y1, x2, y2, q], seed=55)
+    assert len(res.outputs[P0][1]) == 4
+    for i, (x, y) in enumerate([(x1, y1), (x2, y2)] * 2):
+        oracle = gpr_predict_plaintext(x, y, q, cfg)
+        mean = reconstruct(res.outputs[P0][0][i][0], res.outputs[P1][0][i][0])
+        var = reconstruct(res.outputs[P0][0][i][1], res.outputs[P1][0][i][1])
+        assert np.max(np.abs(mean - oracle.mean)) <= 1e-4
+        assert np.max(np.abs(var - oracle.variance)) <= 1e-4
+
+
+def test_model_items_hold_only_opcodes_shapes_and_keys():
+    # Every plan word of a model mask or kept triple that either server
+    # sends, over construction and two batches, is an opcode, a shape, a
+    # key or the norms flag; the assistant sees no opened word.
+    n, d, m = 6, 2, 3
+    rng = np.random.default_rng(57)
+    x, y, q = rng.uniform(-1, 1, (n, d)), rng.normal(size=n), rng.uniform(-1, 1, (m, d))
+    cfg = KernelConfig(kind="se")
+
+    def job(rt, xs, ys, qs):
+        items = []
+        request = rt.assistant._request
+
+        def recording_request(words):
+            words = np.asarray(words, dtype=np.uint64)
+            plan = words[3 + int(words[2]):] if words[0] == OP_TRUNC else words
+            if plan.size:
+                items.extend(_parse_plan(plan))
+            return request(words)
+
+        rt.assistant._request = recording_request
+        model = pp_gpr_construct(rt, xs, ys, cfg, EP)
+        for _ in range(2):
+            pp_gpr_predict(rt, model, qs, EP)
+        return items, (model.R.key, model.Xt.key)
+
+    res = run_shared(job, [x, y, q], seed=57)
+    items, (r_key, x_key) = res.outputs[P0]
+    assert res.outputs[P1][0] == items
+    model_items = [item for item in items if item[0] in (OP_MODEL_MASK, OP_KEPT_TRIPLE)]
+    assert model_items == [(OP_MODEL_MASK, (r_key, n, n + 1)), (OP_MODEL_MASK, (x_key, d, n)),
+                           *[(OP_KEPT_TRIPLE, (x_key, m, d, n, 1)),
+                             (OP_KEPT_TRIPLE, (r_key, m, n, n + 1, 0))] * 2]

@@ -11,11 +11,11 @@ from helpers import CODEC, QUANTUM, run_shared
 from ssgpr.data import Dataset, ScenarioSplit, split_scenario
 from ssgpr.offline import (OP_TRIPLE, OP_TRUNC, ProtocolError, _parse_plan, gen_material,
                            serve_assistant)
-from ssgpr.protocols import ss_dist, ss_mul
+from ssgpr.protocols import _kept_product, open_model_masks, ss_dist, ss_mul
 from ssgpr.ring import (FixedPointCodec, RingParams, _use_limbs, ring_add, ring_matmul,
                         ring_mul, to_signed)
 from ssgpr.session import PartyRuntime, run_session
-from ssgpr.sharing import rec
+from ssgpr.sharing import SharedArray, rec, reconstruct
 from ssgpr.transport import P0, P1, ProtocolAbort
 
 P64 = CODEC.params
@@ -334,3 +334,66 @@ def test_party0_draws_no_truncation_offsets():
     res = run_shared(job, [np.arange(4.0), np.ones(4)], seed=SEED)
     assert res.outputs[P0] == 0
     assert res.outputs[P1] == session.TRUNC_OFFSET_BLOCK
+
+
+# ------------------------------------------------------------ model masks
+
+def test_kept_triple_on_the_limb_path():
+    # A kept triple pairs a fresh A with the mask B kept under its key. At
+    # this shape its C = A @ B runs on ring_matmul's limb path; the native
+    # uint64 product is the oracle, and the squared row norms are exact.
+    assert _use_limbs(64, 100, 101)
+    kept = {}
+    rng = np.random.default_rng(9)
+    b0, b1 = gen_material(rng, "model_mask", (3, 100, 101), P64, kept)
+    b = rec(b0.b, b1.b, P64)
+    assert np.array_equal(kept[3], b)
+    for norms in (0, 1):
+        s0, s1 = gen_material(rng, "kept_triple", (3, 64, 100, 101, norms), P64, kept)
+        a = rec(s0.a, s1.a, P64)
+        assert a.shape == (64, 100)
+        assert np.array_equal(rec(s0.c, s1.c, P64), a @ b)
+        if norms:
+            assert np.array_equal(rec(s0.s, s1.s, P64), (a * a).sum(axis=1))
+        else:
+            assert s0.s is None and s1.s is None
+    assert np.array_equal(kept[3], b)
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+@pytest.mark.parametrize("key, shape, cause", [
+    (7, (3, 4), "names model key 7, which is not kept"),
+    (1, (3, 5), "names model key 1 as 3 x 5, but its kept mask is 3 x 4"),
+    (None, None, "model key 1 is already kept"),
+], ids=["unknown-key", "wrong-shape", "reused-key"])
+def test_bad_model_key_aborts(backend, key, shape, cause):
+    def job(rt):
+        mine = rt.assistant.new_key()
+        rt.assistant.get_model_mask(mine, (3, 4))
+        if key is None:  # the same key dealt a second time
+            rt.assistant.get_model_mask(mine, (3, 4))
+        else:
+            rt.assistant.get_kept_triple(key, 2, shape)
+
+    with pytest.raises(RuntimeError, match="session failed in assistant") as info:
+        run_session(job, CODEC, backend=backend)
+    assert isinstance(info.value.__cause__, ProtocolAbort)
+    assert cause in str(info.value.__cause__)
+
+
+def test_fresh_mask_of_a_kept_triple_is_single_use():
+    def job(rt, su, sv):
+        key = rt.assistant.new_key()
+        rt.assistant.deal([("model_mask", (key, 3, 2)), ("kept_triple", (key, 2, 3, 2, 0))])
+        (v,) = open_model_masks(rt, [(key, sv)])
+        t = rt.assistant.get_kept_triple(key, 2, (3, 2))
+        z, _ = _kept_product(rt, su, v, t)
+        with pytest.raises(ProtocolError, match="reused"):
+            _kept_product(rt, su, v, t)
+        return SharedArray(rt.party, z, su.codec, 2 * su.scale)
+
+    u = np.arange(6.0).reshape(2, 3) / 4
+    v = np.arange(6.0).reshape(3, 2) - 2
+    res = run_shared(job, [u, v])
+    got = reconstruct(res.outputs[P0], res.outputs[P1])
+    assert np.array_equal(got, u @ v)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import CODEC, QUANTUM, open_result, run_shared
+from helpers import CODEC, QUANTUM, cross_dist, open_result, run_shared
 from ssgpr.analysis import (matinv_assistant_round_trips, sqrt_assistant_round_trips,
                             sqrt_rounds)
 from ssgpr.offline import gen_material
@@ -146,7 +146,7 @@ def test_dist_self_zero_diagonal():
     # A point's distance to itself cancels exactly before the truncation.
     rng = np.random.default_rng(3)
     x = rng.uniform(-5, 5, (4, 2))
-    res = run_shared(lambda rt, a, b: ss_dist(rt, a, b), [x, x])
+    res = run_shared(lambda rt, a, b: cross_dist(rt, a, b), [x, x])
     got = open_result(res)
     assert np.max(np.abs(np.diag(got))) <= 2 * QUANTUM
 
@@ -157,8 +157,8 @@ def test_dist_self_form_is_the_strict_upper_triangle():
     x = rng.uniform(-5, 5, (n, 3))
 
     def job(rt, a):
-        upper = ss_dist(rt, a)
-        return upper, mirror_upper(rt, upper, n, 1.5), ss_dist(rt, a, a)
+        upper, _ = ss_dist(rt, a)
+        return upper, mirror_upper(rt, upper, n, 1.5), cross_dist(rt, a, a)
 
     res = run_shared(job, [x])
     upper = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
@@ -176,7 +176,7 @@ def test_dist_self_form_is_the_strict_upper_triangle():
 
 
 def test_dist_two_points():
-    res = run_shared(lambda rt, a, b: ss_dist(rt, a, b),
+    res = run_shared(lambda rt, a, b: cross_dist(rt, a, b),
                      [np.array([[1.0]]), np.array([[3.0]])])
     assert abs(open_result(res).item() - 4.0) <= 4 * QUANTUM
 
@@ -184,7 +184,7 @@ def test_dist_two_points():
 def test_dist_symmetry():
     rng = np.random.default_rng(4)
     x = rng.uniform(-5, 5, (5, 3))
-    res = run_shared(lambda rt, a, b: ss_dist(rt, a, b), [x, x])
+    res = run_shared(lambda rt, a, b: cross_dist(rt, a, b), [x, x])
     got = open_result(res)
     assert np.max(np.abs(got - got.T)) <= QUANTUM
 
