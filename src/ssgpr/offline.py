@@ -4,9 +4,16 @@ The assistant is the only source of correlated randomness. Material is
 dealt: both compute servers send the same plan, a list of items (Beaver
 triples, matrix triples, exponent masks, model masks and kept triples) in
 the order the protocol will consume them. The assistant checks that the
-two plans agree, generates every item in one vectorised pass from its own
-generator, and returns one additive share of the whole plan to each
-server. This module alone decides when material travels: ``deal`` only
+two plans agree and generates every item in one vectorised pass. An
+item's uniform head (a triple's a and b, a matrix triple's A and B, a
+model mask, a kept triple's A) is h0 + h1, where h_i comes from server
+i's dealing key: server i holds key i only and the assistant holds both.
+Server i draws h_i itself, in one call per reply and in plan order, so
+the reply carries only the truncation result and the items' other words
+(products, norms, exponent mask pairs), one additive share of them each,
+shared from the assistant's own generator. Each server still gets one
+reply per request, an empty one if the plan holds only model masks.
+This module alone decides when material travels: ``deal`` only
 queues a plan, which rides on the server's next assistant request, after
 a truncation's masked words, or alone when a take finds nothing dealt
 (just the item taken if nothing is pending). One LDL matrix inversion
@@ -156,45 +163,63 @@ def _item_words(kind: str, spec) -> list[int]:
 
 
 def _layout(op: int, dims) -> tuple[int, int]:
-    """Reply words of one item, and how many of them lead as uniform draws.
+    """Uniform head words and reply words of one item.
 
-    A triple's a and b lead their slot, and a model mask is all uniform;
-    products follow. Exponent masks draw nothing uniform.
+    The head is a triple's a and b, a matrix triple's A and B, a model
+    mask and a kept triple's A; each server expands its half of it from
+    its dealing key. The reply words are the rest: products, norms and
+    exponent mask pairs.
     """
     if op == OP_TRIPLE:
-        return 3 * dims[0], 2 * dims[0]
+        return 2 * dims[0], dims[0]
     if op == OP_MATRIX_TRIPLE:
         m, n, k = dims
-        return m * n + n * k + m * k, m * n + n * k
+        return m * n + n * k, m * k
     if op == OP_MODEL_MASK:
         _, rows, cols = dims
-        return rows * cols, rows * cols
+        return rows * cols, 0
     if op == OP_KEPT_TRIPLE:
         _, m, rows, cols, norms = dims
-        return m * rows + m * cols + norms * m, m * rows
-    return 2 * dims[0], 0
+        return m * rows, m * cols + norms * m
+    return 0, 2 * dims[0]
 
 
-def _unpack(kind: str, spec, flat: np.ndarray):
-    """One party's material object from its slot of a deal reply."""
+def _unpack(kind: str, spec, head: np.ndarray, tail: np.ndarray):
+    """One party's material object from views of its head draw and its reply slot."""
     if kind == "triple":
         n = _size(spec)
-        return Triple(flat[:n].reshape(spec), flat[n:2 * n].reshape(spec),
-                      flat[2 * n:].reshape(spec))
+        return Triple(head[:n].reshape(spec), head[n:].reshape(spec), tail.reshape(spec))
     if kind == "matrix":
         m, n, k = spec
-        return Triple(flat[:m * n].reshape(m, n), flat[m * n:m * n + n * k].reshape(n, k),
-                      flat[m * n + n * k:].reshape(m, k))
+        return Triple(head[:m * n].reshape(m, n), head[m * n:].reshape(n, k),
+                      tail.reshape(m, k))
     if kind == "model_mask":
-        return ModelMask(flat.reshape(spec[1:]))
+        return ModelMask(head.reshape(spec[1:]))
     if kind == "kept_triple":
         _, m, rows, cols, norms = spec
-        at = m * rows + m * cols
-        return KeptTriple(flat[:m * rows].reshape(m, rows), flat[m * rows:at].reshape(m, cols),
-                          flat[at:] if norms else None)
+        return KeptTriple(head.reshape(m, rows), tail[:m * cols].reshape(m, cols),
+                          tail[m * cols:] if norms else None)
     shape, _ = spec
     n = _size(shape)
-    return ExpMask(flat[:n].reshape(shape), flat[n:].reshape(shape))
+    return ExpMask(tail[:n].reshape(shape), tail[n:].reshape(shape))
+
+
+def _receive(key: np.random.Generator, items, reply: np.ndarray, params: RingParams) -> list:
+    """A server's material objects for planned ``(kind, spec, words)`` items.
+
+    One draw from the server's dealing key covers its half of every item's
+    uniform head, in plan order; the reply holds the rest.
+    """
+    layout = [_layout(words[0], words[1:]) for _, _, words in items]
+    heads = random_ring_elements(key, sum(head for head, _ in layout), params)
+    material, at, drawn = [], 0, 0
+    for (kind, spec, _), (head, tail) in zip(items, layout):
+        material.append(_unpack(kind, spec, heads[drawn:drawn + head], reply[at:at + tail]))
+        drawn += head
+        at += tail
+    if at != reply.size:
+        raise ProtocolAbort(f"a deal reply holds {reply.size} words, but its plan takes {at}")
+    return material
 
 
 def _parse_plan(request: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
@@ -213,41 +238,47 @@ def _parse_plan(request: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
     return items
 
 
-def _deal_shares(rng: np.random.Generator, plan, params: RingParams, kept: dict, lead=()):
+def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept: dict,
+                 lead=()):
     """Both servers' replies to ``lead`` words and a parsed plan, in one pass.
 
-    One uniform draw covers every item's random part, each product and
-    each exponent mask pair is written into its slot after ``lead``, and
-    one ``shr`` call splits the whole reply into the two servers' shares.
-    A model mask is also kept in ``kept`` under its key, and a kept triple
-    multiplies its fresh A by the mask it names; a reused key, an unknown
-    one or a shape other than the kept mask's aborts.
+    Every item's uniform head is h0 + h1, one draw from each dealing key in
+    ``keys``, summed in place. Each product and each exponent mask pair is
+    written into its slot after ``lead``, and the words are split in place
+    into two additive shares, share 0 uniform from ``rng``; the heads
+    themselves never travel. A model mask is also kept in ``kept`` under
+    its key, and a kept triple multiplies its fresh A by the mask it names;
+    a reused key, an unknown one or a shape other than the kept mask's
+    aborts.
     """
     layout = [_layout(op, dims) for op, dims in plan]
-    uniform = random_ring_elements(rng, sum(head for _, head in layout), params)
+    count = sum(head for head, _ in layout)
+    heads = random_ring_elements(keys[0], count, params)
+    heads += random_ring_elements(keys[1], count, params)
+    heads = ring_reduce(heads, params)
     at = len(lead)
-    secret = np.empty(at + sum(size for size, _ in layout), dtype=np.uint64)
+    secret = np.empty(at + sum(tail for _, tail in layout), dtype=np.uint64)
     secret[:at] = lead
     drawn = 0
-    for (op, dims), (size, head) in zip(plan, layout):
-        slot = secret[at:at + size]
-        slot[:head] = uniform[drawn:drawn + head]
-        at += size
+    for (op, dims), (head, tail) in zip(plan, layout):
+        uniform = heads[drawn:drawn + head]
+        slot = secret[at:at + tail]
         drawn += head
+        at += tail
         if op == OP_TRIPLE:
             n = dims[0]
-            slot[2 * n:] = ring_mul(slot[:n], slot[n:2 * n], params)
+            slot[:] = ring_mul(uniform[:n], uniform[n:], params)
         elif op == OP_MATRIX_TRIPLE:
             m, n, k = dims
-            a = slot[:m * n].reshape(m, n)
-            b = slot[m * n:m * n + n * k].reshape(n, k)
-            slot[m * n + n * k:] = ring_matmul(a, b, params).ravel()
+            a = uniform[:m * n].reshape(m, n)
+            b = uniform[m * n:].reshape(n, k)
+            slot[:] = ring_matmul(a, b, params).ravel()
         elif op == OP_MODEL_MASK:
             key, rows, cols = dims
             if key in kept:
                 raise ProtocolAbort(f"model key {key} is already kept; a model mask is "
                                     "dealt once")
-            kept[key] = slot.reshape(rows, cols).copy()
+            kept[key] = uniform.reshape(rows, cols).copy()
         elif op == OP_KEPT_TRIPLE:
             key, m, rows, cols, norms = dims
             b = kept.get(key)
@@ -256,11 +287,11 @@ def _deal_shares(rng: np.random.Generator, plan, params: RingParams, kept: dict,
             if b.shape != (rows, cols):
                 raise ProtocolAbort(f"a kept triple names model key {key} as {rows} x {cols}, "
                                     f"but its kept mask is {b.shape[0]} x {b.shape[1]}")
-            a = slot[:m * rows].reshape(m, rows)
-            slot[m * rows:m * rows + m * cols] = ring_matmul(a, b, params).ravel()
+            a = uniform.reshape(m, rows)
+            slot[:m * cols] = ring_matmul(a, b, params).ravel()
             if norms:
                 squares = ring_mul(a, a, params).sum(axis=1, dtype=np.uint64)
-                slot[m * rows + m * cols:] = ring_reduce(squares, params)
+                slot[m * cols:] = ring_reduce(squares, params)
         else:
             # r_hat uniform on the fixed-point grid of [-r_hat_max, r_hat_max).
             n, rmax_enc = dims
@@ -268,27 +299,44 @@ def _deal_shares(rng: np.random.Generator, plan, params: RingParams, kept: dict,
             r_hat = k.astype(np.float64) / (1 << params.lf)
             slot[:n] = from_signed(k, params)
             slot[n:] = from_signed(np.round(np.exp(-r_hat) * (1 << params.lf)), params)
-    return shr(secret, rng, params)
+    share0 = random_ring_elements(rng, secret.size, params)
+    secret -= share0
+    return share0, ring_reduce(secret, params)
 
 
 def gen_material(rng: np.random.Generator, kind: str, spec, params: RingParams,
                  kept: dict | None = None):
     """Deal one item outside a session; returns both servers' material.
 
-    ``kept`` holds the model masks by key, as the assistant keeps them.
+    It takes a session's dealing path, with two throwaway dealing keys
+    drawn from ``rng``. ``kept`` holds the model masks by key, as the
+    assistant keeps them.
     """
     spec = _canonical(kind, spec)
     words = _item_words(kind, spec)
-    s0, s1 = _deal_shares(rng, [(words[0], tuple(words[1:]))], params,
-                          {} if kept is None else kept)
-    return _unpack(kind, spec, s0), _unpack(kind, spec, s1)
+    seeds = [int(w) for w in rng.bit_generator.random_raw(2)]
+
+    def key(i):
+        return np.random.Generator(np.random.Philox(key=seeds[i]))
+
+    replies = _deal_shares(rng, (key(0), key(1)), [(words[0], tuple(words[1:]))], params,
+                           {} if kept is None else kept)
+    items = [(kind, spec, words)]
+    (m0,), (m1,) = (_receive(key(i), items, replies[i], params) for i in (0, 1))
+    return m0, m1
 
 
 class AssistantClient:
-    """A compute server's side of the assistant: material and rescaling."""
+    """A compute server's side of the assistant: material and rescaling.
 
-    def __init__(self, channel: Channel):
+    ``key`` is this server's dealing key, from which it expands its half
+    of every dealt item's uniform head.
+    """
+
+    def __init__(self, channel: Channel, key: np.random.Generator, params: RingParams):
         self.channel = channel
+        self.key = key
+        self.params = params
         self._tag = 0
         self._keys = 0
         self._pending = []  # (kind, spec, words) planned but not yet requested
@@ -326,12 +374,9 @@ class AssistantClient:
         return np.asarray([w for _, _, words in self._pending for w in words], dtype=np.uint64)
 
     def _queue(self, out: np.ndarray):
-        """Unpack the pending plan's material from ``out`` into the dealt queue."""
-        at = 0
-        for kind, spec, words in self._pending:
-            size, _ = _layout(words[0], words[1:])
-            self._dealt.append((kind, spec, _unpack(kind, spec, out[at:at + size])))
-            at += size
+        """Queue the pending plan's material, from the key and the reply ``out``."""
+        material = _receive(self.key, self._pending, out, self.params)
+        self._dealt.extend((kind, spec, m) for (kind, spec, _), m in zip(self._pending, material))
         self._pending = []
 
     def _take(self, kind: str, spec):
@@ -389,14 +434,18 @@ class AssistantClient:
         self.channel.send(tag, np.asarray([OP_SHUTDOWN], dtype=np.uint64))
 
 
-def serve_assistant(net: PartyNetwork, params: RingParams, rng: np.random.Generator):
+def serve_assistant(net: PartyNetwork, params: RingParams, rng: np.random.Generator,
+                    keys: tuple[np.random.Generator, np.random.Generator]):
     """Assistant main loop: answer matching requests until shutdown.
 
     Both compute servers must send identical requests but for a
     truncation's masked shares; any divergence aborts the protocol since it
     would indicate a corrupted or inconsistent online phase. A request is a
-    shutdown, a dealing plan, or a truncation that a plan may follow; every
-    dealt word comes from ``rng``, the assistant's own generator.
+    shutdown, a dealing plan, or a truncation that a plan may follow. Each
+    server gets exactly one reply per request, empty if its plan holds only
+    model masks. Dealt heads come from both servers' dealing ``keys``; the
+    rest of every reply is shared from ``rng``, the assistant's own
+    generator.
     """
     ch0, ch1 = net.channels[P0], net.channels[P1]
     kept = {}  # model key -> model mask, for the rest of the session
@@ -425,8 +474,14 @@ def serve_assistant(net: PartyNetwork, params: RingParams, rng: np.random.Genera
             if stop == req0.size:
                 t0, t1 = shr(shifted, rng, params)
             else:
-                t0, t1 = _deal_shares(rng, _parse_plan(req0[stop:]), params, kept, shifted)
+                t0, t1 = _deal_shares(rng, keys, _parse_plan(req0[stop:]), params, kept,
+                                      shifted)
+            del shifted
         else:
-            t0, t1 = _deal_shares(rng, _parse_plan(req0), params, kept)
+            t0, t1 = _deal_shares(rng, keys, _parse_plan(req0), params, kept)
+        del req0, req1
         ch0.send(tag, t0)
         ch1.send(tag, t1)
+        # A link is done with the words once send returns; nothing of this
+        # request waits for the next one.
+        del t0, t1

@@ -4,6 +4,13 @@ Both compute servers run the same protocol code with only their party id
 differing; the assistant runs the offline request loop. Message tags are
 drawn from per-party counters that advance identically on both sides, so
 the two transcripts stay aligned without negotiation.
+
+Every party gets a generator of its own, keyed by a one-way hash of the
+seed and the party. Server i also gets dealing key i, hashed under the
+label ``deal/i``, and the assistant gets both keys; server i expands its
+half of every dealt uniform word from its key, so those words never
+travel. No key reaches the other server, and party 1's truncation
+offsets come from its own generator, which no key touches.
 """
 
 from __future__ import annotations
@@ -52,9 +59,13 @@ class DivisionConfig:
 TRUNC_OFFSET_BLOCK = 4096
 
 
-def party_rng(seed: int, party: int) -> np.random.Generator:
-    """Philox keyed by a one-way hash of (seed, party); its state holds no seed."""
-    key = hashlib.blake2b(f"{int(seed)}/{party}".encode(), digest_size=16).digest()
+def keyed_rng(seed: int, label) -> np.random.Generator:
+    """Philox keyed by a one-way hash of (seed, label); its state holds no seed.
+
+    A party's own generator is labelled by the party, and server i's
+    dealing key by ``deal/i``.
+    """
+    key = hashlib.blake2b(f"{int(seed)}/{label}".encode(), digest_size=16).digest()
     return np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
 
 
@@ -158,10 +169,11 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
                 div: DivisionConfig | None = None) -> SessionResult:
     """Run ``job(runtime) -> output`` on both compute servers.
 
-    Each party's thread gets only its own generator, ``party_rng(seed,
-    party)``. If any party fails, the session raises for the first
-    failure; the connection errors it then causes in the other parties
-    are not reported.
+    Each party's thread gets only its own generator, ``keyed_rng(seed,
+    party)``; server i's thread also gets dealing key i, ``keyed_rng(seed,
+    f"deal/{i}")``, and the assistant's thread both keys. If any party
+    fails, the session raises for the first failure; the connection
+    errors it then causes in the other parties are not reported.
     """
     if backend == "inproc":
         hub = LocalHub()
@@ -174,15 +186,15 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
     stats = {}
     failures = []  # (party name, exception) in the order the parties failed
 
-    def party(name: str, me: int, rng: np.random.Generator):
+    def party(name: str, me: int, rng: np.random.Generator, dealing):
         net = None
         try:
             net = PartyNetwork(me, hub)
             if me == ASSISTANT:
-                serve_assistant(net, codec.params, rng)
+                serve_assistant(net, codec.params, rng, dealing)
                 return
             stats[me] = net.stats
-            client = AssistantClient(net.assistant)
+            client = AssistantClient(net.assistant, dealing, codec.params)
             outputs[me] = job(PartyRuntime(me, net, codec, client, rng, div))
             client.shutdown()
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
@@ -193,7 +205,12 @@ def run_session(job, codec: FixedPointCodec, seed: int = 0, backend: str = "inpr
             if net is not None:
                 net.close()
 
-    threads = [threading.Thread(target=party, args=(name, me, party_rng(seed, me)), daemon=True)
+    def deal_key(i: int) -> np.random.Generator:
+        return keyed_rng(seed, f"deal/{i}")
+
+    dealing = {ASSISTANT: (deal_key(P0), deal_key(P1)), P0: deal_key(P0), P1: deal_key(P1)}
+    threads = [threading.Thread(target=party, args=(name, me, keyed_rng(seed, me), dealing[me]),
+                                daemon=True)
                for name, me in (("assistant", ASSISTANT), ("party0", P0), ("party1", P1))]
     for t in threads:
         t.start()

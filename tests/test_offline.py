@@ -111,13 +111,27 @@ def test_exp_mask_value_accuracy():
     assert np.max(np.abs(got - np.exp(-r_hat))) <= 2.0 ** (-codec.lf - 1)
 
 
+def _assert_heads_uniform(s0, s1, p):
+    # Each server's half of a and b, expanded from its dealing key, and the
+    # reconstructed a and b spread uniformly over 64 bins.
+    for u in (s0.a, s1.a, s0.b, s1.b, rec(s0.a, s1.a, p), rec(s0.b, s1.b, p)):
+        counts = np.bincount((u >> np.uint64(10)).astype(np.int64), minlength=64)
+        assert scipy.stats.chisquare(counts).pvalue > 1e-3
+
+
 def test_triple_values_uniform_chi_squared():
-    # 10^4 triples on l=16: reconstructed a-values spread uniformly.
+    # 10^4 triples on l=16, dealt with two throwaway keys.
     p = RingParams(16, 3)
     s0, s1 = gen_material(np.random.default_rng(12), "triple", (10_000,), p)
-    u = rec(s0.a, s1.a, p)
-    counts = np.bincount((u >> np.uint64(10)).astype(np.int64), minlength=64)
-    assert scipy.stats.chisquare(counts).pvalue > 1e-3
+    _assert_heads_uniform(s0, s1, p)
+
+
+def test_session_heads_uniform_chi_squared():
+    # The same through a session, the heads expanded from its dealing keys.
+    p = RingParams(16, 3)
+    res = run_session(lambda rt: rt.assistant.get_triple((10_000,)), FixedPointCodec(p),
+                      seed=12)
+    _assert_heads_uniform(res.outputs[P0], res.outputs[P1], p)
 
 
 @pytest.mark.parametrize("backend", ["inproc", "sockets"])
@@ -150,6 +164,80 @@ def test_dealt_material_is_multiplicative():
     a, b, c = (rec(x, y, P64) for x, y in ((m0.a, m1.a), (m0.b, m1.b), (m0.c, m1.c)))
     assert a.shape == (2, 3) and b.shape == (3, 4)
     assert np.array_equal(c, ring_matmul(a, b, P64))
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+def test_every_kind_of_dealt_material_holds_its_algebra(backend):
+    # Heads expanded from the dealing keys and products shared by the
+    # assistant reconstruct to valid items of every kind.
+    rmax_enc = int(round(1.25 * (1 << CODEC.lf)))
+
+    def job(rt):
+        a = rt.assistant
+        key = a.new_key()
+        a.deal([("triple", (2, 3)), ("matrix", (2, 3, 4)), ("exp_mask", ((6,), rmax_enc)),
+                ("model_mask", (key, 3, 4)), ("kept_triple", (key, 5, 3, 4, 1))])
+        return (a.get_triple((2, 3)), a.get_matrix_triple(2, 3, 4),
+                a.get_exp_mask((6,), rmax_enc), a.get_model_mask(key, (3, 4)),
+                a.get_kept_triple(key, 5, (3, 4), norms=True))
+
+    res = run_session(job, CODEC, backend=backend)
+    (t0, m0, e0, b0, k0), (t1, m1, e1, b1, k1) = res.outputs[P0], res.outputs[P1]
+    u, v, c = (rec(x, y, P64) for x, y in ((t0.a, t1.a), (t0.b, t1.b), (t0.c, t1.c)))
+    assert u.shape == (2, 3) and np.array_equal(c, ring_mul(u, v, P64))
+    a, b, c = (rec(x, y, P64) for x, y in ((m0.a, m1.a), (m0.b, m1.b), (m0.c, m1.c)))
+    assert b.shape == (3, 4) and np.array_equal(c, a @ b)
+    k = to_signed(rec(e0.r, e1.r, P64), P64)
+    assert np.all(k >= -rmax_enc) and np.all(k < rmax_enc)
+    want = np.round(np.exp(-k.astype(np.float64) / (1 << CODEC.lf)) * (1 << CODEC.lf))
+    assert np.array_equal(to_signed(rec(e0.m, e1.m, P64), P64).astype(np.float64), want)
+    mask = rec(b0.b, b1.b, P64)
+    a = rec(k0.a, k1.a, P64)
+    assert a.shape == (5, 3) and np.array_equal(rec(k0.c, k1.c, P64), a @ mask)
+    assert np.array_equal(rec(k0.s, k1.s, P64), (a * a).sum(axis=1))
+
+
+_TAKE = {
+    "triple": lambda a, spec: a.get_triple(spec),
+    "matrix": lambda a, spec: a.get_matrix_triple(*spec),
+    "exp_mask": lambda a, spec: a.get_exp_mask(*spec),
+    "model_mask": lambda a, spec: a.get_model_mask(spec[0], spec[1:]),
+    "kept_triple": lambda a, spec: a.get_kept_triple(spec[0], spec[1], spec[2:4], spec[4]),
+}
+
+
+@pytest.mark.parametrize("lead", [0, 5], ids=["alone", "on-a-truncation"])
+@pytest.mark.parametrize("requests, want", [
+    ([("triple", (2, 3))], [6]),
+    ([("matrix", (2, 3, 4))], [8]),
+    ([("exp_mask", ((5,), 8))], [10]),
+    ([("model_mask", (1, 3, 4))], [0]),
+    ([("model_mask", (1, 3, 4)), ("kept_triple", (1, 2, 3, 4, 0))], [0, 8]),
+    ([("model_mask", (1, 3, 4)), ("kept_triple", (1, 2, 3, 4, 1))], [0, 10]),
+], ids=["triple", "matrix", "exp_mask", "model_mask", "kept_triple", "kept_triple-norms"])
+def test_each_server_receives_only_the_non_uniform_words(requests, want, lead):
+    # One deal per request: a server receives the item's products, norms
+    # or exponent mask pairs and any truncation result, never its uniform
+    # head. A model mask's reply is empty, but it is still a reply.
+    def job(rt, sx):
+        got = []
+        recv = rt.assistant.channel.recv
+
+        def counting_recv(tag, shape=None):
+            words = recv(tag, shape)
+            got.append(words.size)
+            return words
+
+        rt.assistant.channel.recv = counting_recv
+        for kind, spec in requests:
+            rt.assistant.deal([(kind, spec)])
+            if lead:
+                rt.trunc_values(sx.values, 3)
+            _TAKE[kind](rt.assistant, spec)
+        return got
+
+    res = run_shared(job, [np.arange(5.0)])
+    assert res.outputs[P0] == res.outputs[P1] == [w + lead for w in want]
 
 
 def test_dealt_item_of_wrong_shape_rejected():
@@ -302,28 +390,63 @@ def test_one_seed_for_shares_and_session_reveals_nothing():
     assert not np.array_equal(rec(x0, d, P64), CODEC.encode(ds.X).ravel())
 
 
+def _first_words(rng, count=8):
+    """The next ``count`` raw words of a generator, leaving it untouched."""
+    return copy.deepcopy(rng).bit_generator.random_raw(count)
+
+
 def test_assistant_generator_holds_no_seed_and_cannot_rebuild_offsets(monkeypatch):
     given = []
 
-    def spy(net, params, rng):
-        given.append(copy.deepcopy(rng))  # its state before the first draw
-        serve_assistant(net, params, rng)
+    def spy(net, params, rng, keys):
+        given.append(copy.deepcopy((rng, keys)))  # their state before the first draw
+        serve_assistant(net, params, rng, keys)
 
     monkeypatch.setattr(session, "serve_assistant", spy)
     res = run_shared(lambda rt, a, b: (ss_mul(rt, a, b), rt._offsets.copy()),
                      [np.arange(4.0), np.ones(4)], seed=SEED)
-    rng = given[0]
+    rng, keys = given[0]
     assert isinstance(rng, np.random.Generator)
-    entropy = getattr(rng.bit_generator.seed_seq, "entropy", None)
-    assert entropy is None or SEED not in np.ravel(entropy).tolist()
+    for g in (rng, *keys):
+        entropy = getattr(g.bit_generator.seed_seq, "entropy", None)
+        assert entropy is None or SEED not in np.ravel(entropy).tolist()
     offsets = res.outputs[P1][1]
     assert offsets.size == session.TRUNC_OFFSET_BLOCK
-    # Neither the assistant's stream nor the pair generator the two servers
-    # once shared, keyed by the seed and the tag b"trunc", gives them.
+    # Neither the assistant's stream, nor either dealing key, nor the pair
+    # generator the two servers once shared, keyed by the seed and the tag
+    # b"trunc", gives them.
     pair = np.random.default_rng([SEED, int.from_bytes(b"trunc", "big")])
-    for candidate in (rng, pair):
+    for candidate in (rng, *keys, pair):
         rebuilt = PartyRuntime(P1, None, CODEC, None, candidate)._trunc_offsets(offsets.size)
         assert not np.array_equal(rebuilt, offsets)
+
+
+def test_each_server_gets_only_its_own_dealing_key(monkeypatch):
+    # A server's thread gets its own generator and its own dealing key;
+    # the assistant's gets its generator and both keys.
+    servers, assistant = {}, []
+
+    def runtime_spy(party, net, codec, client, rng, div=None):
+        servers[party] = [_first_words(rng), _first_words(client.key)]
+        return PartyRuntime(party, net, codec, client, rng, div)
+
+    def assistant_spy(net, params, rng, keys):
+        assistant.append([_first_words(rng), *(_first_words(key) for key in keys)])
+        serve_assistant(net, params, rng, keys)
+
+    monkeypatch.setattr(session, "PartyRuntime", runtime_spy)
+    monkeypatch.setattr(session, "serve_assistant", assistant_spy)
+    run_shared(lambda rt, a, b: ss_mul(rt, a, b), [np.arange(4.0), np.ones(4)], seed=SEED)
+    deal = [_first_words(session.keyed_rng(SEED, f"deal/{i}")) for i in (P0, P1)]
+    own = {i: _first_words(session.keyed_rng(SEED, i)) for i in (P0, P1)}
+    for i in (P0, P1):
+        mine, key = servers[i]
+        assert np.array_equal(mine, own[i]) and np.array_equal(key, deal[i])
+        for other in (deal[1 - i], own[1 - i]):
+            assert not any(np.array_equal(got, other) for got in servers[i])
+    rng, key0, key1 = assistant[0]
+    assert np.array_equal(key0, deal[P0]) and np.array_equal(key1, deal[P1])
+    assert not any(np.array_equal(rng, w) for w in (*deal, *own.values()))
 
 
 def test_party0_draws_no_truncation_offsets():
