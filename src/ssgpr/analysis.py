@@ -146,15 +146,16 @@ def matinv_assistant_round_trips(n: int, r_div: int = 17) -> int:
     Truncations: every truncated product and every affine reciprocal
     start is one, so a division costs R_div + 1 and a bare reciprocal
     R_div. Cholesky makes (R_div+1) + (n-2)(R_div+5) + 2, forward n-1 and
-    backward R_div + 2: 23n - 6 at R_div = 17. Requests for material
-    alone, 2n - 1: one per Cholesky column after the first, per forward
-    product and for backward's last product; the first column's and
-    backward's divisions ride on a truncation. The total is 25n - 7.
+    backward R_div + 2: 23n - 6 at R_div = 17. Every Cholesky column's
+    and forward row's material is dealt one step ahead and rides on a
+    truncation, and so does backward's division, which leaves two
+    requests for material alone: the first forward row's and backward's
+    last product's. The total is 23n - 4.
     """
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
     truncations = (r_div + 1) + (n - 2) * (r_div + 5) + 2 + (n - 1) + (r_div + 2)
-    return truncations + 2 * n - 1
+    return truncations + 2
 
 
 def sqrt_rounds(iterations: int) -> int:
@@ -218,8 +219,8 @@ def construct_assistant_round_trips(kind: str, n: int, r_div: int = 17,
     """Assistant round trips of pp_gpr_construct.
 
     ss_dist's triple alone and its truncation, the kernel's truncations,
-    the inversion (25n - 7), and alpha's request, which carries both model
-    masks, with its truncation: 25n - 2 on SE and 25n + 2k + 1 on
+    the inversion (23n - 4), and alpha's request, which carries both model
+    masks, with its truncation: 23n + 1 on SE and 23n + 2k + 4 on
     Matern-3/2 at R_div = 17.
     """
     return (2 + _kernel_assistant_round_trips(kind, sqrt_iterations)

@@ -16,7 +16,9 @@ import time
 
 import numpy as np
 
-from .analysis import expected_rounds, leakage_enumerate, predict_rounds, validate_exp_params
+from .analysis import (construct_assistant_round_trips, construct_rounds, expected_rounds,
+                       leakage_enumerate, matinv_assistant_round_trips,
+                       predict_assistant_round_trips, predict_rounds, validate_exp_params)
 from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenario, standardize
 from .gpr import (MATERN32, KernelConfig, Predictions, gpr_predict_plaintext,
                   kernel_matrix_plaintext, loss_metrics, pp_gpr_construct, pp_gpr_predict,
@@ -151,45 +153,61 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
 
         def job(rt, bundles=bundles):
             b = bundles[rt.party]
-            t0 = time.perf_counter()
+
+            def counts():
+                return time.perf_counter(), rt.stats.rounds, rt.assistant.requests
+
+            start = counts()
             model = pp_gpr_construct(rt, b["X"], b["y"], kernel, exp_params,
                                      policy=cfg["exp_policy"], y_shift=prep.y_shift)
-            t1, rounds = time.perf_counter(), rt.stats.rounds
+            built = counts()
             mean, var = pp_gpr_predict(rt, model, b["x_star"], exp_params,
                                        policy=cfg["exp_policy"])
-            t2 = time.perf_counter()
-            return mean, var, t1 - t0, t2 - t1, rt.stats.rounds - rounds
+            done = counts()
+            # (seconds, peer rounds, assistant round trips) of construction
+            # and of the batch.
+            return (mean, var, [y - x for x, y in zip(start, built)],
+                    [y - x for x, y in zip(built, done)])
 
         result = run_session(job, codec, seed=seed, backend=cfg["backend"], div=div)
         mean = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
         var = reconstruct(result.outputs[P0][1], result.outputs[P1][1])
         losses = loss_metrics(oracle, Predictions(mean, var))
         stats = result.stats[P0].summary()
-        matinv_rounds = stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0)
-        matinv_expected = expected_rounds("matinv", ds.n, r_div=div.rounds)
-        predict_recorded = result.outputs[P0][4]
-        predict_expected = predict_rounds(kernel.kind, div.sqrt_iterations)
-        runs.append({
+        construct, predict = result.outputs[P0][2], result.outputs[P0][3]
+        sqrt_iterations = div.sqrt_iterations
+        # (report key, what, unit, recorded, closed form)
+        checks = [
+            ("matinv_rounds", "the matrix inversion", "peer rounds",
+             stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0),
+             expected_rounds("matinv", ds.n, r_div=div.rounds)),
+            ("construct_rounds", "model construction", "peer rounds", construct[1],
+             construct_rounds(kernel.kind, ds.n, div.rounds, sqrt_iterations)),
+            ("construct_assistant_round_trips", "model construction",
+             "assistant round trips", construct[2],
+             construct_assistant_round_trips(kernel.kind, ds.n, div.rounds, sqrt_iterations)),
+            ("predict_rounds", "a prediction batch", "peer rounds", predict[1],
+             predict_rounds(kernel.kind, sqrt_iterations)),
+            ("predict_assistant_round_trips", "a prediction batch", "assistant round trips",
+             predict[2], predict_assistant_round_trips(kernel.kind, sqrt_iterations)),
+        ]
+        run = {
             "seed": seed,
             **losses,
-            "construction_seconds": result.outputs[P0][2],
-            "prediction_seconds": result.outputs[P0][3],
+            "construction_seconds": construct[0],
+            "prediction_seconds": predict[0],
             "rounds": stats["rounds"],
             "exp_openings_outside_window": stats["exp_openings_outside_window"],
             "per_protocol": stats["per_protocol"],
-            "matinv_rounds_expected": matinv_expected,
-            "matinv_rounds_recorded": matinv_rounds,
-            "predict_rounds_expected": predict_expected,
-            "predict_rounds_recorded": predict_recorded,
             "predictions_mean": mean.tolist(),
             "predictions_variance": var.tolist(),
-        })
-        if matinv_rounds != matinv_expected:
-            raise RuntimeError("recorded matrix-inversion rounds diverge from the "
-                               "closed form")
-        if predict_recorded != predict_expected:
-            raise RuntimeError(f"a prediction batch took {predict_recorded} peer rounds, "
-                               f"closed form {predict_expected}")
+        }
+        for key, _, _, recorded, expected in checks:
+            run[f"{key}_expected"], run[f"{key}_recorded"] = expected, recorded
+        runs.append(run)
+        for _, what, unit, recorded, expected in checks:
+            if recorded != expected:
+                raise RuntimeError(f"{what} took {recorded} {unit}, closed form {expected}")
 
     mus = [r["loss_mu"] for r in runs]
     vars_ = [r["loss_var"] for r in runs]
@@ -255,7 +273,7 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
             def job(rt, shares=(s0, s1)):
                 t0 = time.perf_counter()
                 out = pp_matinv(rt, shares[rt.party], pivot_domain=kernel.pivot_domain)
-                return out, time.perf_counter() - t0
+                return out, time.perf_counter() - t0, rt.assistant.requests
 
             result = run_session(job, codec, seed=int(n) * 1000 + run,
                                  backend=cfg["backend"], div=div)
@@ -267,6 +285,9 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                     "n": int(n),
                     "rounds": stats["per_protocol"]["pp_matinv"]["rounds"],
                     "rounds_expected": expected_rounds("matinv", int(n), r_div=div.rounds),
+                    "assistant_round_trips": result.outputs[P0][2],
+                    "assistant_round_trips_expected":
+                        matinv_assistant_round_trips(int(n), r_div=div.rounds),
                     "volume_words_per_direction":
                         stats["per_protocol"]["pp_matinv"]["words_sent"],
                     "seconds": result.outputs[P0][1],

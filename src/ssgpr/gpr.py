@@ -169,8 +169,9 @@ def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
     product, and R = [Inv | alpha] and X^T opened against two model masks
     in one exchange. Peer rounds: 22n - 6 for the inversion plus 4 on SE
     (ss_dist, pp_exp, alpha, the opening) and plus 2k + 6 on Matern-3/2
-    with k square-root iterations; assistant round trips 25n - 7 plus 5
-    and plus 2k + 8 (``analysis.construct_rounds`` and
+    with k square-root iterations; assistant round trips 23n - 4 plus 5
+    and plus 2k + 8, so 23n + 1 and 23n + 2k + 4
+    (``analysis.construct_rounds`` and
     ``analysis.construct_assistant_round_trips``). alpha's request carries
     both model masks.
     """

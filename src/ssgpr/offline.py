@@ -16,8 +16,10 @@ reply per request, an empty one if the plan holds only model masks.
 This module alone decides when material travels: ``deal`` only
 queues a plan, which rides on the server's next assistant request, after
 a truncation's masked words, or alone when a take finds nothing dealt
-(just the item taken if nothing is pending). One LDL matrix inversion
-thus makes 25n - 7 assistant round trips, 2n - 1 of them for material
+(just the item taken if nothing is pending). Takes stay in dealing
+order, so a protocol may deal its next step's plan before this step's
+first truncation. One LDL matrix inversion, which deals each step one
+ahead, thus makes 23n - 4 assistant round trips, 2 of them for material
 alone, next to its 22n - 6 peer rounds.
 
 A model mask B is dealt once per per-model operand (a GP model's
@@ -26,7 +28,7 @@ session under a key that both servers send in the plan; a kept triple
 pairs a fresh A with it as C = A @ B, so a product by the operand opens
 only its left side. Both items hold only opcodes, shapes and the key. A
 reused key, an unknown one or a shape other than the kept mask's aborts.
-Model construction thus makes 25n - 2 assistant round trips on SE, and
+Model construction thus makes 23n + 1 assistant round trips on SE, and
 an SE prediction batch 7 (``analysis.construct_assistant_round_trips``
 and ``analysis.predict_assistant_round_trips``).
 
@@ -344,6 +346,11 @@ class AssistantClient:
 
     def _next_tag(self) -> int:
         self._tag += 1
+        return self._tag
+
+    @property
+    def requests(self) -> int:
+        """Requests made so far, that is, assistant round trips."""
         return self._tag
 
     def new_key(self) -> int:

@@ -452,6 +452,20 @@ def _column(x: SharedArray, rows, col) -> SharedArray:
     return SharedArray(x.party, x.values[rows, col].reshape(-1, 1), x.codec, x.scale)
 
 
+def _ldl_column_plan(rt: PartyRuntime, n: int, k: int) -> list:
+    """Column k's material (k >= 1) in the order its products take it.
+
+    The pivot update's triple and matrix triple, then, for all but the
+    last column, the column update's and the division by the pivot's.
+    """
+    plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
+    rows = n - k - 1
+    if rows:
+        plan += [("triple", (1, k)), ("matrix", (rows, k, 1))]
+        plan += _div_plan(rt, (rows, 1), (1, 1))
+    return plan
+
+
 def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
                     pivot_domain: tuple[float, float]) -> LdlFactors:
     """LDL^T decomposition of a shared positive-definite matrix.
@@ -459,9 +473,12 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
     Column k costs four product rounds (the pivot update and the column
     update) plus one division by the pivot; the first column is a single
     division and the last column needs only its pivot. Total rounds
-    R_div + (n-2)(4+R_div) + 2. Each column deals all its material ahead:
-    the first column's rides on its reciprocal's first truncation, and
-    every later column's is requested alone by its first product.
+    R_div + (n-2)(4+R_div) + 2. Each column's material is dealt one step
+    ahead (``_ldl_column_plan``; columns count from 0): column 1's rides
+    with column 0's division on the reciprocal's first truncation, and
+    column k + 1's on column k's first truncation, the l_k * l_k
+    product's. So no column requests material alone, and at most two
+    columns' material is in flight.
     """
     n = u.shape[0]
     if u.values.ndim != 2 or u.shape[1] != n:
@@ -479,18 +496,13 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
         pivot = SharedArray(rt.party, u.values[0:1, 0:1], codec)
         col = _column(u, slice(0, n), 0)
         rt.assistant.deal(_div_plan(rt, (n, 1), (1, 1)))
+        rt.assistant.deal(_ldl_column_plan(rt, n, 1))
         l_col = ss_div(rt, col, pivot, pivot_domain)
         L.values[:, 0] = l_col.values[:, 0]
 
         for k in range(1, n):
-            # The column's material in the order its products take it:
-            # pivot update, column update, division by the pivot.
-            rows = n - k - 1
-            plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
-            if rows:
-                plan += [("triple", (1, k)), ("matrix", (rows, k, 1))]
-                plan += _div_plan(rt, (rows, 1), (1, 1))
-            rt.assistant.deal(plan)
+            if k + 1 < n:
+                rt.assistant.deal(_ldl_column_plan(rt, n, k + 1))
             # Pivot: d_k = u_kk - sum_m l_km^2 d_m, two product rounds.
             lk = SharedArray(rt.party, L.values[k:k + 1, :k], codec)      # 1 x k
             dk_prev = SharedArray(rt.party, d_vals[:k].reshape(-1, 1), codec)
@@ -521,7 +533,10 @@ def pp_forward(rt: PartyRuntime, L: SharedArray) -> SharedArray:
     """Invert a shared unit lower-triangular matrix, one round per row.
 
     Row k of V = L^{-1} is v_{k,1:k-1} = -l_{k,1:k-1} V_{1:k-1,1:k-1},
-    costing a single matrix product round for each k = 2..n.
+    costing a single matrix product round for each k = 2..n. Each row
+    deals the next row's matrix triple, which rides on its truncation;
+    the first row's request carries the first two rows' and is the only
+    one for material alone.
     """
     n = L.shape[0]
     codec = L.codec
@@ -529,7 +544,10 @@ def pp_forward(rt: PartyRuntime, L: SharedArray) -> SharedArray:
     with rt.scope("pp_forward"):
         V = SharedArray(rt.party, np.zeros((n, n), dtype=np.uint64), codec)
         V.values[0, 0] = one if rt.party == 0 else 0
+        rt.assistant.deal([("matrix", (1, 1, 1))])
         for k in range(1, n):
+            if k + 1 < n:
+                rt.assistant.deal([("matrix", (1, k + 1, k + 1))])
             lk = SharedArray(rt.party, L.values[k:k + 1, :k], codec)
             head = SharedArray(rt.party, V.values[:k, :k], codec)
             row = ss_matmul(rt, lk, head)
@@ -543,7 +561,9 @@ def pp_backward(rt: PartyRuntime, V: SharedArray, D: SharedArray,
     """Combine the factors into the inverse: Lambda = V^T D^{-1} V.
 
     One division of V's rows by D, dealt ahead so that its triples ride
-    on the reciprocal's first truncation, and one matrix product round.
+    on the reciprocal's first truncation, and one matrix product round,
+    whose (n, n, n) triple travels alone: riding it on the division would
+    hold it through the division's rounds and raise peak memory.
     """
     with rt.scope("pp_backward"):
         d_col = SharedArray(rt.party, D.values.reshape(-1, 1), D.codec, D.scale)
@@ -556,8 +576,10 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
     """Invert a shared positive-definite matrix via LDL^T factors.
 
     Total rounds (21n - 23) + (n - 1) + 18 = 22n - 6 at the default
-    division budget, and 25n - 7 assistant round trips
-    (analysis.matinv_assistant_round_trips).
+    division budget, and 23n - 4 assistant round trips
+    (analysis.matinv_assistant_round_trips): one per truncation, and two
+    requests for material alone, the first forward row's and the final
+    product's.
     """
     with rt.scope("pp_matinv"):
         factors = pp_cholesky_ldl(rt, u, pivot_domain)

@@ -106,11 +106,11 @@ def test_rounds_rejects_bad_args():
 
 def test_assistant_round_trips_matinv():
     for n in (2, 3, 10, 200):
-        assert matinv_assistant_round_trips(n) == 25 * n - 7
-    assert matinv_assistant_round_trips(200) == 4993
+        assert matinv_assistant_round_trips(n) == 23 * n - 4
+    assert matinv_assistant_round_trips(200) == 4596
     # Ten reciprocal iterations: R_div = 21, four more truncations a division.
-    assert matinv_assistant_round_trips(3, r_div=21) == 80
-    assert matinv_assistant_round_trips(10, r_div=21) == 283
+    assert matinv_assistant_round_trips(3, r_div=21) == 77
+    assert matinv_assistant_round_trips(10, r_div=21) == 266
     with pytest.raises(ValueError):
         matinv_assistant_round_trips(1)
 
@@ -126,8 +126,8 @@ def test_construct_rounds_closed_form():
     assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 2246
     assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 2810
     assert construct_rounds("se", 8, r_div=21) == 21 + 6 * 25 + 2 + 7 + 22 + 4
-    assert construct_assistant_round_trips("se", 200) == 25 * 200 - 2
-    assert construct_assistant_round_trips("matern32", 100) == 25 * 100 + 2 * 25 + 1
+    assert construct_assistant_round_trips("se", 200) == 23 * 200 + 1
+    assert construct_assistant_round_trips("matern32", 100) == 23 * 100 + 2 * 25 + 4
     with pytest.raises(ValueError):
         construct_rounds("linear", 10)
 

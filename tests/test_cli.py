@@ -54,6 +54,7 @@ def test_bench_matinv_rounds(capsys):
     assert code == 0
     entry = json.loads(out)["results"][0]
     assert entry["rounds"] == 170 == entry["rounds_expected"]
+    assert entry["assistant_round_trips"] == 23 * 8 - 4 == entry["assistant_round_trips_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
 
 
@@ -74,7 +75,12 @@ def test_run_gpr_end_to_end(tmp_path, capsys):
     assert report["loss_var_mean"] <= 1e-3
     run = report["runs"][0]
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
+    assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 22 * 10 - 2
+    assert (run["construct_assistant_round_trips_recorded"]
+            == run["construct_assistant_round_trips_expected"] == 23 * 10 + 1)
     assert run["predict_rounds_recorded"] == run["predict_rounds_expected"] == 4
+    assert (run["predict_assistant_round_trips_recorded"]
+            == run["predict_assistant_round_trips_expected"] == 7)
     assert isinstance(run["exp_openings_outside_window"], int)
 
 
@@ -160,6 +166,22 @@ def test_run_gpr_checks_the_predict_batch_closed_form(kernel, want, monkeypatch)
         run_gpr(data, x[12:], cfg)
 
 
+@pytest.mark.parametrize("name, what, unit, at", [
+    ("expected_rounds", "the matrix inversion", "peer rounds", 22 * 8 - 6),
+    ("construct_rounds", "model construction", "peer rounds", 22 * 8 - 2),
+    ("construct_assistant_round_trips", "model construction", "assistant round trips",
+     23 * 8 + 1),
+    ("predict_assistant_round_trips", "a prediction batch", "assistant round trips", 7),
+])
+def test_run_gpr_names_both_counts_on_a_closed_form_mismatch(name, what, unit, at,
+                                                             monkeypatch):
+    x = np.random.default_rng(4).normal(size=(10, 2))
+    data = Dataset(x[:8], np.sin(x[:8, 0]))
+    monkeypatch.setattr(cli, name, lambda *args, **kw: at + 1)
+    with pytest.raises(RuntimeError, match=f"^{what} took {at} {unit}, closed form {at + 1}$"):
+        run_gpr(data, x[8:], load_config(None))
+
+
 def test_matinv_closed_form_follows_division_budget():
     # Ten reciprocal iterations make a 21-round division, so an n=8
     # inversion takes 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.
@@ -172,6 +194,8 @@ def test_matinv_closed_form_follows_division_budget():
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 202
     entry = bench_matinv(cfg, [8], runs=1)["results"][0]
     assert entry["rounds"] == entry["rounds_expected"] == 202
+    # Each of the n divisions makes four more truncations: 23n - 4 + 4n.
+    assert entry["assistant_round_trips"] == entry["assistant_round_trips_expected"] == 212
 
 
 def test_run_gpr_scenario_flag(tmp_path, capsys):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import CODEC, QUANTUM, cross_dist, open_result, run_shared
-from ssgpr.analysis import (matinv_assistant_round_trips, sqrt_assistant_round_trips,
-                            sqrt_rounds)
-from ssgpr.offline import gen_material
+from ssgpr.analysis import (expected_rounds, matinv_assistant_round_trips,
+                            sqrt_assistant_round_trips, sqrt_rounds)
+from ssgpr.offline import OP_MATRIX_TRIPLE, OP_TRUNC, gen_material
 from ssgpr.protocols import (ProtocolError, mirror_upper, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
-                             ss_reciprocal, ss_sqrt, _consume)
+                             ss_reciprocal, ss_sqrt, _consume, _div_plan, _ldl_column_plan)
 from ssgpr.ring import FixedPointCodec, RingParams, from_signed
 from ssgpr.session import TRUNC_OFFSET_BLOCK, DivisionConfig, PartyRuntime
 from ssgpr.sharing import SharedArray, reconstruct, shr
@@ -429,8 +429,8 @@ def test_matinv_round_count_n10():
     assert scoped(res, "pp_matinv")["rounds"] == 214 == 22 * n - 6
 
 
-@pytest.mark.parametrize("n, iterations, want", [(3, 8, 68), (10, 8, 243),
-                                                  (3, 10, 80), (10, 10, 283)])
+@pytest.mark.parametrize("n, iterations, want", [(3, 8, 65), (10, 8, 226),
+                                                  (3, 10, 77), (10, 10, 266)])
 def test_matinv_assistant_round_trips(n, iterations, want):
     x = np.random.default_rng(n).uniform(-10, 10, (n, 2))
     u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(n)
@@ -445,6 +445,94 @@ def test_matinv_assistant_round_trips(n, iterations, want):
     res = run_shared(job, [u], div=div)
     assert res.outputs[P0] == res.outputs[P1] == want
     assert want == matinv_assistant_round_trips(n, r_div=div.rounds)
+
+
+def _se_gram(n, seed):
+    x = np.random.default_rng(seed).uniform(-10, 10, (n, 2))
+    return np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(n)
+
+
+def test_matinv_requests_material_alone_only_twice():
+    # Every request rides on a truncation but two: the first forward row's,
+    # which carries rows 1 and 2's triples, and backward's final product's.
+    n = 6
+
+    def job(rt, a):
+        alone, request = [], rt.assistant._request
+
+        def spy(words):
+            if int(words[0]) != OP_TRUNC:
+                # The scope under pp_matinv names the step.
+                alone.append((rt.stats._scopes[1], [int(w) for w in words]))
+            return request(words)
+
+        rt.assistant._request = spy
+        pp_matinv(rt, a, (0.05, 2.2))
+        return alone
+
+    res = run_shared(job, [_se_gram(n, 5)])
+    want = [("pp_forward", [OP_MATRIX_TRIPLE, 1, 1, 1, OP_MATRIX_TRIPLE, 1, 2, 2]),
+            ("pp_backward", [OP_MATRIX_TRIPLE, n, n, n])]
+    assert res.outputs[P0] == res.outputs[P1] == want
+
+
+def _item_words(kind, spec):
+    if kind == "triple":
+        return 3 * int(np.prod(spec))
+    m, n, k = spec
+    return m * n + n * k + m * k
+
+
+def test_ldl_and_forward_hold_only_the_current_and_next_steps_material():
+    # Steps in take order: the first column's division, columns 1 .. n-1,
+    # then forward rows 1 .. n-1. After each take, the material dealt and
+    # not yet taken, with the item just taken, never exceeds the words of
+    # the taking step's plan and the next step's.
+    n = 7
+
+    def job(rt, a):
+        client = rt.assistant
+        steps = ([_div_plan(rt, (n, 1), (1, 1))]
+                 + [_ldl_column_plan(rt, n, k) for k in range(1, n)]
+                 + [[("matrix", (1, k, k))] for k in range(1, n)])
+        owner = [i for i, step in enumerate(steps) for _ in step]
+        words = [sum(_item_words(*item) for item in step) for step in steps] + [0]
+        seen, take = [], client._take
+
+        def spy(kind, spec):
+            material = take(kind, spec)
+            step = owner[len(seen)]
+            held = _item_words(kind, spec) + sum(
+                _item_words(k, s) for k, s, _ in [*client._dealt, *client._pending])
+            seen.append((held, words[step], words[step] + words[step + 1]))
+            return material
+
+        client._take = spy
+        factors = pp_cholesky_ldl(rt, a, (0.05, 2.2))
+        pp_forward(rt, factors.L)
+        assert len(seen) == len(owner)
+        return seen
+
+    res = run_shared(job, [_se_gram(n, 6)])
+    for seen in (res.outputs[P0], res.outputs[P1]):
+        assert all(held <= bound for held, _, bound in seen)
+        # The next step's material is in flight at some take.
+        assert any(held > current for held, current, _ in seen)
+
+
+def test_matinv_over_sockets():
+    n = 6
+    u = _se_gram(n, 9)
+
+    def job(rt, a):
+        return pp_matinv(rt, a, (0.05, 2.2)), rt.assistant.requests
+
+    res = run_shared(job, [u], backend="sockets")
+    assert scoped(res, "pp_matinv")["rounds"] == 22 * n - 6 == expected_rounds("matinv", n)
+    assert (res.outputs[P0][1] == res.outputs[P1][1] == 23 * n - 4
+            == matinv_assistant_round_trips(n))
+    inv = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+    assert np.max(np.abs(inv - np.linalg.inv(u))) <= 1e-4
 
 
 def test_matinv_accuracy_se_gram():
