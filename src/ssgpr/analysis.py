@@ -1,9 +1,12 @@
 """Executable checks of the protocol's analytical claims.
 
 Parameter validation for the masked exponentiation, exact enumeration of
-its information leakage, and the closed-form communication-round counts
-of the matrix-inversion pipeline, the square root, GP model construction
-and a prediction batch, peer rounds and assistant round trips.
+its information leakage, the reciprocal step count a pivot domain needs,
+and the closed-form communication-round counts of the matrix-inversion
+pipeline, the square root, GP model construction and a prediction batch,
+peer rounds and assistant round trips. The inversion's counts take its
+path (``DivisionConfig.matinv``) and its division budget R_div; left
+out, R_div is the path's at the default 8 reciprocal steps.
 """
 
 from __future__ import annotations
@@ -13,8 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gpr import MATERN32, SQUARED_EXPONENTIAL
-from .protocols import ExpParams
+from .protocols import ExpParams, affine_reciprocal_coefficients
 from .ring import RingParams
+from .session import DivisionConfig
+
+# Truncated product rounds of an LDL column's two sums, the pivot's and
+# the column update's, on each inversion path (protocols.pp_cholesky_ldl).
+_COLUMN_PRODUCTS = {"ldl": 2, "paper": 4}
 
 
 @dataclass(frozen=True)
@@ -117,44 +125,81 @@ def leakage_enumerate(m_u: int, m_r: int) -> LeakageReport:
     )
 
 
-def expected_rounds(protocol: str, n: int = 0, r_div: int = 17) -> int:
+def reciprocal_steps(domain: tuple[float, float], lf: int) -> int:
+    """Least reciprocal step count k with e0^(2^k) < 2^-lf on a public domain.
+
+    e0 = max |1 - v y0| over [lo, hi] for the affine first guess y0, an
+    error that equioscillates between the ends and the midpoint. k Newton
+    steps, or k - 1 Goldschmidt steps and the closing Newton step, leave
+    relative error e0^(2^k), so fewer steps than this return a reciprocal
+    off by more than a quantum. At signal variance 1 the kernel's pivot
+    domain needs 7 steps at noise variance 0.1, 8 at 0.05, 10 at 0.01 and
+    14 at 1e-3 (l_f = 26).
+    """
+    lo, hi = domain
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"a reciprocal domain needs 0 < lo < hi, got {domain!r}")
+    alpha, beta = affine_reciprocal_coefficients(lo, hi)
+    e0 = max(abs(1.0 - v * (alpha - beta * v)) for v in (lo, (lo + hi) / 2.0, hi))
+    steps = 0
+    while e0 ** (2 ** steps) >= 2.0 ** -lf:
+        steps += 1
+    return steps
+
+
+def _division_rounds(r_div: int | None, matinv: str) -> int:
+    path = DivisionConfig(matinv=matinv)  # rejects an unknown path by name
+    return path.rounds if r_div is None else r_div
+
+
+def expected_rounds(protocol: str, n: int = 0, r_div: int | None = None,
+                    matinv: str = "ldl") -> int:
     """Closed-form communication-round counts per protocol.
 
-    Cholesky: R_div + (n-2)(4+R_div) + 2; forward: n-1; backward:
-    R_div + 1; the full inversion is their sum (22n - 6 at R_div = 17).
-    The masked exponentiation is always a single round.
+    Cholesky: R_div + (n-2)(c+R_div) + 2, with c = 2 column product
+    rounds on "ldl" and 4 on "paper"; forward: n-1; backward: R_div + 1.
+    The full inversion is their sum: 14n - 2 on "ldl" at R_div = 11 and
+    22n - 6 on "paper" at R_div = 17, the paths' budgets at 8 reciprocal
+    steps. The masked exponentiation is always a single round.
     """
     name = protocol.lower().replace("-", "").replace("_", "")
     if name in ("ppexp", "exp"):
         return 1
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
+    r_div = _division_rounds(r_div, matinv)
+    cholesky = r_div + (n - 2) * (_COLUMN_PRODUCTS[matinv] + r_div) + 2
     if name == "cholesky":
-        return r_div + (n - 2) * (4 + r_div) + 2
+        return cholesky
     if name == "forward":
         return n - 1
     if name == "backward":
         return r_div + 1
     if name in ("ppmi", "matinv"):
-        return (r_div + (n - 2) * (4 + r_div) + 2) + (n - 1) + (r_div + 1)
+        return cholesky + (n - 1) + (r_div + 1)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def matinv_assistant_round_trips(n: int, r_div: int = 17) -> int:
+def matinv_assistant_round_trips(n: int, r_div: int | None = None,
+                                 matinv: str = "ldl") -> int:
     """Closed-form assistant round trips of one LDL matrix inversion.
 
     Truncations: every truncated product and every affine reciprocal
     start is one, so a division costs R_div + 1 and a bare reciprocal
-    R_div. Cholesky makes (R_div+1) + (n-2)(R_div+5) + 2, forward n-1 and
-    backward R_div + 2: 23n - 6 at R_div = 17. Every Cholesky column's
-    and forward row's material is dealt one step ahead and rides on a
-    truncation, and so does backward's division, which leaves two
-    requests for material alone: the first forward row's and backward's
-    last product's. The total is 23n - 4.
+    R_div. Cholesky makes (R_div+1) + (n-2)(R_div+1+c) + 2, with c the
+    column's product rounds (2 on "ldl", 4 on "paper"), forward n-1 and
+    backward R_div + 2. Every Cholesky column's and forward row's
+    material is dealt one step ahead and rides on a truncation, and so
+    does backward's division, which leaves two requests for material
+    alone: the first forward row's and backward's last product's. The
+    total is 15n on "ldl" at R_div = 11 and 23n - 4 on "paper" at
+    R_div = 17.
     """
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
-    truncations = (r_div + 1) + (n - 2) * (r_div + 5) + 2 + (n - 1) + (r_div + 2)
+    r_div = _division_rounds(r_div, matinv)
+    column = r_div + 1 + _COLUMN_PRODUCTS[matinv]
+    truncations = (r_div + 1) + (n - 2) * column + 2 + (n - 1) + (r_div + 2)
     return truncations + 2
 
 
@@ -182,14 +227,17 @@ def _kernel_rounds(kind: str, sqrt_iterations: int) -> int:
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def construct_rounds(kind: str, n: int, r_div: int = 17, sqrt_iterations: int = 25) -> int:
+def construct_rounds(kind: str, n: int, r_div: int | None = None, sqrt_iterations: int = 25,
+                     matinv: str = "ldl") -> int:
     """Peer rounds of pp_gpr_construct.
 
     ss_dist's self form, the kernel, the inversion, alpha = Inv @ y and
-    the one opening of both model masks: 22n - 6 + 4 on SE and
-    22n - 6 + 2k + 6 on Matern-3/2 at R_div = 17.
+    the one opening of both model masks: the inversion's rounds + 4 on SE
+    and + 2k + 6 on Matern-3/2, so 14n + 2 on SE at the defaults and
+    22n - 2 on "paper".
     """
-    return 1 + _kernel_rounds(kind, sqrt_iterations) + expected_rounds("matinv", n, r_div) + 2
+    return (1 + _kernel_rounds(kind, sqrt_iterations)
+            + expected_rounds("matinv", n, r_div, matinv) + 2)
 
 
 def predict_rounds(kind: str, sqrt_iterations: int = 25) -> int:
@@ -214,17 +262,18 @@ def _kernel_assistant_round_trips(kind: str, sqrt_iterations: int) -> int:
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def construct_assistant_round_trips(kind: str, n: int, r_div: int = 17,
-                                    sqrt_iterations: int = 25) -> int:
+def construct_assistant_round_trips(kind: str, n: int, r_div: int | None = None,
+                                    sqrt_iterations: int = 25, matinv: str = "ldl") -> int:
     """Assistant round trips of pp_gpr_construct.
 
     ss_dist's triple alone and its truncation, the kernel's truncations,
-    the inversion (23n - 4), and alpha's request, which carries both model
-    masks, with its truncation: 23n + 1 on SE and 23n + 2k + 4 on
-    Matern-3/2 at R_div = 17.
+    the inversion, and alpha's request, which carries both model masks,
+    with its truncation: the inversion's + 5 on SE and + 2k + 8 on
+    Matern-3/2. At the defaults that is 15n + 5 on SE and 15n + 2k + 8
+    on Matern-3/2; on "paper", 23n + 1 and 23n + 2k + 4.
     """
     return (2 + _kernel_assistant_round_trips(kind, sqrt_iterations)
-            + matinv_assistant_round_trips(n, r_div) + 2)
+            + matinv_assistant_round_trips(n, r_div, matinv) + 2)
 
 
 def predict_assistant_round_trips(kind: str, sqrt_iterations: int = 25) -> int:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .analysis import (construct_assistant_round_trips, construct_rounds, expected_rounds,
                        leakage_enumerate, matinv_assistant_round_trips,
-                       predict_assistant_round_trips, predict_rounds, validate_exp_params)
+                       predict_assistant_round_trips, predict_rounds, reciprocal_steps,
+                       validate_exp_params)
 from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenario, standardize
 from .gpr import (MATERN32, KernelConfig, Predictions, gpr_predict_plaintext,
                   kernel_matrix_plaintext, loss_metrics, pp_gpr_construct, pp_gpr_predict,
@@ -42,6 +43,7 @@ DEFAULTS = {
     "backend": "inproc",
     "seeds": [0],
     "div_iterations": 8,
+    "matinv": "ldl",
     "sqrt_hi": 16.0,
     "sqrt_iterations": 25,
     "normalize": True,
@@ -102,10 +104,8 @@ def session_pieces(cfg: dict):
         # DivisionConfig would name its field, not the key the user wrote.
         raise ValueError(f"div_iterations must be at least 1, got {cfg['div_iterations']!r}")
     div = DivisionConfig(iterations=cfg["div_iterations"], sqrt_hi=cfg["sqrt_hi"],
-                         sqrt_iterations=cfg["sqrt_iterations"])
-    kernel = KernelConfig(kind=cfg["kernel"], length_scale=cfg["length_scale"],
-                          signal_variance=cfg["signal_variance"],
-                          noise_variance=cfg["noise_variance"])
+                         sqrt_iterations=cfg["sqrt_iterations"], matinv=cfg["matinv"])
+    kernel = _kernel(cfg)
     report = validate_exp_params(exp_params, codec.params)
     if not report.accepted:
         raise ValueError("exponentiation parameters fail the correctness bound "
@@ -114,9 +114,30 @@ def session_pieces(cfg: dict):
     return codec, exp_params, div, kernel
 
 
+def _kernel(cfg: dict) -> KernelConfig:
+    return KernelConfig(kind=cfg["kernel"], length_scale=cfg["length_scale"],
+                        signal_variance=cfg["signal_variance"],
+                        noise_variance=cfg["noise_variance"])
+
+
+def check_reciprocal_steps(div: DivisionConfig, kernel: KernelConfig, lf: int):
+    """Reject a reciprocal step count below what the kernel's pivot domain needs.
+
+    Too few steps leave the LDL pivots' reciprocals unconverged, and the
+    inverse comes back wrong with nothing failing.
+    """
+    need = reciprocal_steps(kernel.pivot_domain, lf)
+    if div.iterations < need:
+        lo, hi = kernel.pivot_domain
+        raise ValueError(f"div_iterations = {div.iterations} is below the {need} reciprocal "
+                         f"steps that noise_variance = {kernel.noise_variance:g} needs: the "
+                         f"pivot domain [{lo:g}, {hi:g}] at lf = {lf}")
+
+
 def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
     """One full model construction + prediction per seed, with metrics."""
     codec, exp_params, div, kernel = session_pieces(cfg)
+    check_reciprocal_steps(div, kernel, codec.lf)
     ds, prep = standardize(dataset, cfg["normalize"])
     xs = prep.apply_x(x_star)
     if kernel.kind == MATERN32:
@@ -176,16 +197,18 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
         stats = result.stats[P0].summary()
         construct, predict = result.outputs[P0][2], result.outputs[P0][3]
         sqrt_iterations = div.sqrt_iterations
+        path = {"r_div": div.rounds, "matinv": div.matinv}
         # (report key, what, unit, recorded, closed form)
         checks = [
             ("matinv_rounds", "the matrix inversion", "peer rounds",
              stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0),
-             expected_rounds("matinv", ds.n, r_div=div.rounds)),
+             expected_rounds("matinv", ds.n, **path)),
             ("construct_rounds", "model construction", "peer rounds", construct[1],
-             construct_rounds(kernel.kind, ds.n, div.rounds, sqrt_iterations)),
+             construct_rounds(kernel.kind, ds.n, sqrt_iterations=sqrt_iterations, **path)),
             ("construct_assistant_round_trips", "model construction",
              "assistant round trips", construct[2],
-             construct_assistant_round_trips(kernel.kind, ds.n, div.rounds, sqrt_iterations)),
+             construct_assistant_round_trips(kernel.kind, ds.n,
+                                             sqrt_iterations=sqrt_iterations, **path)),
             ("predict_rounds", "a prediction batch", "peer rounds", predict[1],
              predict_rounds(kernel.kind, sqrt_iterations)),
             ("predict_assistant_round_trips", "a prediction batch", "assistant round trips",
@@ -213,7 +236,7 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
     vars_ = [r["loss_var"] for r in runs]
     return {
         "n": ds.n, "d": ds.d, "n_test": int(np.atleast_2d(xs).shape[0]),
-        "kernel": kernel.kind, "scenario": cfg["scenario"],
+        "kernel": kernel.kind, "scenario": cfg["scenario"], "matinv": div.matinv,
         "loss_mu_mean": float(np.mean(mus)), "loss_mu_std": float(np.std(mus)),
         "loss_var_mean": float(np.mean(vars_)), "loss_var_std": float(np.std(vars_)),
         "runs": runs,
@@ -259,6 +282,7 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
     codec, _, div, _ = session_pieces(cfg)
     kernel = KernelConfig(kind="se", length_scale=1.0, signal_variance=1.0,
                           noise_variance=0.1)
+    check_reciprocal_steps(div, kernel, codec.lf)
     results = []
     for n in sizes:
         losses = []
@@ -284,10 +308,11 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                 entry = {
                     "n": int(n),
                     "rounds": stats["per_protocol"]["pp_matinv"]["rounds"],
-                    "rounds_expected": expected_rounds("matinv", int(n), r_div=div.rounds),
+                    "rounds_expected": expected_rounds("matinv", int(n), div.rounds,
+                                                       div.matinv),
                     "assistant_round_trips": result.outputs[P0][2],
                     "assistant_round_trips_expected":
-                        matinv_assistant_round_trips(int(n), r_div=div.rounds),
+                        matinv_assistant_round_trips(int(n), div.rounds, div.matinv),
                     "volume_words_per_direction":
                         stats["per_protocol"]["pp_matinv"]["words_sent"],
                     "seconds": result.outputs[P0][1],
@@ -295,7 +320,7 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
         entry["loss_mi_mean"] = float(np.mean(losses))
         entry["loss_mi_std"] = float(np.std(losses))
         results.append(entry)
-    return {"op": "matinv", "runs": runs, "results": results}
+    return {"op": "matinv", "matinv": div.matinv, "runs": runs, "results": results}
 
 
 def _emit(report: dict, out: str | None):
@@ -395,6 +420,9 @@ def main(argv=None) -> int:
                 "required_lf": rep.required_lf,
                 "precision_slack_bits": rep.precision_slack_bits,
                 "overflow_slack_bits": rep.overflow_slack_bits,
+                # run-gpr rejects a div_iterations below the kernel's bound.
+                "reciprocal_steps": reciprocal_steps(_kernel(cfg).pivot_domain, cfg["lf"]),
+                "div_iterations": cfg["div_iterations"],
             }
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command}")

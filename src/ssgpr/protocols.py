@@ -2,9 +2,11 @@
 
 Every function here is executed symmetrically by both compute servers,
 which stay in lockstep through the exchange barriers. Round costs match
-the standard accounting: one round per Beaver product, 2k+1 rounds for a
-division with k Newton iterations, and one round total for the masked
-exponentiation regardless of input size. A step whose material is known
+the standard accounting: one round per Beaver product, and one round total
+for the masked exponentiation regardless of input size. A division with k
+reciprocal steps takes k + 3 rounds on the default "ldl" path (k - 1
+Goldschmidt steps closed by one Newton step) and 2k + 1 on the paper's
+Newton path (``DivisionConfig.matinv``). A step whose material is known
 up front deals it ahead, and ``offline`` decides when it travels; every
 other product takes whatever the assistant next hands it. One exchange
 may open several masked arrays (``_open``): a Beaver product's two, the
@@ -51,9 +53,20 @@ def _consume(material):
 
 
 def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
-    """The triples ss_div takes: the reciprocal's, then the broadcast product's."""
-    return ([("triple", v_shape)] * (2 * rt.div.iterations)
-            + [("triple", np.broadcast_shapes(u_shape, v_shape))])
+    """The triples ss_div takes: the reciprocal's, then the broadcast product's.
+
+    On the "ldl" path these are the first residual's, one per Goldschmidt
+    step (stacked but the last) and the closing Newton step's two.
+    """
+    k = rt.div.iterations
+    if rt.div.matinv == "paper":
+        reciprocal = [("triple", v_shape)] * (2 * k)
+    else:
+        reciprocal = ([("triple", v_shape)]
+                      + [("triple", (2, *v_shape)) if step < k - 2 else ("triple", v_shape)
+                         for step in range(k - 1)]
+                      + [("triple", v_shape)] * 2)
+    return reciprocal + [("triple", np.broadcast_shapes(u_shape, v_shape))]
 
 
 def _open(rt: PartyRuntime, *mine: np.ndarray) -> list[np.ndarray]:
@@ -163,6 +176,19 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         return _beaver(rt, u, v, rt.assistant.get_triple(u.shape), ring_mul, truncate)
 
 
+def _stacked_mul(rt: PartyRuntime, lefts, rights) -> list[SharedArray]:
+    """Equal-shaped elementwise products lefts[i] * rights[i] in one Beaver round.
+
+    The operands are stacked along a new first axis, so one triple and one
+    exchange serve them all; all must share one scale.
+    """
+    def stack(xs):
+        return SharedArray(rt.party, np.stack([x.values for x in xs]), xs[0].codec, xs[0].scale)
+
+    out = ss_mul(rt, stack(lefts), stack(rights))
+    return [out[i] for i in range(len(lefts))]
+
+
 def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray | ModelOperand,
               truncate: bool = True) -> SharedArray:
     """Beaver matrix product of shared (m x n) and (n x k) matrices.
@@ -237,28 +263,59 @@ def mirror_upper(rt: PartyRuntime, upper: SharedArray, n: int, diagonal: float) 
     return SharedArray(rt.party, out, upper.codec, upper.scale)
 
 
+def affine_reciprocal_coefficients(lo: float, hi: float) -> tuple[float, float]:
+    """(alpha, beta) of the minimax affine first guess alpha - beta v for 1/v on [lo, hi]."""
+    beta = 2.0 / (lo * hi + (lo + hi) ** 2 / 4.0)
+    return beta * (lo + hi), beta
+
+
 def _affine_reciprocal_init(rt: PartyRuntime, v: SharedArray, lo: float, hi: float) -> SharedArray:
     """Local affine minimax first guess for 1/v on the public domain."""
-    beta = 2.0 / (lo * hi + (lo + hi) ** 2 / 4.0)
-    alpha = beta * (lo + hi)
+    alpha, beta = affine_reciprocal_coefficients(lo, hi)
     y = _rescale(rt, -v.scale_public(beta))
     return y.add_public(alpha)
 
 
+def _residual(rt: PartyRuntime, v: SharedArray, y: SharedArray) -> SharedArray:
+    """e = 1 - v y, one round."""
+    return (-ss_mul(rt, v, y)).add_public(1.0)
+
+
 def ss_reciprocal(rt: PartyRuntime, v: SharedArray,
                   domain: tuple[float, float]) -> SharedArray:
-    """Newton reciprocal y <- y (2 - v y) on a public positive domain (lo, hi).
+    """Reciprocal 1/v on a public positive domain (lo, hi), k = div.iterations steps.
 
-    Two rounds per iteration. The caller guarantees the reconstructed
-    divisor lies in the domain; nothing is detectable online otherwise.
+    From the affine first guess y0, with e0 = max |1 - v y0| over the
+    domain, both paths reach relative error e0^(2^k) before truncation
+    noise (analysis.reciprocal_steps gives the least k for a domain):
+
+    - "paper": k Newton steps y <- y (2 - v y), two rounds each.
+    - "ldl": e = 1 - v y0 in one round, then k - 1 Goldschmidt steps
+      y <- y + y e, e <- e^2, each one stacked product [y; e] * [e; e] but
+      the last, a plain y e. Goldschmidt carries its truncation error
+      along, so one Newton step closes: a fresh e = 1 - v y, then
+      y <- y + y e. k + 2 rounds.
+
+    The caller guarantees the reconstructed divisor lies in the domain;
+    nothing is detectable online otherwise.
     """
     lo, hi = domain
+    k = rt.div.iterations
     with rt.scope("ss_div"):
         y = _affine_reciprocal_init(rt, v, lo, hi)
-        for _ in range(rt.div.iterations):
-            t = ss_mul(rt, v, y)
-            y = ss_mul(rt, y, (-t).add_public(2.0))
-    return y
+        if rt.div.matinv == "paper":
+            for _ in range(k):
+                t = ss_mul(rt, v, y)
+                y = ss_mul(rt, y, (-t).add_public(2.0))
+            return y
+        e = _residual(rt, v, y)
+        for step in range(k - 1):
+            if step < k - 2:
+                ye, e = _stacked_mul(rt, (y, e), (e, e))
+            else:
+                ye = ss_mul(rt, y, e)
+            y = y + ye
+        return y + ss_mul(rt, y, _residual(rt, v, y))
 
 
 def ss_div(rt: PartyRuntime, u: SharedArray, v: SharedArray,
@@ -305,11 +362,7 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
         z = _rescale(rt, -x.scale_public(b)).add_public(a)
         three = np.uint64(3 << z.scale)
         for i in range(iterations):
-            pair = ss_mul(rt, SharedArray(rt.party, np.stack([z.values, x.values]), z.codec,
-                                          z.scale),
-                          SharedArray(rt.party, np.stack([z.values, z.values]), z.codec,
-                                      z.scale))
-            z_sq, xz = pair[0], pair[1]
+            z_sq, xz = _stacked_mul(rt, (z, x), (z, z))
             raw = ss_mul(rt, xz, z_sq, truncate=False)
             diff = ring_sub(ring_mul(z.values, three, p), raw.values, p)
             rt.assistant.deal(plans[i + 1])
@@ -455,13 +508,19 @@ def _column(x: SharedArray, rows, col) -> SharedArray:
 def _ldl_column_plan(rt: PartyRuntime, n: int, k: int) -> list:
     """Column k's material (k >= 1) in the order its products take it.
 
-    The pivot update's triple and matrix triple, then, for all but the
-    last column, the column update's and the division by the pivot's.
+    On "ldl", w = l_k * d's triple and the one matrix triple of
+    L[k:n, :k] @ w^T; on "paper", the pivot update's triple and matrix
+    triple, then, for all but the last column, the column update's. Then,
+    for all but the last column, the division by the pivot's.
     """
-    plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
     rows = n - k - 1
+    if rt.div.matinv == "paper":
+        plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
+        if rows:
+            plan += [("triple", (1, k)), ("matrix", (rows, k, 1))]
+    else:
+        plan = [("triple", (1, k)), ("matrix", (rows + 1, k, 1))]
     if rows:
-        plan += [("triple", (1, k)), ("matrix", (rows, k, 1))]
         plan += _div_plan(rt, (rows, 1), (1, 1))
     return plan
 
@@ -470,15 +529,20 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
                     pivot_domain: tuple[float, float]) -> LdlFactors:
     """LDL^T decomposition of a shared positive-definite matrix.
 
-    Column k costs four product rounds (the pivot update and the column
-    update) plus one division by the pivot; the first column is a single
-    division and the last column needs only its pivot. Total rounds
-    R_div + (n-2)(4+R_div) + 2. Each column's material is dealt one step
-    ahead (``_ldl_column_plan``; columns count from 0): column 1's rides
-    with column 0's division on the reciprocal's first truncation, and
-    column k + 1's on column k's first truncation, the l_k * l_k
-    product's. So no column requests material alone, and at most two
-    columns' material is in flight.
+    Column k's sums are the pivot's, sum_m l_km^2 d_m, and the column
+    update's, L_{k+1:n,1:k} (l_k * d). The "ldl" path takes both from
+    w = l_k * d: since sum_m l_km^2 d_m = l_k . w (Golub & Van Loan,
+    Alg. 4.1.2), one product L_{k:n,1:k} w^T gives the pivot's sum first
+    and the column's after it, two rounds. The "paper" path takes four:
+    l_k * l_k and its product by d, then w and the column update. Then a
+    column makes one division by the pivot; the first column is a single
+    division, and the last needs only its pivot, two rounds on either
+    path. Total rounds R_div + (n-2)(c+R_div) + 2, with c = 2 on "ldl"
+    and 4 on "paper". Each column's material is dealt one step ahead
+    (``_ldl_column_plan``; columns count from 0): column 1's rides with
+    column 0's division on the reciprocal's first truncation, and column
+    k + 1's on column k's first truncation. So no column requests material
+    alone, and at most two columns' material is in flight.
     """
     n = u.shape[0]
     if u.values.ndim != 2 or u.shape[1] != n:
@@ -503,22 +567,25 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
         for k in range(1, n):
             if k + 1 < n:
                 rt.assistant.deal(_ldl_column_plan(rt, n, k + 1))
-            # Pivot: d_k = u_kk - sum_m l_km^2 d_m, two product rounds.
             lk = SharedArray(rt.party, L.values[k:k + 1, :k], codec)      # 1 x k
-            dk_prev = SharedArray(rt.party, d_vals[:k].reshape(-1, 1), codec)
-            lk_sq = ss_mul(rt, lk, lk)
-            acc = ss_matmul(rt, lk_sq, dk_prev)                            # 1 x 1
-            d_k = SharedArray(rt.party, ring_sub(u.values[k:k + 1, k:k + 1],
-                                                 acc.values, p), codec)
+            d_row = SharedArray(rt.party, d_vals[:k].reshape(1, -1), codec)
+            # acc holds the pivot's sum, then the column update's: (n-k) x 1.
+            if rt.div.matinv == "paper":
+                acc = ss_matmul(rt, ss_mul(rt, lk, lk), d_row.T).values
+                if k < n - 1:
+                    w = ss_mul(rt, lk, d_row)
+                    below = SharedArray(rt.party, L.values[k + 1:, :k], codec)
+                    acc = np.vstack([acc, ss_matmul(rt, below, w.T).values])
+            else:
+                w = ss_mul(rt, lk, d_row)
+                acc = ss_matmul(rt, SharedArray(rt.party, L.values[k:, :k], codec), w.T).values
+            # Pivot: d_k = u_kk - sum_m l_km^2 d_m.
+            d_k = SharedArray(rt.party, ring_sub(u.values[k:k + 1, k:k + 1], acc[:1], p), codec)
             d_vals[k] = d_k.values[0, 0]
             if k == n - 1:
                 break
-            # Column: hat_l = u_{k+1:n,k} - L_{k+1:n,1:k} (l_k * d) , two rounds.
-            w = ss_mul(rt, lk, SharedArray(rt.party, d_vals[:k].reshape(1, -1), codec))
-            below = SharedArray(rt.party, L.values[k + 1:, :k], codec)
-            acc2 = ss_matmul(rt, below, w.T)                               # (n-k-1) x 1
-            hat = SharedArray(rt.party, ring_sub(u.values[k + 1:, k:k + 1],
-                                                 acc2.values, p), codec)
+            # Column: hat_l = u_{k+1:n,k} - L_{k+1:n,1:k} (l_k * d).
+            hat = SharedArray(rt.party, ring_sub(u.values[k + 1:, k:k + 1], acc[1:], p), codec)
             # One division by the shared pivot.
             l_col = ss_div(rt, hat, d_k, pivot_domain)
             L.values[k + 1:, k] = l_col.values[:, 0]
@@ -575,11 +642,13 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
               pivot_domain: tuple[float, float]) -> SharedArray:
     """Invert a shared positive-definite matrix via LDL^T factors.
 
-    Total rounds (21n - 23) + (n - 1) + 18 = 22n - 6 at the default
-    division budget, and 23n - 4 assistant round trips
-    (analysis.matinv_assistant_round_trips): one per truncation, and two
-    requests for material alone, the first forward row's and the final
-    product's.
+    At the default 8 reciprocal steps the "ldl" path takes
+    (13n - 13) + (n - 1) + 12 = 14n - 2 peer rounds and 15n assistant
+    round trips, and the "paper" path (21n - 23) + (n - 1) + 18 = 22n - 6
+    and 23n - 4 (analysis.expected_rounds and
+    analysis.matinv_assistant_round_trips): one round trip per
+    truncation, and two requests for material alone, the first forward
+    row's and the final product's.
     """
     with rt.scope("pp_matinv"):
         factors = pp_cholesky_ldl(rt, u, pivot_domain)

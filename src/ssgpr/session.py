@@ -25,21 +25,31 @@ from .ring import FixedPointCodec, RingParams, ring_reduce
 from .offline import AssistantClient, serve_assistant
 from .transport import ASSISTANT, P0, P1, LocalHub, PartyNetwork, TcpHub
 
+# The matrix inversion's paths, the default first (DivisionConfig.matinv).
+MATINV_PATHS = ("ldl", "paper")
+
 
 @dataclass(frozen=True)
 class DivisionConfig:
-    """Iteration counts of the Newton-based protocols and the square root's domain.
+    """Reciprocal step counts, the matrix inversion's path and the square root's domain.
 
-    Eight reciprocal iterations keep the division round budget at the
-    conventional 17 (16 iteration rounds plus the final product). A
-    division's domain is an argument: the matrix inversion takes it from
-    the kernel's public pivot bounds. The square root's first guess is
-    fitted at ``sqrt_hi / 2``, so inputs should lie in [0, sqrt_hi].
+    ``matinv`` picks the LDL inversion's path. "ldl", the default, takes
+    each column's sums from one product w = l_k * d and a Goldschmidt
+    reciprocal closed by one Newton step, so a division costs
+    ``iterations`` + 3 rounds: 11 at the default 8 steps. "paper" is the
+    paper's algorithm, four products a column and a Newton reciprocal at
+    2 ``iterations`` + 1 rounds, the conventional 17. Both paths reach the
+    same accuracy bound after ``iterations`` steps
+    (analysis.reciprocal_steps). A division's domain is an argument: the
+    matrix inversion takes it from the kernel's public pivot bounds. The
+    square root's first guess is fitted at ``sqrt_hi / 2``, so inputs
+    should lie in [0, sqrt_hi].
     """
 
     iterations: int = 8
     sqrt_hi: float = 16.0
     sqrt_iterations: int = 25
+    matinv: str = "ldl"
 
     def __post_init__(self):
         for name in ("iterations", "sqrt_iterations"):
@@ -47,11 +57,16 @@ class DivisionConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if not 0 < self.sqrt_hi < np.inf:
             raise ValueError(f"sqrt_hi must be finite and positive, got {self.sqrt_hi!r}")
+        if self.matinv not in MATINV_PATHS:
+            raise ValueError(f"matinv must be one of {', '.join(MATINV_PATHS)}, "
+                             f"got {self.matinv!r}")
 
     @property
     def rounds(self) -> int:
-        """Round budget of one division (reciprocal plus one multiply)."""
-        return 2 * self.iterations + 1
+        """Round budget of one division (reciprocal plus one multiply) on this path."""
+        if self.matinv == "paper":
+            return 2 * self.iterations + 1
+        return self.iterations + 3
 
 
 # Party 1 draws its truncation offsets this many at a time; its 8-bit draws

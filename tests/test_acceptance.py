@@ -19,7 +19,7 @@ from ssgpr.gpr import (KernelConfig, kernel_matrix_plaintext, pp_gpr_construct,
 from ssgpr.protocols import ExpParams, pp_exp, pp_matinv, ss_mul
 from ssgpr.ring import RingParams, ring_mul, from_signed
 from ssgpr.sharing import rec, reconstruct, share_reals, shr, random_ring_elements
-from ssgpr.session import run_session
+from ssgpr.session import DivisionConfig, run_session
 from ssgpr.transport import P0, P1
 
 
@@ -31,11 +31,11 @@ def se_gram(n, run, noise=0.1):
     return kernel_matrix_plaintext(x, x, cfg) + noise * np.eye(n), cfg
 
 
-def matinv_session(mat, cfg, seed):
+def matinv_session(mat, cfg, seed, matinv="ldl"):
     s = share_reals(mat, CODEC, np.random.default_rng(seed))
     return run_session(lambda rt: pp_matinv(rt, s[rt.party],
                                             pivot_domain=cfg.pivot_domain),
-                       CODEC, seed=seed)
+                       CODEC, seed=seed, div=DivisionConfig(matinv=matinv))
 
 
 def test_criterion_1_exp_correctness():
@@ -108,15 +108,19 @@ def test_criterion_3_matinv_accuracy():
 
 
 def test_criterion_4_matinv_communication():
-    """Matrix inversion rounds follow 22n - 6 exactly; online volume
-    scales as n^3 within 0.2 of the exponent."""
+    """Matrix inversion rounds follow 22n - 6 exactly on the paper's path
+    and 14n - 2 on the default one; online volume scales as n^3 within 0.2
+    of the exponent."""
     volumes = {}
     for n in (8, 16, 32, 64, 128, 192, 256):
         mat, cfg = se_gram(n, 0)
         res = matinv_session(mat, cfg, seed=n)
         s = res.stats[P0].summary()["per_protocol"]["pp_matinv"]
         if n <= 64:
-            assert s["rounds"] == 22 * n - 6, f"n={n}: rounds {s['rounds']}"
+            assert s["rounds"] == 14 * n - 2, f"n={n}: rounds {s['rounds']}"
+            paper = matinv_session(mat, cfg, seed=n, matinv="paper")
+            rounds = paper.stats[P0].summary()["per_protocol"]["pp_matinv"]["rounds"]
+            assert rounds == 22 * n - 6, f"n={n}: paper rounds {rounds}"
         volumes[n] = s["words_sent"]
     # The cubic matrix-product traffic dominates once n is past the
     # R_div * n^2 division overhead, so the exponent is fit there.

@@ -6,7 +6,9 @@ import pytest
 
 from ssgpr.analysis import (construct_assistant_round_trips, construct_rounds, expected_rounds,
                             leakage_enumerate, matinv_assistant_round_trips,
-                            predict_assistant_round_trips, predict_rounds, validate_exp_params)
+                            predict_assistant_round_trips, predict_rounds, reciprocal_steps,
+                            validate_exp_params)
+from ssgpr.gpr import KernelConfig
 from ssgpr.protocols import ExpParams
 from ssgpr.ring import RingParams
 
@@ -74,11 +76,13 @@ def test_leakage_rejects_bad_grids():
 
 
 def test_rounds_ppmi_example():
-    assert expected_rounds("ppmi", 10) == 214
+    assert expected_rounds("ppmi", 10, matinv="paper") == 214
+    assert expected_rounds("ppmi", 10) == 138
 
 
 def test_rounds_cholesky_example():
-    assert expected_rounds("cholesky", 2) == 19
+    assert expected_rounds("cholesky", 2, matinv="paper") == 19
+    assert expected_rounds("cholesky", 2) == 13
 
 
 def test_rounds_exp_is_one():
@@ -87,14 +91,17 @@ def test_rounds_exp_is_one():
 
 
 def test_rounds_benchmark_size():
-    assert expected_rounds("matinv", 100) == 2194
+    assert expected_rounds("matinv", 100, matinv="paper") == 2194
+    assert expected_rounds("matinv", 100) == 1398
+    assert expected_rounds("matinv", 200) == 2798
 
 
 def test_rounds_components_sum():
     n = 10
-    total = (expected_rounds("cholesky", n) + expected_rounds("forward", n)
-             + expected_rounds("backward", n))
-    assert total == expected_rounds("matinv", n) == 22 * n - 6
+    for matinv, want in (("paper", 22 * n - 6), ("ldl", 14 * n - 2)):
+        total = sum(expected_rounds(step, n, matinv=matinv)
+                    for step in ("cholesky", "forward", "backward"))
+        assert total == expected_rounds("matinv", n, matinv=matinv) == want
 
 
 def test_rounds_rejects_bad_args():
@@ -102,34 +109,79 @@ def test_rounds_rejects_bad_args():
         expected_rounds("cholesky", 1)
     with pytest.raises(ValueError):
         expected_rounds("nonsense", 4)
+    with pytest.raises(ValueError, match="matinv must be one of ldl, paper, got 'newton'"):
+        expected_rounds("matinv", 4, matinv="newton")
 
 
 def test_assistant_round_trips_matinv():
     for n in (2, 3, 10, 200):
-        assert matinv_assistant_round_trips(n) == 23 * n - 4
-    assert matinv_assistant_round_trips(200) == 4596
+        assert matinv_assistant_round_trips(n, matinv="paper") == 23 * n - 4
+    assert matinv_assistant_round_trips(200, matinv="paper") == 4596
     # Ten reciprocal iterations: R_div = 21, four more truncations a division.
-    assert matinv_assistant_round_trips(3, r_div=21) == 77
-    assert matinv_assistant_round_trips(10, r_div=21) == 266
+    assert matinv_assistant_round_trips(3, r_div=21, matinv="paper") == 77
+    assert matinv_assistant_round_trips(10, r_div=21, matinv="paper") == 266
     with pytest.raises(ValueError):
         matinv_assistant_round_trips(1)
 
 
+def test_assistant_round_trips_matinv_ldl():
+    for n in (2, 3, 10, 200):
+        assert matinv_assistant_round_trips(n) == 15 * n
+    assert matinv_assistant_round_trips(200) == 3000
+    # Ten reciprocal steps: R_div = 13, two more truncations a division.
+    assert matinv_assistant_round_trips(3, r_div=13) == 51
+    assert matinv_assistant_round_trips(10, r_div=13) == 170
+
+
 def test_construct_rounds_closed_form():
-    # 22n - 6 for the inversion; SE adds ss_dist, pp_exp, alpha and the
-    # one opening of both model masks; Matern adds the square root's
+    # 22n - 6 for the paper's inversion; SE adds ss_dist, pp_exp, alpha and
+    # the one opening of both model masks; Matern adds the square root's
     # 2k + 1 rounds and its product.
+    paper = {"matinv": "paper"}
     for n in (2, 10, 100, 200):
-        assert construct_rounds("se", n) == 22 * n - 6 + 4
-        assert construct_rounds("matern32", n, sqrt_iterations=7) == 22 * n - 6 + 2 * 7 + 6
-    assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 4438
-    assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 2246
-    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 2810
-    assert construct_rounds("se", 8, r_div=21) == 21 + 6 * 25 + 2 + 7 + 22 + 4
-    assert construct_assistant_round_trips("se", 200) == 23 * 200 + 1
-    assert construct_assistant_round_trips("matern32", 100) == 23 * 100 + 2 * 25 + 4
+        assert construct_rounds("se", n, **paper) == 22 * n - 6 + 4
+        assert (construct_rounds("matern32", n, sqrt_iterations=7, **paper)
+                == 22 * n - 6 + 2 * 7 + 6)
+    assert construct_rounds("se", 200, **paper) + 10 * predict_rounds("se") == 4438
+    assert construct_rounds("se", 100, **paper) + 12 * predict_rounds("se") == 2246
+    assert (construct_rounds("matern32", 100, **paper) + 10 * predict_rounds("matern32")
+            == 2810)
+    assert construct_rounds("se", 8, r_div=21, **paper) == 21 + 6 * 25 + 2 + 7 + 22 + 4
+    assert construct_assistant_round_trips("se", 200, **paper) == 23 * 200 + 1
+    assert construct_assistant_round_trips("matern32", 100, **paper) == 23 * 100 + 2 * 25 + 4
     with pytest.raises(ValueError):
         construct_rounds("linear", 10)
+
+
+def test_construct_rounds_closed_form_ldl():
+    # 14n - 2 for the default inversion and the same additions as above.
+    for n in (2, 10, 100, 200):
+        assert construct_rounds("se", n) == 14 * n - 2 + 4
+        assert construct_rounds("matern32", n, sqrt_iterations=7) == 14 * n - 2 + 2 * 7 + 6
+    # The bench's three workloads: construction plus their prediction batches.
+    assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 2842
+    assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 1450
+    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 2014
+    assert construct_rounds("se", 8, r_div=13) == 13 + 6 * 15 + 2 + 7 + 14 + 4
+    assert construct_assistant_round_trips("se", 200) + 10 * 7 == 3075
+    assert construct_assistant_round_trips("matern32", 100) == 15 * 100 + 2 * 25 + 8
+
+
+@pytest.mark.parametrize("noise, want", [(0.1, 7), (0.05, 8), (0.01, 10), (1e-3, 14)])
+def test_reciprocal_steps_on_the_pivot_domain(noise, want):
+    # The least k with e0^(2^k) < 2^-26 for the SE pivot domain at s^2 = 1.
+    domain = KernelConfig(noise_variance=noise).pivot_domain
+    assert reciprocal_steps(domain, 26) == want
+    lo, hi = domain
+    e0 = (hi - lo) ** 2 / ((hi + lo) ** 2 + 4 * lo * hi)  # the minimax guess's error
+    assert e0 ** (2 ** want) < 2.0 ** -26 <= e0 ** (2 ** (want - 1))
+
+
+def test_reciprocal_steps_rejects_an_empty_domain():
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        reciprocal_steps((0.0, 2.0), 26)
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        reciprocal_steps((2.0, 1.0), 26)
 
 
 def test_predict_batch_closed_form():

@@ -49,30 +49,65 @@ def test_bench_exp_round_and_volume(capsys):
     assert entry["max_abs_error"] <= 4 * 2.0 ** -26
 
 
-def test_bench_matinv_rounds(capsys):
-    code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2"], capsys)
+def test_bench_matinv_rounds(tmp_path, capsys):
+    path = tmp_path / "cfg"
+    path.write_text("matinv = paper\n")
+    code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2",
+                            "--config", str(path)], capsys)
     assert code == 0
-    entry = json.loads(out)["results"][0]
+    report = json.loads(out)
+    assert report["matinv"] == "paper"
+    entry = report["results"][0]
     assert entry["rounds"] == 170 == entry["rounds_expected"]
     assert entry["assistant_round_trips"] == 23 * 8 - 4 == entry["assistant_round_trips_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
 
 
-def test_run_gpr_end_to_end(tmp_path, capsys):
+def test_bench_matinv_rounds_ldl(capsys):
+    code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["matinv"] == "ldl"
+    entry = report["results"][0]
+    assert entry["rounds"] == 14 * 8 - 2 == entry["rounds_expected"]
+    assert entry["assistant_round_trips"] == 15 * 8 == entry["assistant_round_trips_expected"]
+    assert entry["loss_mi_mean"] <= 1e-3
+
+
+def _run_gpr_cli(tmp_path, capsys, *config):
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.25, 0.25, (12, 2))
     y = 10.0 + np.sin(x.sum(axis=1))
     rows = "\n".join(",".join(f"{v:.8f}" for v in (*xi, yi)) for xi, yi in zip(x, y))
     data = tmp_path / "train.csv"
     data.write_text(rows + "\n")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("".join(f"{line}\n" for line in config))
     out_path = tmp_path / "report.json"
     code, _, err = run_cli(["run-gpr", "--data", str(data), "--test-size", "2",
-                            "--seed", "0", "--out", str(out_path)], capsys)
+                            "--seed", "0", "--config", str(cfg), "--out", str(out_path)],
+                           capsys)
     assert code == 0, err
     report = json.loads(out_path.read_text())
     assert report["n"] == 10 and report["n_test"] == 2
     assert report["loss_mu_mean"] <= 1e-4
     assert report["loss_var_mean"] <= 1e-3
+    return report
+
+
+def test_run_gpr_end_to_end_ldl(tmp_path, capsys):
+    report = _run_gpr_cli(tmp_path, capsys)
+    assert report["matinv"] == "ldl"
+    run = report["runs"][0]
+    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 14 * 10 - 2
+    assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 14 * 10 + 2
+    assert (run["construct_assistant_round_trips_recorded"]
+            == run["construct_assistant_round_trips_expected"] == 15 * 10 + 5)
+
+
+def test_run_gpr_end_to_end(tmp_path, capsys):
+    report = _run_gpr_cli(tmp_path, capsys, "matinv = paper")
+    assert report["matinv"] == "paper"
     run = report["runs"][0]
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
     assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 22 * 10 - 2
@@ -178,6 +213,23 @@ def test_run_gpr_names_both_counts_on_a_closed_form_mismatch(name, what, unit, a
     x = np.random.default_rng(4).normal(size=(10, 2))
     data = Dataset(x[:8], np.sin(x[:8, 0]))
     monkeypatch.setattr(cli, name, lambda *args, **kw: at + 1)
+    cfg = load_config(None)
+    cfg["matinv"] = "paper"
+    with pytest.raises(RuntimeError, match=f"^{what} took {at} {unit}, closed form {at + 1}$"):
+        run_gpr(data, x[8:], cfg)
+
+
+@pytest.mark.parametrize("name, what, unit, at", [
+    ("expected_rounds", "the matrix inversion", "peer rounds", 14 * 8 - 2),
+    ("construct_rounds", "model construction", "peer rounds", 14 * 8 + 2),
+    ("construct_assistant_round_trips", "model construction", "assistant round trips",
+     15 * 8 + 5),
+])
+def test_run_gpr_names_both_counts_on_a_closed_form_mismatch_ldl(name, what, unit, at,
+                                                                 monkeypatch):
+    x = np.random.default_rng(4).normal(size=(10, 2))
+    data = Dataset(x[:8], np.sin(x[:8, 0]))
+    monkeypatch.setattr(cli, name, lambda *args, **kw: at + 1)
     with pytest.raises(RuntimeError, match=f"^{what} took {at} {unit}, closed form {at + 1}$"):
         run_gpr(data, x[8:], load_config(None))
 
@@ -186,7 +238,7 @@ def test_matinv_closed_form_follows_division_budget():
     # Ten reciprocal iterations make a 21-round division, so an n=8
     # inversion takes 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.
     cfg = load_config(None)
-    cfg["div_iterations"] = 10
+    cfg.update(div_iterations=10, matinv="paper")
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.25, 0.25, (10, 2))
     y = 10.0 + np.sin(x.sum(axis=1))
@@ -196,6 +248,88 @@ def test_matinv_closed_form_follows_division_budget():
     assert entry["rounds"] == entry["rounds_expected"] == 202
     # Each of the n divisions makes four more truncations: 23n - 4 + 4n.
     assert entry["assistant_round_trips"] == entry["assistant_round_trips_expected"] == 212
+
+
+def test_matinv_closed_form_follows_division_budget_ldl():
+    # Ten reciprocal steps make a 13-round division on the default path, so
+    # an n=8 inversion takes 13 + 6*15 + 2 + 7 + 14 = 126 rounds, not 110.
+    cfg = load_config(None)
+    cfg["div_iterations"] = 10
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-0.25, 0.25, (10, 2))
+    y = 10.0 + np.sin(x.sum(axis=1))
+    run = run_gpr(Dataset(x[:8], y[:8]), x[8:], cfg)["runs"][0]
+    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 126
+    entry = bench_matinv(cfg, [8], runs=1)["results"][0]
+    assert entry["rounds"] == entry["rounds_expected"] == 126
+    # Each of the n divisions makes two more truncations: 15n + 2n.
+    assert entry["assistant_round_trips"] == entry["assistant_round_trips_expected"] == 136
+
+
+def test_matinv_path_rejected_by_name(tmp_path):
+    cfg = load_config(None)
+    cfg["matinv"] = "newton"
+    x = np.random.default_rng(5).normal(size=(12, 2))
+    with pytest.raises(ValueError, match=r"^matinv must be one of ldl, paper, got 'newton'$"):
+        run_gpr(Dataset(x[:10], np.sin(x[:10, 0])), x[10:], cfg)
+    path = tmp_path / "cfg"
+    path.write_text("matinv = newton\n")
+    with pytest.raises(ValueError, match="matinv must be one of ldl, paper"):
+        bench_matinv(load_config(str(path)), [8], runs=1)
+
+
+def _small_noise_data():
+    # 40 standard-normal 3-d points, close enough that the SE gram's least
+    # eigenvalue sits near sigma^2, with y = sin(sum x) plus 0.05 noise.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(44, 3))
+    y = np.sin(x.sum(axis=1)) + 0.05 * rng.normal(size=44)
+    return Dataset(x[:40], y[:40]), x[40:]
+
+
+@pytest.mark.parametrize("matinv", ["ldl", "paper"])
+def test_run_gpr_small_noise_accuracy(matinv):
+    # sigma^2 = 0.01 needs 10 reciprocal steps; with them both paths meet
+    # criterion 5's tolerances.
+    data, queries = _small_noise_data()
+    cfg = load_config(None)
+    cfg.update(noise_variance=0.01, div_iterations=10, matinv=matinv)
+    report = run_gpr(data, queries, cfg)
+    assert report["loss_mu_mean"] <= 1e-4, report["loss_mu_mean"]
+    assert report["loss_var_mean"] <= 1e-3, report["loss_var_mean"]
+
+
+@pytest.mark.parametrize("matinv", ["ldl", "paper"])
+def test_run_gpr_rejects_too_few_reciprocal_steps(matinv):
+    # Eight steps at sigma^2 = 0.01 once returned losses near 2e-3 and 2e-2,
+    # with nothing failing.
+    data, queries = _small_noise_data()
+    cfg = load_config(None)
+    cfg.update(noise_variance=0.01, matinv=matinv)
+    with pytest.raises(ValueError, match=r"^div_iterations = 8 is below the 10 reciprocal "
+                                         r"steps that noise_variance = 0.01 needs"):
+        run_gpr(data, queries, cfg)
+
+
+def test_bench_matinv_rejects_too_few_reciprocal_steps():
+    # The bench's grams have sigma^2 = 0.1, which needs 7 steps.
+    cfg = load_config(None)
+    cfg["div_iterations"] = 6
+    with pytest.raises(ValueError, match=r"^div_iterations = 6 is below the 7 reciprocal "
+                                         r"steps that noise_variance = 0.1 needs"):
+        bench_matinv(cfg, [8], runs=1)
+
+
+def test_validate_params_reports_the_reciprocal_step_bound(tmp_path, capsys):
+    code, out, _ = run_cli(["validate-params"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["reciprocal_steps"] == 7 and report["div_iterations"] == 8
+    path = tmp_path / "cfg"
+    path.write_text("noise_variance = 0.001\n")
+    code, out, _ = run_cli(["validate-params", "--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["reciprocal_steps"] == 14
 
 
 def test_run_gpr_scenario_flag(tmp_path, capsys):

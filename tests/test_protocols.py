@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import CODEC, QUANTUM, cross_dist, open_result, run_shared
-from ssgpr.analysis import (expected_rounds, matinv_assistant_round_trips,
+from ssgpr.analysis import (expected_rounds, matinv_assistant_round_trips, reciprocal_steps,
                             sqrt_assistant_round_trips, sqrt_rounds)
+from ssgpr.gpr import KernelConfig, kernel_matrix_plaintext
 from ssgpr.offline import OP_MATRIX_TRIPLE, OP_TRUNC, gen_material
 from ssgpr.protocols import (ProtocolError, mirror_upper, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
@@ -17,6 +18,9 @@ from ssgpr.ring import FixedPointCodec, RingParams, from_signed
 from ssgpr.session import TRUNC_OFFSET_BLOCK, DivisionConfig, PartyRuntime
 from ssgpr.sharing import SharedArray, reconstruct, shr
 from ssgpr.transport import P0, P1
+
+
+PAPER = DivisionConfig(matinv="paper")
 
 
 def scoped(result, name):
@@ -215,6 +219,50 @@ def test_reciprocal_domain_sweep():
     assert np.max(rel) <= 1e-4
 
 
+def test_reciprocal_domain_sweep_paper():
+    v = np.array([0.5, 1.0, 2.0, 4.0, 10.0, 40.0])
+    res = run_shared(lambda rt, x: ss_reciprocal(rt, x, DOMAIN), [v], div=PAPER)
+    rel = np.abs(open_result(res) - 1.0 / v) * v
+    assert np.max(rel) <= 1e-4
+
+
+@pytest.mark.parametrize("matinv", ["ldl", "paper"])
+def test_reciprocal_converges_at_the_step_bound(matinv):
+    # On (0.005, 2.02), sigma^2 = 0.01's pivot domain, the bound's 10 steps
+    # reach the truncation noise floor (about 1e-6 relative at v = 0.005,
+    # where 1/v = 200) and 9 stop at e0^512, about 4e-5, at both ends.
+    domain = KernelConfig(noise_variance=0.01).pivot_domain
+    v = np.array([domain[0], 0.01, 0.1, 1.0, domain[1]])
+    rel = {}
+    for k in (9, 10):
+        res = run_shared(lambda rt, x: ss_reciprocal(rt, x, domain), [v],
+                         div=DivisionConfig(iterations=k, matinv=matinv))
+        rel[k] = np.max(np.abs(open_result(res) - 1.0 / v) * v)
+    assert reciprocal_steps(domain, CODEC.lf) == 10
+    assert rel[10] <= 2e-6 and rel[9] >= 20 * rel[10]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_division_counts_and_plan_on_the_ldl_path(k):
+    # k - 1 Goldschmidt steps and the Newton close: k + 3 rounds and k + 4
+    # truncations a division, on exactly the triples _div_plan deals.
+    u, v = np.array([[6.0], [1.0]]), np.array([[3.0]])
+
+    def job(rt, a, b):
+        rt.assistant.deal(_div_plan(rt, a.shape, b.shape))
+        before = rt.assistant.requests
+        out = ss_div(rt, a, b, DOMAIN)
+        return out, rt.assistant.requests - before
+
+    div = DivisionConfig(iterations=k)
+    res = run_shared(job, [u, v], div=div)
+    assert scoped(res, "ss_div")["rounds"] == div.rounds == k + 3
+    assert res.outputs[P0][1] == res.outputs[P1][1] == k + 4
+    if k == 8:
+        got = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+        assert np.max(np.abs(got - u / v)) <= 1e-4 * 2.0
+
+
 def test_div_example():
     res = run_shared(lambda rt, u, v: ss_div(rt, u, v, DOMAIN),
                      [np.array([6.0]), np.array([3.0])])
@@ -223,13 +271,20 @@ def test_div_example():
 
 def test_div_round_budget():
     res = run_shared(lambda rt, u, v: ss_div(rt, u, v, DOMAIN),
-                     [np.array([6.0]), np.array([3.0])])
+                     [np.array([6.0]), np.array([3.0])], div=PAPER)
     assert scoped(res, "ss_div")["rounds"] == 17
+
+
+def test_div_round_budget_ldl():
+    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, DOMAIN),
+                     [np.array([6.0]), np.array([3.0])])
+    assert scoped(res, "ss_div")["rounds"] == 11 == DivisionConfig().rounds
 
 
 BAD_NEWTON_SETTINGS = [("iterations", 0), ("iterations", -1), ("sqrt_iterations", 0),
                        ("sqrt_iterations", -1), ("sqrt_hi", 0.0), ("sqrt_hi", -16.0),
-                       ("sqrt_hi", float("inf")), ("sqrt_hi", float("nan"))]
+                       ("sqrt_hi", float("inf")), ("sqrt_hi", float("nan")),
+                       ("matinv", "newton"), ("matinv", "LDL")]
 
 
 @pytest.mark.parametrize("field, value", BAD_NEWTON_SETTINGS)
@@ -372,8 +427,28 @@ def test_cholesky_round_count():
     for n in (2, 4):
         x = np.random.default_rng(n).uniform(-3, 3, (n, 2))
         u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)) + 0.1 * np.eye(n)
-        res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u])
+        res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u], div=PAPER)
         assert scoped(res, "pp_cholesky")["rounds"] == 21 * n - 23
+
+
+def test_cholesky_round_count_ldl():
+    for n in (2, 4):
+        x = np.random.default_rng(n).uniform(-3, 3, (n, 2))
+        u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)) + 0.1 * np.eye(n)
+        res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u])
+        assert scoped(res, "pp_cholesky")["rounds"] == 13 * n - 13
+
+
+def test_cholesky_paths_agree():
+    # Both paths compute the same factors, up to truncation noise.
+    n = 6
+    x = np.random.default_rng(11).uniform(-2, 2, (n, 2))
+    u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)) + 0.1 * np.eye(n)
+    want = np.linalg.cholesky(u)
+    for div in (DivisionConfig(), PAPER):
+        res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u], div=div)
+        L, D = _open_factors(res)
+        assert np.max(np.abs(L * np.sqrt(D) - want)) <= 1e-5
 
 
 def test_cholesky_rejects_nonsquare():
@@ -410,8 +485,14 @@ def test_backward_composes_2x2_inverse():
 
 def test_backward_round_count():
     res = run_shared(lambda rt, v, d: pp_backward(rt, v, d, pivot_domain=(0.5, 2.0)),
-                     [np.eye(2), np.ones(2)])
+                     [np.eye(2), np.ones(2)], div=PAPER)
     assert scoped(res, "pp_backward")["rounds"] == 18
+
+
+def test_backward_round_count_ldl():
+    res = run_shared(lambda rt, v, d: pp_backward(rt, v, d, pivot_domain=(0.5, 2.0)),
+                     [np.eye(2), np.ones(2)])
+    assert scoped(res, "pp_backward")["rounds"] == 12
 
 
 def test_matinv_identity():
@@ -425,16 +506,34 @@ def test_matinv_round_count_n10():
     x = np.random.default_rng(7).uniform(-10, 10, (n, 2))
     d = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
     u = np.exp(-d / 2) + 0.1 * np.eye(n)
-    res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u])
+    res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u], div=PAPER)
     assert scoped(res, "pp_matinv")["rounds"] == 214 == 22 * n - 6
+
+
+def test_matinv_round_count_n10_ldl():
+    n = 10
+    x = np.random.default_rng(7).uniform(-10, 10, (n, 2))
+    d = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
+    u = np.exp(-d / 2) + 0.1 * np.eye(n)
+    res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u])
+    assert scoped(res, "pp_matinv")["rounds"] == 138 == 14 * n - 2
 
 
 @pytest.mark.parametrize("n, iterations, want", [(3, 8, 65), (10, 8, 226),
                                                   (3, 10, 77), (10, 10, 266)])
 def test_matinv_assistant_round_trips(n, iterations, want):
+    _check_matinv_round_trips(n, DivisionConfig(iterations=iterations, matinv="paper"), want)
+
+
+@pytest.mark.parametrize("n, iterations, want", [(3, 8, 45), (10, 8, 150),
+                                                  (3, 10, 51), (10, 10, 170)])
+def test_matinv_assistant_round_trips_ldl(n, iterations, want):
+    _check_matinv_round_trips(n, DivisionConfig(iterations=iterations), want)
+
+
+def _check_matinv_round_trips(n, div, want):
     x = np.random.default_rng(n).uniform(-10, 10, (n, 2))
     u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(n)
-    div = DivisionConfig(iterations=iterations)
 
     def job(rt, a):
         # The client numbers its requests, so its tag counts round trips.
@@ -444,7 +543,7 @@ def test_matinv_assistant_round_trips(n, iterations, want):
 
     res = run_shared(job, [u], div=div)
     assert res.outputs[P0] == res.outputs[P1] == want
-    assert want == matinv_assistant_round_trips(n, r_div=div.rounds)
+    assert want == matinv_assistant_round_trips(n, div.rounds, div.matinv)
 
 
 def _se_gram(n, seed):
@@ -520,19 +619,30 @@ def test_ldl_and_forward_hold_only_the_current_and_next_steps_material():
         assert any(held > current for held, current, _ in seen)
 
 
-def test_matinv_over_sockets():
+def _matinv_over_sockets(div):
     n = 6
     u = _se_gram(n, 9)
 
     def job(rt, a):
         return pp_matinv(rt, a, (0.05, 2.2)), rt.assistant.requests
 
-    res = run_shared(job, [u], backend="sockets")
-    assert scoped(res, "pp_matinv")["rounds"] == 22 * n - 6 == expected_rounds("matinv", n)
-    assert (res.outputs[P0][1] == res.outputs[P1][1] == 23 * n - 4
-            == matinv_assistant_round_trips(n))
+    res = run_shared(job, [u], backend="sockets", div=div)
     inv = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
     assert np.max(np.abs(inv - np.linalg.inv(u))) <= 1e-4
+    assert res.outputs[P0][1] == res.outputs[P1][1]
+    return n, scoped(res, "pp_matinv")["rounds"], res.outputs[P0][1]
+
+
+def test_matinv_over_sockets():
+    n, rounds, trips = _matinv_over_sockets(PAPER)
+    assert rounds == 22 * n - 6 == expected_rounds("matinv", n, matinv="paper")
+    assert trips == 23 * n - 4 == matinv_assistant_round_trips(n, matinv="paper")
+
+
+def test_matinv_over_sockets_ldl():
+    n, rounds, trips = _matinv_over_sockets(DivisionConfig())
+    assert rounds == 14 * n - 2 == expected_rounds("matinv", n)
+    assert trips == 15 * n == matinv_assistant_round_trips(n)
 
 
 def test_matinv_accuracy_se_gram():
@@ -543,6 +653,21 @@ def test_matinv_accuracy_se_gram():
     res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u])
     lam = open_result(res)
     assert np.linalg.norm(u @ lam - np.eye(n), 2) ** 2 <= 1e-3
+
+
+@pytest.mark.parametrize("matinv", ["ldl", "paper"])
+def test_matinv_small_noise_gram_at_the_step_bound(matinv):
+    # 40 standard-normal 3-d points at sigma^2 = 1e-3: the pivots reach
+    # down to about 1e-3, and the bound's 14 steps keep the inverse inside
+    # criterion 3's gate (8 steps left ||A Inv - I||_F^2 near 19).
+    cfg = KernelConfig(noise_variance=1e-3)
+    x = np.random.default_rng(3).normal(size=(40, 3))
+    a = kernel_matrix_plaintext(x, x, cfg) + cfg.noise_variance * np.eye(40)
+    steps = reciprocal_steps(cfg.pivot_domain, CODEC.lf)
+    assert steps == 14
+    res = run_shared(lambda rt, m: pp_matinv(rt, m, cfg.pivot_domain), [a],
+                     div=DivisionConfig(iterations=steps, matinv=matinv))
+    assert np.linalg.norm(a @ open_result(res) - np.eye(40)) ** 2 <= 1e-3
 
 
 def test_sockets_backend_end_to_end():
