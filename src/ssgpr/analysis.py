@@ -4,9 +4,10 @@ Parameter validation for the masked exponentiation, exact enumeration of
 its information leakage, the reciprocal step count a pivot domain needs,
 and the closed-form communication-round counts of the matrix-inversion
 pipeline, the square root, GP model construction and a prediction batch,
-peer rounds and assistant round trips. The inversion's counts take its
-path (``DivisionConfig.matinv``) and its division budget R_div; left
-out, R_div is the path's at the default 8 reciprocal steps.
+peer rounds and assistant round trips. The counts take the session's
+``DivisionConfig``, whose path (``matinv``) and reciprocal steps fix the
+division budget R_div (``DivisionConfig.rounds``); left out, it is the
+default path at 8 reciprocal steps.
 """
 
 from __future__ import annotations
@@ -147,13 +148,7 @@ def reciprocal_steps(domain: tuple[float, float], lf: int) -> int:
     return steps
 
 
-def _division_rounds(r_div: int | None, matinv: str) -> int:
-    path = DivisionConfig(matinv=matinv)  # rejects an unknown path by name
-    return path.rounds if r_div is None else r_div
-
-
-def expected_rounds(protocol: str, n: int = 0, r_div: int | None = None,
-                    matinv: str = "ldl") -> int:
+def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionConfig()) -> int:
     """Closed-form communication-round counts per protocol.
 
     Cholesky: R_div + (n-2)(c+R_div) + 2, with c = 2 column product
@@ -167,8 +162,8 @@ def expected_rounds(protocol: str, n: int = 0, r_div: int | None = None,
         return 1
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
-    r_div = _division_rounds(r_div, matinv)
-    cholesky = r_div + (n - 2) * (_COLUMN_PRODUCTS[matinv] + r_div) + 2
+    r_div = div.rounds
+    cholesky = r_div + (n - 2) * (_COLUMN_PRODUCTS[div.matinv] + r_div) + 2
     if name == "cholesky":
         return cholesky
     if name == "forward":
@@ -180,8 +175,7 @@ def expected_rounds(protocol: str, n: int = 0, r_div: int | None = None,
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def matinv_assistant_round_trips(n: int, r_div: int | None = None,
-                                 matinv: str = "ldl") -> int:
+def matinv_assistant_round_trips(n: int, div: DivisionConfig = DivisionConfig()) -> int:
     """Closed-form assistant round trips of one LDL matrix inversion.
 
     Truncations: every truncated product and every affine reciprocal
@@ -197,8 +191,8 @@ def matinv_assistant_round_trips(n: int, r_div: int | None = None,
     """
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
-    r_div = _division_rounds(r_div, matinv)
-    column = r_div + 1 + _COLUMN_PRODUCTS[matinv]
+    r_div = div.rounds
+    column = r_div + 1 + _COLUMN_PRODUCTS[div.matinv]
     truncations = (r_div + 1) + (n - 2) * column + 2 + (n - 1) + (r_div + 2)
     return truncations + 2
 
@@ -227,17 +221,16 @@ def _kernel_rounds(kind: str, sqrt_iterations: int) -> int:
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def construct_rounds(kind: str, n: int, r_div: int | None = None, sqrt_iterations: int = 25,
-                     matinv: str = "ldl") -> int:
+def construct_rounds(kind: str, n: int, div: DivisionConfig = DivisionConfig()) -> int:
     """Peer rounds of pp_gpr_construct.
 
     ss_dist's self form, the kernel, the inversion, alpha = Inv @ y and
     the one opening of both model masks: the inversion's rounds + 4 on SE
-    and + 2k + 6 on Matern-3/2, so 14n + 2 on SE at the defaults and
-    22n - 2 on "paper".
+    and + 2k + 6 on Matern-3/2 with k = ``div.sqrt_iterations``, so
+    14n + 2 on SE at the defaults and 22n - 2 on "paper".
     """
-    return (1 + _kernel_rounds(kind, sqrt_iterations)
-            + expected_rounds("matinv", n, r_div, matinv) + 2)
+    return (1 + _kernel_rounds(kind, div.sqrt_iterations)
+            + expected_rounds("matinv", n, div) + 2)
 
 
 def predict_rounds(kind: str, sqrt_iterations: int = 25) -> int:
@@ -262,18 +255,18 @@ def _kernel_assistant_round_trips(kind: str, sqrt_iterations: int) -> int:
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def construct_assistant_round_trips(kind: str, n: int, r_div: int | None = None,
-                                    sqrt_iterations: int = 25, matinv: str = "ldl") -> int:
+def construct_assistant_round_trips(kind: str, n: int,
+                                    div: DivisionConfig = DivisionConfig()) -> int:
     """Assistant round trips of pp_gpr_construct.
 
     ss_dist's triple alone and its truncation, the kernel's truncations,
     the inversion, and alpha's request, which carries both model masks,
     with its truncation: the inversion's + 5 on SE and + 2k + 8 on
-    Matern-3/2. At the defaults that is 15n + 5 on SE and 15n + 2k + 8
+    Matern-3/2 with k = ``div.sqrt_iterations``. At the defaults that is 15n + 5 on SE and 15n + 2k + 8
     on Matern-3/2; on "paper", 23n + 1 and 23n + 2k + 4.
     """
-    return (2 + _kernel_assistant_round_trips(kind, sqrt_iterations)
-            + matinv_assistant_round_trips(n, r_div, matinv) + 2)
+    return (2 + _kernel_assistant_round_trips(kind, div.sqrt_iterations)
+            + matinv_assistant_round_trips(n, div) + 2)
 
 
 def predict_assistant_round_trips(kind: str, sqrt_iterations: int = 25) -> int:

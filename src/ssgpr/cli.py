@@ -43,7 +43,6 @@ DEFAULTS = {
     "backend": "inproc",
     "seeds": [0],
     "div_iterations": 8,
-    "matinv": "ldl",
     "sqrt_hi": 16.0,
     "sqrt_iterations": 25,
     "normalize": True,
@@ -104,7 +103,7 @@ def session_pieces(cfg: dict):
         # DivisionConfig would name its field, not the key the user wrote.
         raise ValueError(f"div_iterations must be at least 1, got {cfg['div_iterations']!r}")
     div = DivisionConfig(iterations=cfg["div_iterations"], sqrt_hi=cfg["sqrt_hi"],
-                         sqrt_iterations=cfg["sqrt_iterations"], matinv=cfg["matinv"])
+                         sqrt_iterations=cfg["sqrt_iterations"])
     kernel = _kernel(cfg)
     report = validate_exp_params(exp_params, codec.params)
     if not report.accepted:
@@ -196,23 +195,20 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
         losses = loss_metrics(oracle, Predictions(mean, var))
         stats = result.stats[P0].summary()
         construct, predict = result.outputs[P0][2], result.outputs[P0][3]
-        sqrt_iterations = div.sqrt_iterations
-        path = {"r_div": div.rounds, "matinv": div.matinv}
         # (report key, what, unit, recorded, closed form)
         checks = [
             ("matinv_rounds", "the matrix inversion", "peer rounds",
              stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0),
-             expected_rounds("matinv", ds.n, **path)),
+             expected_rounds("matinv", ds.n, div)),
             ("construct_rounds", "model construction", "peer rounds", construct[1],
-             construct_rounds(kernel.kind, ds.n, sqrt_iterations=sqrt_iterations, **path)),
+             construct_rounds(kernel.kind, ds.n, div)),
             ("construct_assistant_round_trips", "model construction",
              "assistant round trips", construct[2],
-             construct_assistant_round_trips(kernel.kind, ds.n,
-                                             sqrt_iterations=sqrt_iterations, **path)),
+             construct_assistant_round_trips(kernel.kind, ds.n, div)),
             ("predict_rounds", "a prediction batch", "peer rounds", predict[1],
-             predict_rounds(kernel.kind, sqrt_iterations)),
+             predict_rounds(kernel.kind, div.sqrt_iterations)),
             ("predict_assistant_round_trips", "a prediction batch", "assistant round trips",
-             predict[2], predict_assistant_round_trips(kernel.kind, sqrt_iterations)),
+             predict[2], predict_assistant_round_trips(kernel.kind, div.sqrt_iterations)),
         ]
         run = {
             "seed": seed,
@@ -236,7 +232,7 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
     vars_ = [r["loss_var"] for r in runs]
     return {
         "n": ds.n, "d": ds.d, "n_test": int(np.atleast_2d(xs).shape[0]),
-        "kernel": kernel.kind, "scenario": cfg["scenario"], "matinv": div.matinv,
+        "kernel": kernel.kind, "scenario": cfg["scenario"],
         "loss_mu_mean": float(np.mean(mus)), "loss_mu_std": float(np.std(mus)),
         "loss_var_mean": float(np.mean(vars_)), "loss_var_std": float(np.std(vars_)),
         "runs": runs,
@@ -278,10 +274,12 @@ def bench_exp(cfg: dict, sizes) -> dict:
 
 
 def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
-    """Loss_MI and communication of the matrix inversion on SE gram matrices."""
-    codec, _, div, _ = session_pieces(cfg)
-    kernel = KernelConfig(kind="se", length_scale=1.0, signal_variance=1.0,
-                          noise_variance=0.1)
+    """Loss_MI and communication of the matrix inversion on the config kernel's grams.
+
+    Each gram is of uniform points in [-10, 10]^2, with the config's
+    noise variance on its diagonal (0.1 at the defaults).
+    """
+    codec, _, div, kernel = session_pieces(cfg)
     check_reciprocal_steps(div, kernel, codec.lf)
     results = []
     for n in sizes:
@@ -308,11 +306,10 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                 entry = {
                     "n": int(n),
                     "rounds": stats["per_protocol"]["pp_matinv"]["rounds"],
-                    "rounds_expected": expected_rounds("matinv", int(n), div.rounds,
-                                                       div.matinv),
+                    "rounds_expected": expected_rounds("matinv", int(n), div),
                     "assistant_round_trips": result.outputs[P0][2],
                     "assistant_round_trips_expected":
-                        matinv_assistant_round_trips(int(n), div.rounds, div.matinv),
+                        matinv_assistant_round_trips(int(n), div),
                     "volume_words_per_direction":
                         stats["per_protocol"]["pp_matinv"]["words_sent"],
                     "seconds": result.outputs[P0][1],
@@ -320,7 +317,7 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
         entry["loss_mi_mean"] = float(np.mean(losses))
         entry["loss_mi_std"] = float(np.std(losses))
         results.append(entry)
-    return {"op": "matinv", "matinv": div.matinv, "runs": runs, "results": results}
+    return {"op": "matinv", "runs": runs, "results": results}
 
 
 def _emit(report: dict, out: str | None):
@@ -420,7 +417,8 @@ def main(argv=None) -> int:
                 "required_lf": rep.required_lf,
                 "precision_slack_bits": rep.precision_slack_bits,
                 "overflow_slack_bits": rep.overflow_slack_bits,
-                # run-gpr rejects a div_iterations below the kernel's bound.
+                # run-gpr and bench-matinv reject a div_iterations below
+                # the config kernel's bound.
                 "reciprocal_steps": reciprocal_steps(_kernel(cfg).pivot_domain, cfg["lf"]),
                 "div_iterations": cfg["div_iterations"],
             }

@@ -38,7 +38,8 @@ class DivisionConfig:
     reciprocal closed by one Newton step, so a division costs
     ``iterations`` + 3 rounds: 11 at the default 8 steps. "paper" is the
     paper's algorithm, four products a column and a Newton reciprocal at
-    2 ``iterations`` + 1 rounds, the conventional 17. Both paths reach the
+    2 ``iterations`` + 1 rounds, the conventional 17, kept as the
+    reference whose counts the tests pin. Both paths reach the
     same accuracy bound after ``iterations`` steps
     (analysis.reciprocal_steps). A division's domain is an argument: the
     matrix inversion takes it from the kernel's public pivot bounds. The

@@ -11,6 +11,12 @@ from ssgpr.analysis import (construct_assistant_round_trips, construct_rounds, e
 from ssgpr.gpr import KernelConfig
 from ssgpr.protocols import ExpParams
 from ssgpr.ring import RingParams
+from ssgpr.session import DivisionConfig
+
+PAPER = DivisionConfig(matinv="paper")
+# Ten reciprocal steps: R_div = 21 on the paper's path, 13 on the default.
+TEN_PAPER = DivisionConfig(iterations=10, matinv="paper")
+TEN = DivisionConfig(iterations=10)
 
 
 def test_validate_reference_params_accepted():
@@ -76,12 +82,12 @@ def test_leakage_rejects_bad_grids():
 
 
 def test_rounds_ppmi_example():
-    assert expected_rounds("ppmi", 10, matinv="paper") == 214
+    assert expected_rounds("ppmi", 10, PAPER) == 214
     assert expected_rounds("ppmi", 10) == 138
 
 
 def test_rounds_cholesky_example():
-    assert expected_rounds("cholesky", 2, matinv="paper") == 19
+    assert expected_rounds("cholesky", 2, PAPER) == 19
     assert expected_rounds("cholesky", 2) == 13
 
 
@@ -91,17 +97,16 @@ def test_rounds_exp_is_one():
 
 
 def test_rounds_benchmark_size():
-    assert expected_rounds("matinv", 100, matinv="paper") == 2194
+    assert expected_rounds("matinv", 100, PAPER) == 2194
     assert expected_rounds("matinv", 100) == 1398
     assert expected_rounds("matinv", 200) == 2798
 
 
 def test_rounds_components_sum():
     n = 10
-    for matinv, want in (("paper", 22 * n - 6), ("ldl", 14 * n - 2)):
-        total = sum(expected_rounds(step, n, matinv=matinv)
-                    for step in ("cholesky", "forward", "backward"))
-        assert total == expected_rounds("matinv", n, matinv=matinv) == want
+    for div, want in ((PAPER, 22 * n - 6), (DivisionConfig(), 14 * n - 2)):
+        total = sum(expected_rounds(step, n, div) for step in ("cholesky", "forward", "backward"))
+        assert total == expected_rounds("matinv", n, div) == want
 
 
 def test_rounds_rejects_bad_args():
@@ -109,17 +114,15 @@ def test_rounds_rejects_bad_args():
         expected_rounds("cholesky", 1)
     with pytest.raises(ValueError):
         expected_rounds("nonsense", 4)
-    with pytest.raises(ValueError, match="matinv must be one of ldl, paper, got 'newton'"):
-        expected_rounds("matinv", 4, matinv="newton")
 
 
 def test_assistant_round_trips_matinv():
     for n in (2, 3, 10, 200):
-        assert matinv_assistant_round_trips(n, matinv="paper") == 23 * n - 4
-    assert matinv_assistant_round_trips(200, matinv="paper") == 4596
+        assert matinv_assistant_round_trips(n, PAPER) == 23 * n - 4
+    assert matinv_assistant_round_trips(200, PAPER) == 4596
     # Ten reciprocal iterations: R_div = 21, four more truncations a division.
-    assert matinv_assistant_round_trips(3, r_div=21, matinv="paper") == 77
-    assert matinv_assistant_round_trips(10, r_div=21, matinv="paper") == 266
+    assert matinv_assistant_round_trips(3, TEN_PAPER) == 77
+    assert matinv_assistant_round_trips(10, TEN_PAPER) == 266
     with pytest.raises(ValueError):
         matinv_assistant_round_trips(1)
 
@@ -129,26 +132,25 @@ def test_assistant_round_trips_matinv_ldl():
         assert matinv_assistant_round_trips(n) == 15 * n
     assert matinv_assistant_round_trips(200) == 3000
     # Ten reciprocal steps: R_div = 13, two more truncations a division.
-    assert matinv_assistant_round_trips(3, r_div=13) == 51
-    assert matinv_assistant_round_trips(10, r_div=13) == 170
+    assert matinv_assistant_round_trips(3, TEN) == 51
+    assert matinv_assistant_round_trips(10, TEN) == 170
 
 
 def test_construct_rounds_closed_form():
     # 22n - 6 for the paper's inversion; SE adds ss_dist, pp_exp, alpha and
     # the one opening of both model masks; Matern adds the square root's
     # 2k + 1 rounds and its product.
-    paper = {"matinv": "paper"}
+    seven = DivisionConfig(sqrt_iterations=7, matinv="paper")
     for n in (2, 10, 100, 200):
-        assert construct_rounds("se", n, **paper) == 22 * n - 6 + 4
-        assert (construct_rounds("matern32", n, sqrt_iterations=7, **paper)
-                == 22 * n - 6 + 2 * 7 + 6)
-    assert construct_rounds("se", 200, **paper) + 10 * predict_rounds("se") == 4438
-    assert construct_rounds("se", 100, **paper) + 12 * predict_rounds("se") == 2246
-    assert (construct_rounds("matern32", 100, **paper) + 10 * predict_rounds("matern32")
+        assert construct_rounds("se", n, PAPER) == 22 * n - 6 + 4
+        assert construct_rounds("matern32", n, seven) == 22 * n - 6 + 2 * 7 + 6
+    assert construct_rounds("se", 200, PAPER) + 10 * predict_rounds("se") == 4438
+    assert construct_rounds("se", 100, PAPER) + 12 * predict_rounds("se") == 2246
+    assert (construct_rounds("matern32", 100, PAPER) + 10 * predict_rounds("matern32")
             == 2810)
-    assert construct_rounds("se", 8, r_div=21, **paper) == 21 + 6 * 25 + 2 + 7 + 22 + 4
-    assert construct_assistant_round_trips("se", 200, **paper) == 23 * 200 + 1
-    assert construct_assistant_round_trips("matern32", 100, **paper) == 23 * 100 + 2 * 25 + 4
+    assert construct_rounds("se", 8, TEN_PAPER) == 21 + 6 * 25 + 2 + 7 + 22 + 4
+    assert construct_assistant_round_trips("se", 200, PAPER) == 23 * 200 + 1
+    assert construct_assistant_round_trips("matern32", 100, PAPER) == 23 * 100 + 2 * 25 + 4
     with pytest.raises(ValueError):
         construct_rounds("linear", 10)
 
@@ -157,12 +159,13 @@ def test_construct_rounds_closed_form_ldl():
     # 14n - 2 for the default inversion and the same additions as above.
     for n in (2, 10, 100, 200):
         assert construct_rounds("se", n) == 14 * n - 2 + 4
-        assert construct_rounds("matern32", n, sqrt_iterations=7) == 14 * n - 2 + 2 * 7 + 6
+        assert (construct_rounds("matern32", n, DivisionConfig(sqrt_iterations=7))
+                == 14 * n - 2 + 2 * 7 + 6)
     # The bench's three workloads: construction plus their prediction batches.
     assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 2842
     assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 1450
     assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 2014
-    assert construct_rounds("se", 8, r_div=13) == 13 + 6 * 15 + 2 + 7 + 14 + 4
+    assert construct_rounds("se", 8, TEN) == 13 + 6 * 15 + 2 + 7 + 14 + 4
     assert construct_assistant_round_trips("se", 200) + 10 * 7 == 3075
     assert construct_assistant_round_trips("matern32", 100) == 15 * 100 + 2 * 25 + 8
 

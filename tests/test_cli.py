@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, configuration, and error funnel."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,22 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def paper_path(monkeypatch):
+    """Run the CLI's sessions on the paper's inversion path.
+
+    No config key selects it: the path is ``DivisionConfig.matinv``, and
+    this swaps it into the config's ``DivisionConfig``.
+    """
+    pieces = cli.session_pieces
+
+    def on_paper(cfg):
+        codec, exp_params, div, kernel = pieces(cfg)
+        return codec, exp_params, dataclasses.replace(div, matinv="paper"), kernel
+
+    monkeypatch.setattr(cli, "session_pieces", on_paper)
 
 
 def test_validate_params_default_accepts(capsys):
@@ -49,15 +66,10 @@ def test_bench_exp_round_and_volume(capsys):
     assert entry["max_abs_error"] <= 4 * 2.0 ** -26
 
 
-def test_bench_matinv_rounds(tmp_path, capsys):
-    path = tmp_path / "cfg"
-    path.write_text("matinv = paper\n")
-    code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2",
-                            "--config", str(path)], capsys)
+def test_bench_matinv_rounds(paper_path, capsys):
+    code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2"], capsys)
     assert code == 0
-    report = json.loads(out)
-    assert report["matinv"] == "paper"
-    entry = report["results"][0]
+    entry = json.loads(out)["results"][0]
     assert entry["rounds"] == 170 == entry["rounds_expected"]
     assert entry["assistant_round_trips"] == 23 * 8 - 4 == entry["assistant_round_trips_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
@@ -66,9 +78,7 @@ def test_bench_matinv_rounds(tmp_path, capsys):
 def test_bench_matinv_rounds_ldl(capsys):
     code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2"], capsys)
     assert code == 0
-    report = json.loads(out)
-    assert report["matinv"] == "ldl"
-    entry = report["results"][0]
+    entry = json.loads(out)["results"][0]
     assert entry["rounds"] == 14 * 8 - 2 == entry["rounds_expected"]
     assert entry["assistant_round_trips"] == 15 * 8 == entry["assistant_round_trips_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
@@ -96,19 +106,15 @@ def _run_gpr_cli(tmp_path, capsys, *config):
 
 
 def test_run_gpr_end_to_end_ldl(tmp_path, capsys):
-    report = _run_gpr_cli(tmp_path, capsys)
-    assert report["matinv"] == "ldl"
-    run = report["runs"][0]
+    run = _run_gpr_cli(tmp_path, capsys)["runs"][0]
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 14 * 10 - 2
     assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 14 * 10 + 2
     assert (run["construct_assistant_round_trips_recorded"]
             == run["construct_assistant_round_trips_expected"] == 15 * 10 + 5)
 
 
-def test_run_gpr_end_to_end(tmp_path, capsys):
-    report = _run_gpr_cli(tmp_path, capsys, "matinv = paper")
-    assert report["matinv"] == "paper"
-    run = report["runs"][0]
+def test_run_gpr_end_to_end(tmp_path, capsys, paper_path):
+    run = _run_gpr_cli(tmp_path, capsys)["runs"][0]
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
     assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 22 * 10 - 2
     assert (run["construct_assistant_round_trips_recorded"]
@@ -209,14 +215,12 @@ def test_run_gpr_checks_the_predict_batch_closed_form(kernel, want, monkeypatch)
     ("predict_assistant_round_trips", "a prediction batch", "assistant round trips", 7),
 ])
 def test_run_gpr_names_both_counts_on_a_closed_form_mismatch(name, what, unit, at,
-                                                             monkeypatch):
+                                                             monkeypatch, paper_path):
     x = np.random.default_rng(4).normal(size=(10, 2))
     data = Dataset(x[:8], np.sin(x[:8, 0]))
     monkeypatch.setattr(cli, name, lambda *args, **kw: at + 1)
-    cfg = load_config(None)
-    cfg["matinv"] = "paper"
     with pytest.raises(RuntimeError, match=f"^{what} took {at} {unit}, closed form {at + 1}$"):
-        run_gpr(data, x[8:], cfg)
+        run_gpr(data, x[8:], load_config(None))
 
 
 @pytest.mark.parametrize("name, what, unit, at", [
@@ -234,11 +238,11 @@ def test_run_gpr_names_both_counts_on_a_closed_form_mismatch_ldl(name, what, uni
         run_gpr(data, x[8:], load_config(None))
 
 
-def test_matinv_closed_form_follows_division_budget():
+def test_matinv_closed_form_follows_division_budget(paper_path):
     # Ten reciprocal iterations make a 21-round division, so an n=8
     # inversion takes 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.
     cfg = load_config(None)
-    cfg.update(div_iterations=10, matinv="paper")
+    cfg["div_iterations"] = 10
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.25, 0.25, (10, 2))
     y = 10.0 + np.sin(x.sum(axis=1))
@@ -266,18 +270,6 @@ def test_matinv_closed_form_follows_division_budget_ldl():
     assert entry["assistant_round_trips"] == entry["assistant_round_trips_expected"] == 136
 
 
-def test_matinv_path_rejected_by_name(tmp_path):
-    cfg = load_config(None)
-    cfg["matinv"] = "newton"
-    x = np.random.default_rng(5).normal(size=(12, 2))
-    with pytest.raises(ValueError, match=r"^matinv must be one of ldl, paper, got 'newton'$"):
-        run_gpr(Dataset(x[:10], np.sin(x[:10, 0])), x[10:], cfg)
-    path = tmp_path / "cfg"
-    path.write_text("matinv = newton\n")
-    with pytest.raises(ValueError, match="matinv must be one of ldl, paper"):
-        bench_matinv(load_config(str(path)), [8], runs=1)
-
-
 def _small_noise_data():
     # 40 standard-normal 3-d points, close enough that the SE gram's least
     # eigenvalue sits near sigma^2, with y = sin(sum x) plus 0.05 noise.
@@ -288,36 +280,61 @@ def _small_noise_data():
 
 
 @pytest.mark.parametrize("matinv", ["ldl", "paper"])
-def test_run_gpr_small_noise_accuracy(matinv):
+def test_run_gpr_small_noise_accuracy(matinv, request):
     # sigma^2 = 0.01 needs 10 reciprocal steps; with them both paths meet
     # criterion 5's tolerances.
+    if matinv == "paper":
+        request.getfixturevalue("paper_path")
     data, queries = _small_noise_data()
     cfg = load_config(None)
-    cfg.update(noise_variance=0.01, div_iterations=10, matinv=matinv)
+    cfg.update(noise_variance=0.01, div_iterations=10)
     report = run_gpr(data, queries, cfg)
     assert report["loss_mu_mean"] <= 1e-4, report["loss_mu_mean"]
     assert report["loss_var_mean"] <= 1e-3, report["loss_var_mean"]
 
 
 @pytest.mark.parametrize("matinv", ["ldl", "paper"])
-def test_run_gpr_rejects_too_few_reciprocal_steps(matinv):
+def test_run_gpr_rejects_too_few_reciprocal_steps(matinv, request):
     # Eight steps at sigma^2 = 0.01 once returned losses near 2e-3 and 2e-2,
     # with nothing failing.
+    if matinv == "paper":
+        request.getfixturevalue("paper_path")
     data, queries = _small_noise_data()
     cfg = load_config(None)
-    cfg.update(noise_variance=0.01, matinv=matinv)
+    cfg["noise_variance"] = 0.01
     with pytest.raises(ValueError, match=r"^div_iterations = 8 is below the 10 reciprocal "
                                          r"steps that noise_variance = 0.01 needs"):
         run_gpr(data, queries, cfg)
 
 
 def test_bench_matinv_rejects_too_few_reciprocal_steps():
-    # The bench's grams have sigma^2 = 0.1, which needs 7 steps.
+    # The default grams have sigma^2 = 0.1, which needs 7 steps.
     cfg = load_config(None)
     cfg["div_iterations"] = 6
     with pytest.raises(ValueError, match=r"^div_iterations = 6 is below the 7 reciprocal "
                                          r"steps that noise_variance = 0.1 needs"):
         bench_matinv(cfg, [8], runs=1)
+
+
+def test_bench_matinv_grams_take_the_config_noise(tmp_path, capsys):
+    # validate-params, run-gpr and bench-matinv read one noise variance:
+    # at 1e-3 all three ask for 14 steps, and bench-matinv's grams carry
+    # it on the diagonal, so 14 steps invert them within criterion 3's gate.
+    path = tmp_path / "cfg"
+    path.write_text("noise_variance = 0.001\ndiv_iterations = 13\n")
+    code, out, _ = run_cli(["validate-params", "--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["reciprocal_steps"] == 14
+    code, _, err = run_cli(["bench-matinv", "--sizes", "8", "--runs", "1",
+                            "--config", str(path)], capsys)
+    assert code == 2
+    assert ("div_iterations = 13 is below the 14 reciprocal steps that "
+            "noise_variance = 0.001 needs") in err
+    cfg = load_config(str(path))
+    cfg["div_iterations"] = 14
+    entry = bench_matinv(cfg, [8], runs=2)["results"][0]
+    assert entry["rounds"] == entry["rounds_expected"] == 14 * 8 - 2 + 6 * 8
+    assert entry["loss_mi_mean"] <= 1e-3
 
 
 def test_validate_params_reports_the_reciprocal_step_bound(tmp_path, capsys):

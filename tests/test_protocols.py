@@ -543,7 +543,7 @@ def _check_matinv_round_trips(n, div, want):
 
     res = run_shared(job, [u], div=div)
     assert res.outputs[P0] == res.outputs[P1] == want
-    assert want == matinv_assistant_round_trips(n, div.rounds, div.matinv)
+    assert want == matinv_assistant_round_trips(n, div)
 
 
 def _se_gram(n, seed):
@@ -635,8 +635,8 @@ def _matinv_over_sockets(div):
 
 def test_matinv_over_sockets():
     n, rounds, trips = _matinv_over_sockets(PAPER)
-    assert rounds == 22 * n - 6 == expected_rounds("matinv", n, matinv="paper")
-    assert trips == 23 * n - 4 == matinv_assistant_round_trips(n, matinv="paper")
+    assert rounds == 22 * n - 6 == expected_rounds("matinv", n, PAPER)
+    assert trips == 23 * n - 4 == matinv_assistant_round_trips(n, PAPER)
 
 
 def test_matinv_over_sockets_ldl():
