@@ -21,9 +21,9 @@ from .protocols import ExpParams, affine_reciprocal_coefficients
 from .ring import RingParams
 from .session import DivisionConfig
 
-# Truncated product rounds of an LDL column's two sums, the pivot's and
-# the column update's, on each inversion path (protocols.pp_cholesky_ldl).
-_COLUMN_PRODUCTS = {"ldl": 2, "paper": 4}
+# Truncated product rounds of a "paper" LDL column's two sums, the pivot's
+# and the column update's (protocols.pp_cholesky_ldl).
+_PAPER_COLUMN_PRODUCTS = 4
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,15 @@ def reciprocal_steps(domain: tuple[float, float], lf: int) -> int:
 def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionConfig()) -> int:
     """Closed-form communication-round counts per protocol.
 
-    Cholesky: R_div + (n-2)(c+R_div) + 2, with c = 2 column product
-    rounds on "ldl" and 4 on "paper"; forward: n-1; backward: R_div + 1.
-    The full inversion is their sum: 14n - 2 on "ldl" at R_div = 11 and
-    22n - 6 on "paper" at R_div = 17, the paths' budgets at 8 reciprocal
-    steps. The masked exponentiation is always a single round.
+    On the default "ldl" path, Cholesky is one pass that also yields the
+    inverse's factors: column 0 takes its reciprocal's K + 2 rounds and
+    every later column one product round more, R_div n - 1 with
+    R_div = K + 3 at K reciprocal steps. The inversion adds the final
+    product, R_div n: 11n at 8 steps. On "paper", Cholesky takes
+    R_div + (n-2)(4 + R_div) + 2, forward n-1 and backward R_div + 1, and
+    the inversion is their sum, 22n - 6 at R_div = 17. Forward and
+    backward alone cost the same on either path. The masked
+    exponentiation is always a single round.
     """
     name = protocol.lower().replace("-", "").replace("_", "")
     if name in ("ppexp", "exp"):
@@ -163,7 +167,12 @@ def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionCon
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
     r_div = div.rounds
-    cholesky = r_div + (n - 2) * (_COLUMN_PRODUCTS[div.matinv] + r_div) + 2
+    if div.matinv == "paper":
+        cholesky = r_div + (n - 2) * (_PAPER_COLUMN_PRODUCTS + r_div) + 2
+        matinv = cholesky + (n - 1) + (r_div + 1)
+    else:
+        cholesky = r_div * n - 1
+        matinv = cholesky + 1
     if name == "cholesky":
         return cholesky
     if name == "forward":
@@ -171,28 +180,31 @@ def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionCon
     if name == "backward":
         return r_div + 1
     if name in ("ppmi", "matinv"):
-        return cholesky + (n - 1) + (r_div + 1)
+        return matinv
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def matinv_assistant_round_trips(n: int, div: DivisionConfig = DivisionConfig()) -> int:
     """Closed-form assistant round trips of one LDL matrix inversion.
 
-    Truncations: every truncated product and every affine reciprocal
-    start is one, so a division costs R_div + 1 and a bare reciprocal
-    R_div. Cholesky makes (R_div+1) + (n-2)(R_div+1+c) + 2, with c the
-    column's product rounds (2 on "ldl", 4 on "paper"), forward n-1 and
-    backward R_div + 2. Every Cholesky column's and forward row's
-    material is dealt one step ahead and rides on a truncation, and so
-    does backward's division, which leaves two requests for material
-    alone: the first forward row's and backward's last product's. The
-    total is 15n on "ldl" at R_div = 11 and 23n - 4 on "paper" at
-    R_div = 17.
+    Truncations: every truncated product round and every affine
+    reciprocal start is one, so a reciprocal costs R_div and a division
+    R_div + 1. On "ldl" a column truncates once for its product round
+    (but column 0), once for the first guess and once per reciprocal
+    round, R_div + 1 in all, and the final product's (n, n, n) triple is
+    the one request for material alone: (R_div + 1)n + 1, 12n + 1 at
+    R_div = 11. On "paper", Cholesky makes
+    (R_div + 1) + (n-2)(R_div + 5) + 2, forward n-1 and backward
+    R_div + 2, and two requests carry material alone, the first forward
+    row's and backward's last product's: 23n - 4 at R_div = 17. All other
+    material is dealt one step ahead and rides on a truncation.
     """
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
     r_div = div.rounds
-    column = r_div + 1 + _COLUMN_PRODUCTS[div.matinv]
+    if div.matinv != "paper":
+        return (r_div + 1) * n + 1
+    column = r_div + 1 + _PAPER_COLUMN_PRODUCTS
     truncations = (r_div + 1) + (n - 2) * column + 2 + (n - 1) + (r_div + 2)
     return truncations + 2
 
@@ -227,7 +239,7 @@ def construct_rounds(kind: str, n: int, div: DivisionConfig = DivisionConfig()) 
     ss_dist's self form, the kernel, the inversion, alpha = Inv @ y and
     the one opening of both model masks: the inversion's rounds + 4 on SE
     and + 2k + 6 on Matern-3/2 with k = ``div.sqrt_iterations``, so
-    14n + 2 on SE at the defaults and 22n - 2 on "paper".
+    11n + 4 on SE at the defaults and 22n - 2 on "paper".
     """
     return (1 + _kernel_rounds(kind, div.sqrt_iterations)
             + expected_rounds("matinv", n, div) + 2)
@@ -262,8 +274,9 @@ def construct_assistant_round_trips(kind: str, n: int,
     ss_dist's triple alone and its truncation, the kernel's truncations,
     the inversion, and alpha's request, which carries both model masks,
     with its truncation: the inversion's + 5 on SE and + 2k + 8 on
-    Matern-3/2 with k = ``div.sqrt_iterations``. At the defaults that is 15n + 5 on SE and 15n + 2k + 8
-    on Matern-3/2; on "paper", 23n + 1 and 23n + 2k + 4.
+    Matern-3/2 with k = ``div.sqrt_iterations``. At the defaults that is
+    12n + 6 on SE and 12n + 2k + 9 on Matern-3/2; on "paper", 23n + 1 and
+    23n + 2k + 4.
     """
     return (2 + _kernel_assistant_round_trips(kind, div.sqrt_iterations)
             + matinv_assistant_round_trips(n, div) + 2)

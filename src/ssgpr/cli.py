@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
@@ -49,6 +50,9 @@ DEFAULTS = {
     "exp_policy": "clamp",
     "test_size": 0,
     "has_header": False,
+    # run-gpr fails a run whose loss_mu or loss_var against the plaintext
+    # oracle exceeds this; the default gates nothing.
+    "max_loss": float("inf"),
 }
 
 
@@ -134,7 +138,13 @@ def check_reciprocal_steps(div: DivisionConfig, kernel: KernelConfig, lf: int):
 
 
 def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
-    """One full model construction + prediction per seed, with metrics."""
+    """One full model construction + prediction per seed, with metrics.
+
+    A run fails when its construction or batch counts leave their closed
+    forms, or when its loss_mu or loss_var exceeds ``max_loss``.
+    """
+    if not cfg["max_loss"] > 0:
+        raise ValueError(f"max_loss must be positive, got {cfg['max_loss']!r}")
     codec, exp_params, div, kernel = session_pieces(cfg)
     check_reciprocal_steps(div, kernel, codec.lf)
     ds, prep = standardize(dataset, cfg["normalize"])
@@ -227,6 +237,10 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
         for _, what, unit, recorded, expected in checks:
             if recorded != expected:
                 raise RuntimeError(f"{what} took {recorded} {unit}, closed form {expected}")
+        for loss in ("loss_mu", "loss_var"):
+            if run[loss] > cfg["max_loss"]:
+                raise RuntimeError(f"seed {seed}: {loss} = {run[loss]:.3g} exceeds "
+                                   f"max_loss = {cfg['max_loss']:g}")
 
     mus = [r["loss_mu"] for r in runs]
     vars_ = [r["loss_var"] for r in runs]
@@ -277,13 +291,14 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
     """Loss_MI and communication of the matrix inversion on the config kernel's grams.
 
     Each gram is of uniform points in [-10, 10]^2, with the config's
-    noise variance on its diagonal (0.1 at the defaults).
+    noise variance on its diagonal (0.1 at the defaults). ``seconds`` is
+    the median over the runs of server 0's inversion time.
     """
     codec, _, div, kernel = session_pieces(cfg)
     check_reciprocal_steps(div, kernel, codec.lf)
     results = []
     for n in sizes:
-        losses = []
+        losses, seconds = [], []
         entry = None
         for run in range(runs):
             rng = np.random.default_rng((int(n) << 20) + run + cfg["seeds"][0])
@@ -301,6 +316,7 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                                  backend=cfg["backend"], div=div)
             lam = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
             losses.append(float(np.linalg.norm(mat @ lam - np.eye(int(n)), 2) ** 2))
+            seconds.append(result.outputs[P0][1])
             if entry is None:
                 stats = result.stats[P0].summary()
                 entry = {
@@ -312,8 +328,8 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                         matinv_assistant_round_trips(int(n), div),
                     "volume_words_per_direction":
                         stats["per_protocol"]["pp_matinv"]["words_sent"],
-                    "seconds": result.outputs[P0][1],
                 }
+        entry["seconds"] = statistics.median(seconds)
         entry["loss_mi_mean"] = float(np.mean(losses))
         entry["loss_mi_std"] = float(np.std(losses))
         results.append(entry)

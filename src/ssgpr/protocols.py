@@ -6,13 +6,16 @@ the standard accounting: one round per Beaver product, and one round total
 for the masked exponentiation regardless of input size. A division with k
 reciprocal steps takes k + 3 rounds on the default "ldl" path (k - 1
 Goldschmidt steps closed by one Newton step) and 2k + 1 on the paper's
-Newton path (``DivisionConfig.matinv``). A step whose material is known
-up front deals it ahead, and ``offline`` decides when it travels; every
-other product takes whatever the assistant next hands it. One exchange
-may open several masked arrays (``_open``): a Beaver product's two, the
-model masks of a GP model, or ss_dist's x - A, which serves both of its
-products. A product by a ``ModelOperand`` opens only its left operand,
-against a mask the assistant keeps.
+Newton path (``DivisionConfig.matinv``). On "ldl" the matrix inversion
+divides by each pivot in the reciprocal's own k + 2 rounds, since its
+Newton close carries the numerators, and takes (k + 3)n rounds in one
+pass over the columns. A step whose material is known up front deals it
+ahead, and ``offline`` decides when it travels; every other product takes
+whatever the assistant next hands it. One exchange may open several
+masked arrays (``_open``): the operands of several Beaver products (an
+LDL column's two), the model masks of a GP model, or ss_dist's x - A,
+which serves both of its products. A product by a ``ModelOperand`` opens
+only its left operand, against a mask the assistant keeps.
 """
 
 from __future__ import annotations
@@ -52,21 +55,27 @@ def _consume(material):
     return material
 
 
-def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
-    """The triples ss_div takes: the reciprocal's, then the broadcast product's.
+def _reciprocal_plan(rt: PartyRuntime, v_shape, along: int = 0) -> list:
+    """The triples ss_reciprocal takes for a divisor of ``v_shape``.
 
     On the "ldl" path these are the first residual's, one per Goldschmidt
-    step (stacked but the last) and the closing Newton step's two.
+    step (stacked but the last) and the closing Newton step's two, which
+    also carry ``along`` words (a single divisor's numerators).
     """
     k = rt.div.iterations
     if rt.div.matinv == "paper":
-        reciprocal = [("triple", v_shape)] * (2 * k)
-    else:
-        reciprocal = ([("triple", v_shape)]
-                      + [("triple", (2, *v_shape)) if step < k - 2 else ("triple", v_shape)
-                         for step in range(k - 1)]
-                      + [("triple", v_shape)] * 2)
-    return reciprocal + [("triple", np.broadcast_shapes(u_shape, v_shape))]
+        return [("triple", v_shape)] * (2 * k)
+    close = (1 + along,) if along else v_shape
+    return ([("triple", v_shape)]
+            + [("triple", (2, *v_shape)) if step < k - 2 else ("triple", v_shape)
+               for step in range(k - 1)]
+            + [("triple", close)] * 2)
+
+
+def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
+    """The triples ss_div takes: the reciprocal's, then the broadcast product's."""
+    return (_reciprocal_plan(rt, v_shape)
+            + [("triple", np.broadcast_shapes(u_shape, v_shape))])
 
 
 def _open(rt: PartyRuntime, *mine: np.ndarray) -> list[np.ndarray]:
@@ -92,20 +101,36 @@ def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None) -> Share
     return SharedArray(x.party, vals, x.codec, x.scale - bits)
 
 
-def _beaver(rt: PartyRuntime, u: SharedArray, v: SharedArray, t, product,
-            truncate: bool) -> SharedArray:
-    """Beaver product of u and v with triple ``t`` under ``product``.
+def _beaver(rt: PartyRuntime, products, combine, truncate: bool) -> list[SharedArray]:
+    """Beaver products of each (u, v, triple) in ``products``, all in one round.
 
-    One exchange round opens d = u - a and e = v - b; then party i takes
-    z = u*e + d*(v - i*e) + c, the same ring value as u*e + d*v + c - i*d*e
-    in two products instead of three.
+    One exchange opens every product's d = u - a and e = v - b; then party
+    i takes z = u*e + d*(v - i*e) + c under ``combine`` (ring_mul or
+    ring_matmul), the same ring value as u*e + d*v + c - i*d*e in two
+    products instead of three. Unless ``truncate`` is False, one
+    truncation rescales every z by the scale of the v's, which must agree.
     """
-    t = _consume(t)
     p = rt.params
-    d, e = _open(rt, ring_sub(u.values, t.a, p), ring_sub(v.values, t.b, p))
-    z = ring_add(_combine(rt, u.values, v.values, d, e, product), t.c, p)
-    out = SharedArray(rt.party, z, u.codec, u.scale + v.scale)
-    return _rescale(rt, out, v.scale) if truncate else out
+    for _, _, t in products:
+        _consume(t)
+    # The masked words die with the exchange and the opened ones with the
+    # products, so a truncation holds neither.
+    opened = iter(_open(rt, *[x for u, v, t in products
+                              for x in (ring_sub(u.values, t.a, p), ring_sub(v.values, t.b, p))]))
+    raw = [ring_add(_combine(rt, u.values, v.values, next(opened), next(opened), combine), t.c, p)
+           for u, v, t in products]
+    del opened
+    u, v, _ = products[0]
+    if not truncate:
+        return [SharedArray(rt.party, z, u.codec, u.scale + v.scale) for z in raw]
+    flat = rt.trunc_values(raw[0] if len(raw) == 1 else np.concatenate([z.ravel() for z in raw]),
+                           v.scale)
+    out, at = [], 0
+    for (u, _, _), z in zip(products, raw):
+        out.append(SharedArray(rt.party, flat.ravel()[at:at + z.size].reshape(z.shape), u.codec,
+                               u.scale))
+        at += z.size
+    return out
 
 
 def _combine(rt: PartyRuntime, u: np.ndarray, v: np.ndarray, d: np.ndarray, e: np.ndarray,
@@ -173,7 +198,7 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         u = SharedArray(u.party, u_b.copy(), u.codec, u.scale)
         v = SharedArray(v.party, v_b.copy(), v.codec, v.scale)
     with rt.scope("ss_mul"):
-        return _beaver(rt, u, v, rt.assistant.get_triple(u.shape), ring_mul, truncate)
+        return _beaver(rt, [(u, v, rt.assistant.get_triple(u.shape))], ring_mul, truncate)[0]
 
 
 def _stacked_mul(rt: PartyRuntime, lefts, rights) -> list[SharedArray]:
@@ -200,8 +225,8 @@ def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray | ModelOperand,
     m, n = u.shape
     with rt.scope("ss_matmul"):
         if isinstance(v, SharedArray):
-            return _beaver(rt, u, v, rt.assistant.get_matrix_triple(m, n, v.shape[1]),
-                           ring_matmul, truncate)
+            t = rt.assistant.get_matrix_triple(m, n, v.shape[1])
+            return _beaver(rt, [(u, v, t)], ring_matmul, truncate)[0]
         z, _ = _kept_product(rt, u, v, rt.assistant.get_kept_triple(v.key, m, v.shape))
         out = SharedArray(rt.party, z, u.codec, u.scale + v.value.scale)
         return _rescale(rt, out, v.value.scale) if truncate else out
@@ -281,8 +306,14 @@ def _residual(rt: PartyRuntime, v: SharedArray, y: SharedArray) -> SharedArray:
     return (-ss_mul(rt, v, y)).add_public(1.0)
 
 
-def ss_reciprocal(rt: PartyRuntime, v: SharedArray,
-                  domain: tuple[float, float]) -> SharedArray:
+def _stack(*xs: SharedArray) -> SharedArray:
+    """One flat shared vector of equal-scale shared arrays, end to end."""
+    x = xs[0]
+    return SharedArray(x.party, np.concatenate([y.values.ravel() for y in xs]), x.codec, x.scale)
+
+
+def ss_reciprocal(rt: PartyRuntime, v: SharedArray, domain: tuple[float, float],
+                  along: SharedArray | None = None):
     """Reciprocal 1/v on a public positive domain (lo, hi), k = div.iterations steps.
 
     From the affine first guess y0, with e0 = max |1 - v y0| over the
@@ -296,14 +327,23 @@ def ss_reciprocal(rt: PartyRuntime, v: SharedArray,
       along, so one Newton step closes: a fresh e = 1 - v y, then
       y <- y + y e. k + 2 rounds.
 
+    On "ldl" a single divisor v (one element) may take a flat vector
+    ``along`` of numerators a, which its Newton close divides at no extra
+    round: one product [v; a] * y gives e = 1 - v y and a y, and a second,
+    [y; a y] * e, gives y e and a y e. The call then returns 1/v and a/v,
+    both y (1 + e) times their numerators.
+
     The caller guarantees the reconstructed divisor lies in the domain;
     nothing is detectable online otherwise.
     """
     lo, hi = domain
     k = rt.div.iterations
+    paper = rt.div.matinv == "paper"
+    if along is not None and (paper or v.values.size != 1):
+        raise ProtocolError("only the ldl path's reciprocal of one divisor carries numerators")
     with rt.scope("ss_div"):
         y = _affine_reciprocal_init(rt, v, lo, hi)
-        if rt.div.matinv == "paper":
+        if paper:
             for _ in range(k):
                 t = ss_mul(rt, v, y)
                 y = ss_mul(rt, y, (-t).add_public(2.0))
@@ -315,7 +355,13 @@ def ss_reciprocal(rt: PartyRuntime, v: SharedArray,
             else:
                 ye = ss_mul(rt, y, e)
             y = y + ye
-        return y + ss_mul(rt, y, _residual(rt, v, y))
+        if along is None:
+            return y + ss_mul(rt, y, _residual(rt, v, y))
+        y = y.reshape(1)
+        first = ss_mul(rt, _stack(v, along), y)
+        scaled = _stack(y, first[1:])
+        scaled = scaled + ss_mul(rt, scaled, (-first[:1]).add_public(1.0))
+        return scaled[:1], scaled[1:]
 
 
 def ss_div(rt: PartyRuntime, u: SharedArray, v: SharedArray,
@@ -495,10 +541,16 @@ def pp_exp(rt: PartyRuntime, u: SharedArray, params: ExpParams,
 
 @dataclass
 class LdlFactors:
-    """Shares of the unit-lower-triangular L and the pivot vector D."""
+    """Shares of the unit-lower-triangular L and the pivot vector D.
+
+    The "ldl" path's one pass also gives V = L^{-1} and W = D^{-1} V, whose
+    product V^T W is the inverse; on "paper" both are None.
+    """
 
     L: SharedArray
     D: SharedArray
+    V: SharedArray | None = None
+    W: SharedArray | None = None
 
 
 def _column(x: SharedArray, rows, col) -> SharedArray:
@@ -506,22 +558,25 @@ def _column(x: SharedArray, rows, col) -> SharedArray:
 
 
 def _ldl_column_plan(rt: PartyRuntime, n: int, k: int) -> list:
-    """Column k's material (k >= 1) in the order its products take it.
+    """Column k's material in the order its products take it.
 
-    On "ldl", w = l_k * d's triple and the one matrix triple of
-    L[k:n, :k] @ w^T; on "paper", the pivot update's triple and matrix
-    triple, then, for all but the last column, the column update's. Then,
-    for all but the last column, the division by the pivot's.
+    On "ldl", column k >= 1 first takes its product round's two matrix
+    triples, L[k:n, :k] @ C[k, :k]^T and L[k, :k] @ V[:k, :k]; every
+    column then takes its pivot's reciprocal, whose close carries n - 1
+    numerators. On "paper", column 0 is one vector division; column
+    k >= 1 takes the pivot update's triple and matrix triple, then, for
+    all but the last column, the column update's and the division by the
+    pivot's.
     """
     rows = n - k - 1
-    if rt.div.matinv == "paper":
-        plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
-        if rows:
-            plan += [("triple", (1, k)), ("matrix", (rows, k, 1))]
-    else:
-        plan = [("triple", (1, k)), ("matrix", (rows + 1, k, 1))]
+    if rt.div.matinv != "paper":
+        plan = [("matrix", (rows + 1, k, 1)), ("matrix", (1, k, k))] if k else []
+        return plan + _reciprocal_plan(rt, (1,), n - 1)
+    if k == 0:
+        return _div_plan(rt, (n, 1), (1, 1))
+    plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
     if rows:
-        plan += _div_plan(rt, (rows, 1), (1, 1))
+        plan += [("triple", (1, k)), ("matrix", (rows, k, 1))] + _div_plan(rt, (rows, 1), (1, 1))
     return plan
 
 
@@ -530,70 +585,125 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
     """LDL^T decomposition of a shared positive-definite matrix.
 
     Column k's sums are the pivot's, sum_m l_km^2 d_m, and the column
-    update's, L_{k+1:n,1:k} (l_k * d). The "ldl" path takes both from
-    w = l_k * d: since sum_m l_km^2 d_m = l_k . w (Golub & Van Loan,
-    Alg. 4.1.2), one product L_{k:n,1:k} w^T gives the pivot's sum first
-    and the column's after it, two rounds. The "paper" path takes four:
-    l_k * l_k and its product by d, then w and the column update. Then a
-    column makes one division by the pivot; the first column is a single
-    division, and the last needs only its pivot, two rounds on either
-    path. Total rounds R_div + (n-2)(c+R_div) + 2, with c = 2 on "ldl"
-    and 4 on "paper". Each column's material is dealt one step ahead
-    (``_ldl_column_plan``; columns count from 0): column 1's rides with
-    column 0's division on the reciprocal's first truncation, and column
-    k + 1's on column k's first truncation. So no column requests material
-    alone, and at most two columns' material is in flight.
+    update's, L_{k+1:n,1:k} (l_k * d), and then the column divides by its
+    pivot. With K reciprocal steps:
+
+    - "ldl", the default, is one pass that also inverts. Crout's form
+      (Golub & Van Loan, Sec. 4.1) keeps each column's words before the
+      division, c_ik = l_ik d_k, so one product L_{k:n,1:k} C_{k,1:k}^T
+      gives the pivot's sum first and the column's after it. The same
+      exchange and truncation give row k of V = L^{-1},
+      -L_{k,1:k} V_{1:k-1,1:k-1}. Then one reciprocal of d_k carries the
+      column below the pivot and row k of V through its Newton close
+      (``ss_reciprocal``'s ``along``), which gives column k of L and row
+      k of W = D^{-1} V with no division product. Column 0 has no product
+      round, so the pass takes (K + 2) + (n-1)(K + 3) = (K + 3)n - 1
+      rounds.
+    - "paper" takes four products a column, l_k * l_k and its product by
+      d, then w = l_k * d and the column update, and then one division by
+      the pivot; the first column is a single division, and the last
+      needs only its pivot, two rounds. Total R_div + (n-2)(4 + R_div) + 2
+      rounds with R_div = 2K + 1.
+
+    Each column's material is dealt one step ahead (``_ldl_column_plan``;
+    columns count from 0): column 1's rides with column 0's on column 0's
+    first truncation, the reciprocal's first guess, and column k + 1's on
+    column k's first truncation. So no column requests material alone,
+    and at most two columns' material is in flight.
     """
     n = u.shape[0]
     if u.values.ndim != 2 or u.shape[1] != n:
         raise ProtocolError("pp_cholesky_ldl expects a square matrix")
     if n < 2:
         raise ProtocolError("pp_cholesky_ldl needs n >= 2")
+    with rt.scope("pp_cholesky"):
+        rt.assistant.deal(_ldl_column_plan(rt, n, 0))
+        if rt.div.matinv == "paper":
+            return _paper_columns(rt, u, pivot_domain)
+        return _one_pass_columns(rt, u, pivot_domain)
+
+
+def _one_pass_columns(rt: PartyRuntime, u: SharedArray,
+                      pivot_domain: tuple[float, float]) -> LdlFactors:
+    """The "ldl" path's pass: L, D, V = L^{-1} and W = D^{-1} V, column by column."""
+    n = u.shape[0]
     codec = u.codec
     p = rt.params
-    with rt.scope("pp_cholesky"):
-        L = SharedArray(rt.party, np.zeros((n, n), dtype=np.uint64), codec)
-        d_vals = np.zeros(n, dtype=np.uint64)
+    one = codec.encode(1.0) if rt.party == 0 else 0
 
-        # d_1 = u_11; first column of L by one vector division.
-        d_vals[0] = u.values[0, 0]
-        pivot = SharedArray(rt.party, u.values[0:1, 0:1], codec)
-        col = _column(u, slice(0, n), 0)
-        rt.assistant.deal(_div_plan(rt, (n, 1), (1, 1)))
-        rt.assistant.deal(_ldl_column_plan(rt, n, 1))
-        l_col = ss_div(rt, col, pivot, pivot_domain)
-        L.values[:, 0] = l_col.values[:, 0]
+    def shared(x):
+        return SharedArray(rt.party, x, codec)
 
-        for k in range(1, n):
-            if k + 1 < n:
-                rt.assistant.deal(_ldl_column_plan(rt, n, k + 1))
-            lk = SharedArray(rt.party, L.values[k:k + 1, :k], codec)      # 1 x k
-            d_row = SharedArray(rt.party, d_vals[:k].reshape(1, -1), codec)
-            # acc holds the pivot's sum, then the column update's: (n-k) x 1.
-            if rt.div.matinv == "paper":
-                acc = ss_matmul(rt, ss_mul(rt, lk, lk), d_row.T).values
-                if k < n - 1:
-                    w = ss_mul(rt, lk, d_row)
-                    below = SharedArray(rt.party, L.values[k + 1:, :k], codec)
-                    acc = np.vstack([acc, ss_matmul(rt, below, w.T).values])
-            else:
-                w = ss_mul(rt, lk, d_row)
-                acc = ss_matmul(rt, SharedArray(rt.party, L.values[k:, :k], codec), w.T).values
-            # Pivot: d_k = u_kk - sum_m l_km^2 d_m.
-            d_k = SharedArray(rt.party, ring_sub(u.values[k:k + 1, k:k + 1], acc[:1], p), codec)
-            d_vals[k] = d_k.values[0, 0]
-            if k == n - 1:
-                break
-            # Column: hat_l = u_{k+1:n,k} - L_{k+1:n,1:k} (l_k * d).
-            hat = SharedArray(rt.party, ring_sub(u.values[k + 1:, k:k + 1], acc[1:], p), codec)
-            # One division by the shared pivot.
-            l_col = ss_div(rt, hat, d_k, pivot_domain)
-            L.values[k + 1:, k] = l_col.values[:, 0]
-            L.values[k, k] = codec.encode(1.0) if rt.party == 0 else 0
+    client = rt.assistant
+    # C holds the columns before their division, with the pivots on its diagonal.
+    L, C, V, W = (np.zeros((n, n), dtype=np.uint64) for _ in range(4))
+    C[:, 0] = u.values[:, 0]
+    for k in range(n):
+        if k + 1 < n:
+            client.deal(_ldl_column_plan(rt, n, k + 1))
+        if k:
+            # One round: the sums c_ik = u_ik - L_{i,1:k} C_{k,1:k}^T for i >= k
+            # and row k of V.
+            with rt.scope("ss_matmul"):
+                sums, row = _beaver(rt, [
+                    (shared(L[k:, :k]), shared(C[k:k + 1, :k].T),
+                     client.get_matrix_triple(n - k, k, 1)),
+                    (shared(L[k:k + 1, :k]), shared(V[:k, :k]), client.get_matrix_triple(1, k, k)),
+                ], ring_matmul, truncate=True)
+            C[k:, k] = ring_sub(u.values[k:, k], sums.values[:, 0], p)
+            V[k, :k] = ring_neg(row.values[0], p)
+        L[k, k] = V[k, k] = one
+        # 1/d_k, the column below the pivot over d_k (L's) and row k of V over d_k (W's).
+        inv_d, scaled = ss_reciprocal(rt, shared(C[k, k:k + 1]), pivot_domain,
+                                      along=shared(np.concatenate([C[k + 1:, k], V[k, :k]])))
+        L[k + 1:, k] = scaled.values[:n - k - 1]
+        W[k, :k] = scaled.values[n - k - 1:]
+        W[k, k] = inv_d.values[0]
+    return LdlFactors(L=shared(L), D=shared(np.diagonal(C).copy()), V=shared(V), W=shared(W))
 
-        L.values[n - 1, n - 1] = codec.encode(1.0) if rt.party == 0 else 0
-        D = SharedArray(rt.party, d_vals, codec)
-    return LdlFactors(L=L, D=D)
+
+def _paper_columns(rt: PartyRuntime, u: SharedArray,
+                   pivot_domain: tuple[float, float]) -> LdlFactors:
+    """The "paper" path's columns: four products and one division each."""
+    n = u.shape[0]
+    codec = u.codec
+    p = rt.params
+    L = SharedArray(rt.party, np.zeros((n, n), dtype=np.uint64), codec)
+    d_vals = np.zeros(n, dtype=np.uint64)
+
+    # d_1 = u_11; first column of L by one vector division.
+    d_vals[0] = u.values[0, 0]
+    pivot = SharedArray(rt.party, u.values[0:1, 0:1], codec)
+    col = _column(u, slice(0, n), 0)
+    rt.assistant.deal(_ldl_column_plan(rt, n, 1))
+    l_col = ss_div(rt, col, pivot, pivot_domain)
+    L.values[:, 0] = l_col.values[:, 0]
+
+    for k in range(1, n):
+        if k + 1 < n:
+            rt.assistant.deal(_ldl_column_plan(rt, n, k + 1))
+        lk = SharedArray(rt.party, L.values[k:k + 1, :k], codec)      # 1 x k
+        d_row = SharedArray(rt.party, d_vals[:k].reshape(1, -1), codec)
+        # acc holds the pivot's sum, then the column update's: (n-k) x 1.
+        acc = ss_matmul(rt, ss_mul(rt, lk, lk), d_row.T).values
+        if k < n - 1:
+            w = ss_mul(rt, lk, d_row)
+            below = SharedArray(rt.party, L.values[k + 1:, :k], codec)
+            acc = np.vstack([acc, ss_matmul(rt, below, w.T).values])
+        # Pivot: d_k = u_kk - sum_m l_km^2 d_m.
+        d_k = SharedArray(rt.party, ring_sub(u.values[k:k + 1, k:k + 1], acc[:1], p), codec)
+        d_vals[k] = d_k.values[0, 0]
+        if k == n - 1:
+            break
+        # Column: hat_l = u_{k+1:n,k} - L_{k+1:n,1:k} (l_k * d).
+        hat = SharedArray(rt.party, ring_sub(u.values[k + 1:, k:k + 1], acc[1:], p), codec)
+        # One division by the shared pivot.
+        l_col = ss_div(rt, hat, d_k, pivot_domain)
+        L.values[k + 1:, k] = l_col.values[:, 0]
+        L.values[k, k] = codec.encode(1.0) if rt.party == 0 else 0
+
+    L.values[n - 1, n - 1] = codec.encode(1.0) if rt.party == 0 else 0
+    return LdlFactors(L=L, D=SharedArray(rt.party, d_vals, codec))
 
 
 def pp_forward(rt: PartyRuntime, L: SharedArray) -> SharedArray:
@@ -642,15 +752,24 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
               pivot_domain: tuple[float, float]) -> SharedArray:
     """Invert a shared positive-definite matrix via LDL^T factors.
 
-    At the default 8 reciprocal steps the "ldl" path takes
-    (13n - 13) + (n - 1) + 12 = 14n - 2 peer rounds and 15n assistant
-    round trips, and the "paper" path (21n - 23) + (n - 1) + 18 = 22n - 6
-    and 23n - 4 (analysis.expected_rounds and
-    analysis.matinv_assistant_round_trips): one round trip per
-    truncation, and two requests for material alone, the first forward
-    row's and the final product's.
+    On the default "ldl" path, pp_cholesky_ldl's one pass gives V = L^{-1}
+    and W = D^{-1} V, and one product gives the inverse V^T W. At K
+    reciprocal steps that is (K + 3)n - 1 + 1 = (K + 3)n peer rounds and
+    (K + 4)n + 1 assistant round trips, 11n and 12n + 1 at the default 8.
+    The "paper" path runs the paper's three phases, Cholesky, pp_forward
+    and pp_backward: (21n - 23) + (n - 1) + 18 = 22n - 6 peer rounds and
+    23n - 4 round trips at 8 steps (analysis.expected_rounds and
+    analysis.matinv_assistant_round_trips). A round trip is a
+    truncation's or a request for material alone. The final product's
+    (n, n, n) triple is the only such request on "ldl", and on "paper"
+    the first forward row's is the other.
     """
     with rt.scope("pp_matinv"):
         factors = pp_cholesky_ldl(rt, u, pivot_domain)
-        V = pp_forward(rt, factors.L)
-        return pp_backward(rt, V, factors.D, pivot_domain)
+        if rt.div.matinv == "paper":
+            V = pp_forward(rt, factors.L)
+            return pp_backward(rt, V, factors.D, pivot_domain)
+        V, W = factors.V, factors.W
+        # L is dropped before the final product's triple arrives.
+        del factors
+        return ss_matmul(rt, V.T, W)

@@ -33,14 +33,17 @@ MATINV_PATHS = ("ldl", "paper")
 class DivisionConfig:
     """Reciprocal step counts, the matrix inversion's path and the square root's domain.
 
-    ``matinv`` picks the LDL inversion's path. "ldl", the default, takes
-    each column's sums from one product w = l_k * d and a Goldschmidt
-    reciprocal closed by one Newton step, so a division costs
-    ``iterations`` + 3 rounds: 11 at the default 8 steps. "paper" is the
-    paper's algorithm, four products a column and a Newton reciprocal at
-    2 ``iterations`` + 1 rounds, the conventional 17, kept as the
-    reference whose counts the tests pin. Both paths reach the
-    same accuracy bound after ``iterations`` steps
+    ``matinv`` picks the LDL inversion's path. "ldl", the default, runs
+    a Goldschmidt reciprocal closed by one Newton step, so a division
+    costs ``iterations`` + 3 rounds: 11 at the default 8 steps. Its
+    inversion is one pass over the columns: a column's sums and its row
+    of L^{-1} take one product round, and its pivot's reciprocal divides
+    the column and that row in its Newton close, ``iterations`` + 3
+    rounds a column. "paper" is the paper's algorithm, four products a
+    column and a Newton reciprocal at 2 ``iterations`` + 1 rounds, the
+    conventional 17, then forward substitution and a backward division,
+    kept as the reference whose counts the tests pin. Both paths reach
+    the same accuracy bound after ``iterations`` steps
     (analysis.reciprocal_steps). A division's domain is an argument: the
     matrix inversion takes it from the kernel's public pivot bounds. The
     square root's first guess is fitted at ``sqrt_hi / 2``, so inputs

@@ -83,12 +83,12 @@ def test_leakage_rejects_bad_grids():
 
 def test_rounds_ppmi_example():
     assert expected_rounds("ppmi", 10, PAPER) == 214
-    assert expected_rounds("ppmi", 10) == 138
+    assert expected_rounds("ppmi", 10) == 110
 
 
 def test_rounds_cholesky_example():
     assert expected_rounds("cholesky", 2, PAPER) == 19
-    assert expected_rounds("cholesky", 2) == 13
+    assert expected_rounds("cholesky", 2) == 21
 
 
 def test_rounds_exp_is_one():
@@ -98,15 +98,18 @@ def test_rounds_exp_is_one():
 
 def test_rounds_benchmark_size():
     assert expected_rounds("matinv", 100, PAPER) == 2194
-    assert expected_rounds("matinv", 100) == 1398
-    assert expected_rounds("matinv", 200) == 2798
+    assert expected_rounds("matinv", 100) == 1100
+    assert expected_rounds("matinv", 200) == 2200
 
 
 def test_rounds_components_sum():
+    # The paper's inversion is its three phases; the default one is the
+    # one-pass Cholesky, which does forward's and backward's work, and the
+    # final product.
     n = 10
-    for div, want in ((PAPER, 22 * n - 6), (DivisionConfig(), 14 * n - 2)):
-        total = sum(expected_rounds(step, n, div) for step in ("cholesky", "forward", "backward"))
-        assert total == expected_rounds("matinv", n, div) == want
+    total = sum(expected_rounds(step, n, PAPER) for step in ("cholesky", "forward", "backward"))
+    assert total == expected_rounds("matinv", n, PAPER) == 22 * n - 6
+    assert expected_rounds("cholesky", n) + 1 == expected_rounds("matinv", n) == 11 * n
 
 
 def test_rounds_rejects_bad_args():
@@ -129,11 +132,11 @@ def test_assistant_round_trips_matinv():
 
 def test_assistant_round_trips_matinv_ldl():
     for n in (2, 3, 10, 200):
-        assert matinv_assistant_round_trips(n) == 15 * n
-    assert matinv_assistant_round_trips(200) == 3000
-    # Ten reciprocal steps: R_div = 13, two more truncations a division.
-    assert matinv_assistant_round_trips(3, TEN) == 51
-    assert matinv_assistant_round_trips(10, TEN) == 170
+        assert matinv_assistant_round_trips(n) == 12 * n + 1
+    assert matinv_assistant_round_trips(200) == 2401
+    # Ten reciprocal steps: R_div = 13, two more truncations a column.
+    assert matinv_assistant_round_trips(3, TEN) == 43
+    assert matinv_assistant_round_trips(10, TEN) == 141
 
 
 def test_construct_rounds_closed_form():
@@ -156,18 +159,21 @@ def test_construct_rounds_closed_form():
 
 
 def test_construct_rounds_closed_form_ldl():
-    # 14n - 2 for the default inversion and the same additions as above.
+    # 11n for the default inversion and the same additions as above.
     for n in (2, 10, 100, 200):
-        assert construct_rounds("se", n) == 14 * n - 2 + 4
+        assert construct_rounds("se", n) == 11 * n + 4
         assert (construct_rounds("matern32", n, DivisionConfig(sqrt_iterations=7))
-                == 14 * n - 2 + 2 * 7 + 6)
+                == 11 * n + 2 * 7 + 6)
     # The bench's three workloads: construction plus their prediction batches.
-    assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 2842
-    assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 1450
-    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 2014
-    assert construct_rounds("se", 8, TEN) == 13 + 6 * 15 + 2 + 7 + 14 + 4
-    assert construct_assistant_round_trips("se", 200) + 10 * 7 == 3075
-    assert construct_assistant_round_trips("matern32", 100) == 15 * 100 + 2 * 25 + 8
+    assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 2244
+    assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 1152
+    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 1716
+    assert construct_rounds("se", 8, TEN) == 13 * 8 + 4
+    assert construct_assistant_round_trips("se", 200) + 10 * 7 == 2476
+    assert construct_assistant_round_trips("se", 100) + 12 * 7 == 1290
+    assert (construct_assistant_round_trips("matern32", 100)
+            + 10 * predict_assistant_round_trips("matern32") == 1859)
+    assert construct_assistant_round_trips("matern32", 100) == 12 * 100 + 2 * 25 + 9
 
 
 @pytest.mark.parametrize("noise, want", [(0.1, 7), (0.05, 8), (0.01, 10), (1e-3, 14)])

@@ -10,6 +10,7 @@ from ssgpr import cli
 from ssgpr.cli import bench_matinv, load_config, main, run_gpr
 from ssgpr.data import Dataset, standardize
 from ssgpr.gpr import sqdist_matrix
+from ssgpr.transport import P0
 
 
 def run_cli(args, capsys):
@@ -79,9 +80,59 @@ def test_bench_matinv_rounds_ldl(capsys):
     code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2"], capsys)
     assert code == 0
     entry = json.loads(out)["results"][0]
-    assert entry["rounds"] == 14 * 8 - 2 == entry["rounds_expected"]
-    assert entry["assistant_round_trips"] == 15 * 8 == entry["assistant_round_trips_expected"]
+    assert entry["rounds"] == 11 * 8 == entry["rounds_expected"]
+    assert entry["assistant_round_trips"] == 12 * 8 + 1 == entry["assistant_round_trips_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
+
+
+def test_bench_matinv_seconds_is_the_median_of_its_runs(monkeypatch):
+    # Server 0's inversion time of each run, replaced by 3, 1 and 2
+    # seconds: the report gives their median, not the first run's.
+    real, times = cli.run_session, iter([3.0, 1.0, 2.0])
+
+    def timed(*args, **kw):
+        result = real(*args, **kw)
+        inverse, _, trips = result.outputs[P0]
+        result.outputs[P0] = (inverse, next(times), trips)
+        return result
+
+    monkeypatch.setattr(cli, "run_session", timed)
+    report = bench_matinv(load_config(None), [3], runs=3)
+    assert report["runs"] == 3
+    assert report["results"][0]["seconds"] == 2.0
+
+
+def _gated_data():
+    x = np.random.default_rng(4).normal(size=(10, 2))
+    return Dataset(x[:8], np.sin(x[:8, 0])), x[8:]
+
+
+def test_run_gpr_passes_the_oracle_gate():
+    data, queries = _gated_data()
+    cfg = load_config(None)
+    assert cfg["max_loss"] == float("inf")
+    cfg["max_loss"] = 1e-2
+    run = run_gpr(data, queries, cfg)["runs"][0]
+    assert max(run["loss_mu"], run["loss_var"]) <= 1e-2
+
+
+def test_run_gpr_fails_the_oracle_gate(tmp_path):
+    # A gate below the fixed-point noise floor fails the run, naming the
+    # loss, its value and the gate.
+    data, queries = _gated_data()
+    path = tmp_path / "cfg"
+    path.write_text("max_loss = 1e-12\n")
+    with pytest.raises(RuntimeError, match=r"^seed 0: loss_mu = \S+ exceeds max_loss = 1e-12$"):
+        run_gpr(data, queries, load_config(str(path)))
+
+
+@pytest.mark.parametrize("gate", [0.0, -1.0, float("nan")])
+def test_run_gpr_rejects_a_gate_that_is_not_positive(gate):
+    data, queries = _gated_data()
+    cfg = load_config(None)
+    cfg["max_loss"] = gate
+    with pytest.raises(ValueError, match=r"^max_loss must be positive, got "):
+        run_gpr(data, queries, cfg)
 
 
 def _run_gpr_cli(tmp_path, capsys, *config):
@@ -107,10 +158,10 @@ def _run_gpr_cli(tmp_path, capsys, *config):
 
 def test_run_gpr_end_to_end_ldl(tmp_path, capsys):
     run = _run_gpr_cli(tmp_path, capsys)["runs"][0]
-    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 14 * 10 - 2
-    assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 14 * 10 + 2
+    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 11 * 10
+    assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 11 * 10 + 4
     assert (run["construct_assistant_round_trips_recorded"]
-            == run["construct_assistant_round_trips_expected"] == 15 * 10 + 5)
+            == run["construct_assistant_round_trips_expected"] == 12 * 10 + 6)
 
 
 def test_run_gpr_end_to_end(tmp_path, capsys, paper_path):
@@ -224,10 +275,10 @@ def test_run_gpr_names_both_counts_on_a_closed_form_mismatch(name, what, unit, a
 
 
 @pytest.mark.parametrize("name, what, unit, at", [
-    ("expected_rounds", "the matrix inversion", "peer rounds", 14 * 8 - 2),
-    ("construct_rounds", "model construction", "peer rounds", 14 * 8 + 2),
+    ("expected_rounds", "the matrix inversion", "peer rounds", 11 * 8),
+    ("construct_rounds", "model construction", "peer rounds", 11 * 8 + 4),
     ("construct_assistant_round_trips", "model construction", "assistant round trips",
-     15 * 8 + 5),
+     12 * 8 + 6),
 ])
 def test_run_gpr_names_both_counts_on_a_closed_form_mismatch_ldl(name, what, unit, at,
                                                                  monkeypatch):
@@ -255,19 +306,19 @@ def test_matinv_closed_form_follows_division_budget(paper_path):
 
 
 def test_matinv_closed_form_follows_division_budget_ldl():
-    # Ten reciprocal steps make a 13-round division on the default path, so
-    # an n=8 inversion takes 13 + 6*15 + 2 + 7 + 14 = 126 rounds, not 110.
+    # Ten reciprocal steps make a 13-round division budget on the default
+    # path, so an n=8 inversion takes 13 * 8 = 104 rounds, not 88.
     cfg = load_config(None)
     cfg["div_iterations"] = 10
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.25, 0.25, (10, 2))
     y = 10.0 + np.sin(x.sum(axis=1))
     run = run_gpr(Dataset(x[:8], y[:8]), x[8:], cfg)["runs"][0]
-    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 126
+    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 104
     entry = bench_matinv(cfg, [8], runs=1)["results"][0]
-    assert entry["rounds"] == entry["rounds_expected"] == 126
-    # Each of the n divisions makes two more truncations: 15n + 2n.
-    assert entry["assistant_round_trips"] == entry["assistant_round_trips_expected"] == 136
+    assert entry["rounds"] == entry["rounds_expected"] == 104
+    # Each of the n columns makes two more truncations: 12n + 1 + 2n.
+    assert entry["assistant_round_trips"] == entry["assistant_round_trips_expected"] == 113
 
 
 def _small_noise_data():
@@ -333,7 +384,7 @@ def test_bench_matinv_grams_take_the_config_noise(tmp_path, capsys):
     cfg = load_config(str(path))
     cfg["div_iterations"] = 14
     entry = bench_matinv(cfg, [8], runs=2)["results"][0]
-    assert entry["rounds"] == entry["rounds_expected"] == 14 * 8 - 2 + 6 * 8
+    assert entry["rounds"] == entry["rounds_expected"] == (14 + 3) * 8
     assert entry["loss_mi_mean"] <= 1e-3
 
 

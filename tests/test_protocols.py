@@ -1,5 +1,5 @@
-"""Interactive protocols: products, distances, Newton division and
-square root, and the matrix-inversion pipeline with its round counts."""
+"""Interactive protocols: products, distances, division and square root,
+and the matrix-inversion pipeline with its round counts."""
 
 import re
 
@@ -432,11 +432,13 @@ def test_cholesky_round_count():
 
 
 def test_cholesky_round_count_ldl():
+    # The one pass: column 0's reciprocal, then a product round and a
+    # reciprocal for each later column, 11 rounds a column at 8 steps.
     for n in (2, 4):
         x = np.random.default_rng(n).uniform(-3, 3, (n, 2))
         u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)) + 0.1 * np.eye(n)
         res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u])
-        assert scoped(res, "pp_cholesky")["rounds"] == 13 * n - 13
+        assert scoped(res, "pp_cholesky")["rounds"] == 11 * n - 1
 
 
 def test_cholesky_paths_agree():
@@ -516,7 +518,7 @@ def test_matinv_round_count_n10_ldl():
     d = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
     u = np.exp(-d / 2) + 0.1 * np.eye(n)
     res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u])
-    assert scoped(res, "pp_matinv")["rounds"] == 138 == 14 * n - 2
+    assert scoped(res, "pp_matinv")["rounds"] == 110 == 11 * n
 
 
 @pytest.mark.parametrize("n, iterations, want", [(3, 8, 65), (10, 8, 226),
@@ -525,8 +527,8 @@ def test_matinv_assistant_round_trips(n, iterations, want):
     _check_matinv_round_trips(n, DivisionConfig(iterations=iterations, matinv="paper"), want)
 
 
-@pytest.mark.parametrize("n, iterations, want", [(3, 8, 45), (10, 8, 150),
-                                                  (3, 10, 51), (10, 10, 170)])
+@pytest.mark.parametrize("n, iterations, want", [(3, 8, 37), (10, 8, 121),
+                                                  (3, 10, 43), (10, 10, 141)])
 def test_matinv_assistant_round_trips_ldl(n, iterations, want):
     _check_matinv_round_trips(n, DivisionConfig(iterations=iterations), want)
 
@@ -551,17 +553,14 @@ def _se_gram(n, seed):
     return np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(n)
 
 
-def test_matinv_requests_material_alone_only_twice():
-    # Every request rides on a truncation but two: the first forward row's,
-    # which carries rows 1 and 2's triples, and backward's final product's.
-    n = 6
+def _requests_for_material_alone(div, n):
+    """(scope under pp_matinv, request words) of each request that is not a truncation."""
 
     def job(rt, a):
         alone, request = [], rt.assistant._request
 
         def spy(words):
             if int(words[0]) != OP_TRUNC:
-                # The scope under pp_matinv names the step.
                 alone.append((rt.stats._scopes[1], [int(w) for w in words]))
             return request(words)
 
@@ -569,10 +568,26 @@ def test_matinv_requests_material_alone_only_twice():
         pp_matinv(rt, a, (0.05, 2.2))
         return alone
 
-    res = run_shared(job, [_se_gram(n, 5)])
-    want = [("pp_forward", [OP_MATRIX_TRIPLE, 1, 1, 1, OP_MATRIX_TRIPLE, 1, 2, 2]),
-            ("pp_backward", [OP_MATRIX_TRIPLE, n, n, n])]
-    assert res.outputs[P0] == res.outputs[P1] == want
+    res = run_shared(job, [_se_gram(n, 5)], div=div)
+    assert res.outputs[P0] == res.outputs[P1]
+    return res.outputs[P0]
+
+
+def test_matinv_requests_material_alone_only_twice():
+    # On the paper's path every request rides on a truncation but two: the
+    # first forward row's, which carries rows 1 and 2's triples, and
+    # backward's final product's.
+    n = 6
+    assert _requests_for_material_alone(PAPER, n) == [
+        ("pp_forward", [OP_MATRIX_TRIPLE, 1, 1, 1, OP_MATRIX_TRIPLE, 1, 2, 2]),
+        ("pp_backward", [OP_MATRIX_TRIPLE, n, n, n])]
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_matinv_requests_material_alone_only_once(n):
+    # On the default path only the final product's triple travels alone.
+    assert _requests_for_material_alone(DivisionConfig(), n) == [
+        ("ss_matmul", [OP_MATRIX_TRIPLE, n, n, n])]
 
 
 def _item_words(kind, spec):
@@ -583,16 +598,15 @@ def _item_words(kind, spec):
 
 
 def test_ldl_and_forward_hold_only_the_current_and_next_steps_material():
-    # Steps in take order: the first column's division, columns 1 .. n-1,
-    # then forward rows 1 .. n-1. After each take, the material dealt and
-    # not yet taken, with the item just taken, never exceeds the words of
-    # the taking step's plan and the next step's.
+    # Steps in take order: the one pass's columns 0 .. n-1, then forward
+    # rows 1 .. n-1 run alone on its L. After each take, the material dealt
+    # and not yet taken, with the item just taken, never exceeds the words
+    # of the taking step's plan and the next step's: at most two columns'.
     n = 7
 
     def job(rt, a):
         client = rt.assistant
-        steps = ([_div_plan(rt, (n, 1), (1, 1))]
-                 + [_ldl_column_plan(rt, n, k) for k in range(1, n)]
+        steps = ([_ldl_column_plan(rt, n, k) for k in range(n)]
                  + [[("matrix", (1, k, k))] for k in range(1, n)])
         owner = [i for i, step in enumerate(steps) for _ in step]
         words = [sum(_item_words(*item) for item in step) for step in steps] + [0]
@@ -619,6 +633,68 @@ def test_ldl_and_forward_hold_only_the_current_and_next_steps_material():
         assert any(held > current for held, current, _ in seen)
 
 
+def test_one_pass_factors_match_plaintext_ldl():
+    # The default path's L, D and W = D^{-1} V, with V = L^{-1}, against
+    # LDL^T from numpy's Cholesky factor.
+    n = 8
+    u = _se_gram(n, 12)
+    res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u])
+    got = {name: reconstruct(getattr(res.outputs[P0], name), getattr(res.outputs[P1], name))
+           for name in ("L", "D", "V", "W")}
+    chol = np.linalg.cholesky(u)
+    d = np.diag(chol) ** 2
+    lower = chol / np.diag(chol)
+    inv_lower = np.linalg.inv(lower)
+    want = {"L": lower, "D": d, "V": inv_lower, "W": inv_lower / d[:, None]}
+    for name, value in want.items():
+        assert np.max(np.abs(got[name] - value)) <= 1e-5, name
+    assert np.max(np.abs(got["V"].T @ got["W"] - np.linalg.inv(u))) <= 1e-4
+
+
+def test_paper_path_keeps_no_inverse_factors():
+    res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [_se_gram(4, 1)],
+                     div=PAPER)
+    assert res.outputs[P0].V is None and res.outputs[P0].W is None
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_matinv_counts_on_the_one_pass(k, backend):
+    # (k + 3)n peer rounds and (k + 4)n + 1 assistant round trips at k
+    # reciprocal steps; below the domain's step bound the inverse is off,
+    # but the counts hold.
+    div = DivisionConfig(iterations=k)
+    for n in (2, 3, 10):
+        def job(rt, a):
+            before = rt.assistant.requests
+            pp_matinv(rt, a, (0.05, 2.2))
+            return rt.assistant.requests - before
+
+        res = run_shared(job, [_se_gram(n, n)], backend=backend, div=div)
+        assert scoped(res, "pp_matinv")["rounds"] == (k + 3) * n == expected_rounds("matinv", n, div)
+        assert (res.outputs[P0] == res.outputs[P1] == (k + 4) * n + 1
+                == matinv_assistant_round_trips(n, div))
+
+
+def test_reciprocal_carries_numerators_only_for_one_ldl_divisor():
+    along = np.array([1.0, 2.0])
+    for values, div in (([np.array([2.0]), along], PAPER),
+                        ([np.array([2.0, 3.0]), along], DivisionConfig())):
+        with pytest.raises(RuntimeError) as info:
+            run_shared(lambda rt, v, a: ss_reciprocal(rt, v, DOMAIN, along=a), values, div=div)
+        assert isinstance(info.value.__cause__, ProtocolError)
+
+
+def test_reciprocal_divides_its_numerators():
+    res = run_shared(lambda rt, v, a: ss_reciprocal(rt, v, DOMAIN, along=a),
+                     [np.array([4.0]), np.array([1.0, -2.0, 10.0])])
+    inv = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+    scaled = reconstruct(res.outputs[P0][1], res.outputs[P1][1])
+    assert abs(inv[0] - 0.25) <= 1e-4 * 0.25
+    assert np.max(np.abs(scaled - [0.25, -0.5, 2.5])) <= 1e-4 * 2.5
+    assert scoped(res, "ss_div")["rounds"] == DivisionConfig().iterations + 2
+
+
 def _matinv_over_sockets(div):
     n = 6
     u = _se_gram(n, 9)
@@ -641,8 +717,8 @@ def test_matinv_over_sockets():
 
 def test_matinv_over_sockets_ldl():
     n, rounds, trips = _matinv_over_sockets(DivisionConfig())
-    assert rounds == 14 * n - 2 == expected_rounds("matinv", n)
-    assert trips == 15 * n == matinv_assistant_round_trips(n)
+    assert rounds == 11 * n == expected_rounds("matinv", n)
+    assert trips == 12 * n + 1 == matinv_assistant_round_trips(n)
 
 
 def test_matinv_accuracy_se_gram():
