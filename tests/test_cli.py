@@ -102,39 +102,6 @@ def test_bench_matinv_seconds_is_the_median_of_its_runs(monkeypatch):
     assert report["results"][0]["seconds"] == 2.0
 
 
-def _gated_data():
-    x = np.random.default_rng(4).normal(size=(10, 2))
-    return Dataset(x[:8], np.sin(x[:8, 0])), x[8:]
-
-
-def test_run_gpr_passes_the_oracle_gate():
-    data, queries = _gated_data()
-    cfg = load_config(None)
-    assert cfg["max_loss"] == float("inf")
-    cfg["max_loss"] = 1e-2
-    run = run_gpr(data, queries, cfg)["runs"][0]
-    assert max(run["loss_mu"], run["loss_var"]) <= 1e-2
-
-
-def test_run_gpr_fails_the_oracle_gate(tmp_path):
-    # A gate below the fixed-point noise floor fails the run, naming the
-    # loss, its value and the gate.
-    data, queries = _gated_data()
-    path = tmp_path / "cfg"
-    path.write_text("max_loss = 1e-12\n")
-    with pytest.raises(RuntimeError, match=r"^seed 0: loss_mu = \S+ exceeds max_loss = 1e-12$"):
-        run_gpr(data, queries, load_config(str(path)))
-
-
-@pytest.mark.parametrize("gate", [0.0, -1.0, float("nan")])
-def test_run_gpr_rejects_a_gate_that_is_not_positive(gate):
-    data, queries = _gated_data()
-    cfg = load_config(None)
-    cfg["max_loss"] = gate
-    with pytest.raises(ValueError, match=r"^max_loss must be positive, got "):
-        run_gpr(data, queries, cfg)
-
-
 def _run_gpr_cli(tmp_path, capsys, *config):
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.25, 0.25, (12, 2))
