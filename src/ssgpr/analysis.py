@@ -1,13 +1,13 @@
 """Executable checks of the protocol's analytical claims.
 
 Parameter validation for the masked exponentiation, exact enumeration of
-its information leakage, the reciprocal step count a pivot domain needs,
-and the closed-form communication-round counts of the matrix-inversion
-pipeline, the square root, GP model construction and a prediction batch,
-peer rounds and assistant round trips. The counts take the session's
-``DivisionConfig``, whose path (``matinv``) and reciprocal steps fix the
-division budget R_div (``DivisionConfig.rounds``); left out, it is the
-default path at 8 reciprocal steps.
+its information leakage, and the closed-form communication-round counts
+of the matrix-inversion pipeline, the square root, GP model construction
+and a prediction batch, peer rounds and assistant round trips. The counts
+take the session's ``DivisionConfig`` path (``matinv``) and the reciprocal
+steps, which fix the division budget R_div; left out, the steps are
+``protocols.division_steps`` of the default kernel's pivot domain at the
+default l_f, 7 on "ldl" and 8 on "paper".
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gpr import MATERN32, SQUARED_EXPONENTIAL
-from .protocols import ExpParams, affine_reciprocal_coefficients
+from .gpr import MATERN32, SQUARED_EXPONENTIAL, KernelConfig
+from .protocols import ExpParams, division_steps, reciprocal_steps
 from .ring import RingParams
 from .session import DivisionConfig
 
@@ -126,38 +126,24 @@ def leakage_enumerate(m_u: int, m_r: int) -> LeakageReport:
     )
 
 
-def reciprocal_steps(domain: tuple[float, float], lf: int) -> int:
-    """Least reciprocal step count k with e0^(2^k) < 2^-lf on a public domain.
-
-    e0 = max |1 - v y0| over [lo, hi] for the affine first guess y0, an
-    error that equioscillates between the ends and the midpoint. k Newton
-    steps, or k - 1 Goldschmidt steps and the closing Newton step, leave
-    relative error e0^(2^k), so fewer steps than this return a reciprocal
-    off by more than a quantum. At signal variance 1 the kernel's pivot
-    domain needs 7 steps at noise variance 0.1, 8 at 0.05, 10 at 0.01 and
-    14 at 1e-3 (l_f = 26).
-    """
-    lo, hi = domain
-    if not 0 < lo < hi < math.inf:
-        raise ValueError(f"a reciprocal domain needs 0 < lo < hi, got {domain!r}")
-    alpha, beta = affine_reciprocal_coefficients(lo, hi)
-    e0 = max(abs(1.0 - v * (alpha - beta * v)) for v in (lo, (lo + hi) / 2.0, hi))
-    steps = 0
-    while e0 ** (2 ** steps) >= 2.0 ** -lf:
-        steps += 1
-    return steps
+def _division_rounds(div: DivisionConfig, steps: int | None) -> int:
+    """R_div, one division's rounds (reciprocal plus one multiply) at ``steps``."""
+    if steps is None:
+        steps = division_steps(KernelConfig().pivot_domain, RingParams().lf, div.matinv)
+    return 2 * steps + 1 if div.matinv == "paper" else steps + 3
 
 
-def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionConfig()) -> int:
-    """Closed-form communication-round counts per protocol.
+def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionConfig(),
+                    steps: int | None = None) -> int:
+    """Closed-form communication-round counts per protocol, at ``steps`` reciprocal steps.
 
     On the default "ldl" path, Cholesky is one pass that also yields the
     inverse's factors: column 0 takes its reciprocal's K + 2 rounds and
     every later column one product round more, R_div n - 1 with
     R_div = K + 3 at K reciprocal steps. The inversion adds the final
-    product, R_div n: 11n at 8 steps. On "paper", Cholesky takes
+    product, R_div n: 10n at 7 steps. On "paper", Cholesky takes
     R_div + (n-2)(4 + R_div) + 2, forward n-1 and backward R_div + 1, and
-    the inversion is their sum, 22n - 6 at R_div = 17. Forward and
+    the inversion is their sum, 22n - 6 at 8 steps, R_div = 17. Forward and
     backward alone cost the same on either path. The masked
     exponentiation is always a single round.
     """
@@ -166,7 +152,7 @@ def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionCon
         return 1
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
-    r_div = div.rounds
+    r_div = _division_rounds(div, steps)
     if div.matinv == "paper":
         cholesky = r_div + (n - 2) * (_PAPER_COLUMN_PRODUCTS + r_div) + 2
         matinv = cholesky + (n - 1) + (r_div + 1)
@@ -184,24 +170,25 @@ def expected_rounds(protocol: str, n: int = 0, div: DivisionConfig = DivisionCon
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def matinv_assistant_round_trips(n: int, div: DivisionConfig = DivisionConfig()) -> int:
-    """Closed-form assistant round trips of one LDL matrix inversion.
+def matinv_assistant_round_trips(n: int, div: DivisionConfig = DivisionConfig(),
+                                 steps: int | None = None) -> int:
+    """Closed-form assistant round trips of one LDL matrix inversion at ``steps``.
 
     Truncations: every truncated product round and every affine
     reciprocal start is one, so a reciprocal costs R_div and a division
     R_div + 1. On "ldl" a column truncates once for its product round
     (but column 0), once for the first guess and once per reciprocal
     round, R_div + 1 in all, and the final product's (n, n, n) triple is
-    the one request for material alone: (R_div + 1)n + 1, 12n + 1 at
-    R_div = 11. On "paper", Cholesky makes
+    the one request for material alone: (R_div + 1)n + 1, 11n + 1 at
+    7 steps, R_div = 10. On "paper", Cholesky makes
     (R_div + 1) + (n-2)(R_div + 5) + 2, forward n-1 and backward
     R_div + 2, and two requests carry material alone, the first forward
-    row's and backward's last product's: 23n - 4 at R_div = 17. All other
-    material is dealt one step ahead and rides on a truncation.
+    row's and backward's last product's: 23n - 4 at 8 steps, R_div = 17.
+    All other material is dealt one step ahead and rides on a truncation.
     """
     if n < 2:
         raise ValueError("matrix protocols need n >= 2")
-    r_div = div.rounds
+    r_div = _division_rounds(div, steps)
     if div.matinv != "paper":
         return (r_div + 1) * n + 1
     column = r_div + 1 + _PAPER_COLUMN_PRODUCTS
@@ -233,16 +220,17 @@ def _kernel_rounds(kind: str, sqrt_iterations: int) -> int:
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def construct_rounds(kind: str, n: int, div: DivisionConfig = DivisionConfig()) -> int:
-    """Peer rounds of pp_gpr_construct.
+def construct_rounds(kind: str, n: int, div: DivisionConfig = DivisionConfig(),
+                     steps: int | None = None) -> int:
+    """Peer rounds of pp_gpr_construct, its inversion at ``steps`` reciprocal steps.
 
     ss_dist's self form, the kernel, the inversion, alpha = Inv @ y and
     the one opening of both model masks: the inversion's rounds + 4 on SE
     and + 2k + 6 on Matern-3/2 with k = ``div.sqrt_iterations``, so
-    11n + 4 on SE at the defaults and 22n - 2 on "paper".
+    10n + 4 on SE at the defaults and 22n - 2 on "paper".
     """
     return (1 + _kernel_rounds(kind, div.sqrt_iterations)
-            + expected_rounds("matinv", n, div) + 2)
+            + expected_rounds("matinv", n, div, steps) + 2)
 
 
 def predict_rounds(kind: str, sqrt_iterations: int = 25) -> int:
@@ -268,18 +256,19 @@ def _kernel_assistant_round_trips(kind: str, sqrt_iterations: int) -> int:
 
 
 def construct_assistant_round_trips(kind: str, n: int,
-                                    div: DivisionConfig = DivisionConfig()) -> int:
-    """Assistant round trips of pp_gpr_construct.
+                                    div: DivisionConfig = DivisionConfig(),
+                                    steps: int | None = None) -> int:
+    """Assistant round trips of pp_gpr_construct, its inversion at ``steps``.
 
     ss_dist's triple alone and its truncation, the kernel's truncations,
     the inversion, and alpha's request, which carries both model masks,
     with its truncation: the inversion's + 5 on SE and + 2k + 8 on
     Matern-3/2 with k = ``div.sqrt_iterations``. At the defaults that is
-    12n + 6 on SE and 12n + 2k + 9 on Matern-3/2; on "paper", 23n + 1 and
+    11n + 6 on SE and 11n + 2k + 9 on Matern-3/2; on "paper", 23n + 1 and
     23n + 2k + 4.
     """
     return (2 + _kernel_assistant_round_trips(kind, div.sqrt_iterations)
-            + matinv_assistant_round_trips(n, div) + 2)
+            + matinv_assistant_round_trips(n, div, steps) + 2)
 
 
 def predict_assistant_round_trips(kind: str, sqrt_iterations: int = 25) -> int:

@@ -25,7 +25,7 @@ from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenari
 from .gpr import (MATERN32, KernelConfig, Predictions, gpr_predict_plaintext,
                   kernel_matrix_plaintext, loss_metrics, pp_gpr_construct, pp_gpr_predict,
                   sqdist_matrix)
-from .protocols import ExpParams, pp_exp, pp_matinv
+from .protocols import ExpParams, division_steps, pp_exp, pp_matinv
 from .ring import FixedPointCodec, RingParams
 from .session import DivisionConfig, run_session
 from .sharing import reconstruct, share_reals
@@ -43,7 +43,6 @@ DEFAULTS = {
     "scenario": "hds",
     "backend": "inproc",
     "seeds": [0],
-    "div_iterations": 8,
     "sqrt_hi": 16.0,
     "sqrt_iterations": 25,
     "normalize": True,
@@ -100,11 +99,9 @@ def _coerce(key: str, value: str):
 def session_pieces(cfg: dict):
     codec = FixedPointCodec(RingParams(cfg["l"], cfg["lf"]))
     exp_params = ExpParams(u_min=cfg["u_min"], r_max=cfg["r_max"])
-    if cfg["div_iterations"] < 1:
-        # DivisionConfig would name its field, not the key the user wrote.
-        raise ValueError(f"div_iterations must be at least 1, got {cfg['div_iterations']!r}")
-    div = DivisionConfig(iterations=cfg["div_iterations"], sqrt_hi=cfg["sqrt_hi"],
-                         sqrt_iterations=cfg["sqrt_iterations"])
+    if not cfg["seeds"]:
+        raise ValueError("seeds must list at least one seed")
+    div = DivisionConfig(sqrt_hi=cfg["sqrt_hi"], sqrt_iterations=cfg["sqrt_iterations"])
     kernel = _kernel(cfg)
     report = validate_exp_params(exp_params, codec.params)
     if not report.accepted:
@@ -120,24 +117,10 @@ def _kernel(cfg: dict) -> KernelConfig:
                         noise_variance=cfg["noise_variance"])
 
 
-def check_reciprocal_steps(div: DivisionConfig, kernel: KernelConfig, lf: int):
-    """Reject a reciprocal step count below what the kernel's pivot domain needs.
-
-    Too few steps leave the LDL pivots' reciprocals unconverged, and the
-    inverse comes back wrong with nothing failing.
-    """
-    need = reciprocal_steps(kernel.pivot_domain, lf)
-    if div.iterations < need:
-        lo, hi = kernel.pivot_domain
-        raise ValueError(f"div_iterations = {div.iterations} is below the {need} reciprocal "
-                         f"steps that noise_variance = {kernel.noise_variance:g} needs: the "
-                         f"pivot domain [{lo:g}, {hi:g}] at lf = {lf}")
-
-
 def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
     """One full model construction + prediction per seed, with metrics."""
     codec, exp_params, div, kernel = session_pieces(cfg)
-    check_reciprocal_steps(div, kernel, codec.lf)
+    steps = division_steps(kernel.pivot_domain, codec.lf, div.matinv)
     ds, prep = standardize(dataset, cfg["normalize"])
     xs = prep.apply_x(x_star)
     if kernel.kind == MATERN32:
@@ -200,12 +183,12 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
         checks = [
             ("matinv_rounds", "the matrix inversion", "peer rounds",
              stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0),
-             expected_rounds("matinv", ds.n, div)),
+             expected_rounds("matinv", ds.n, div, steps)),
             ("construct_rounds", "model construction", "peer rounds", construct[1],
-             construct_rounds(kernel.kind, ds.n, div)),
+             construct_rounds(kernel.kind, ds.n, div, steps)),
             ("construct_assistant_round_trips", "model construction",
              "assistant round trips", construct[2],
-             construct_assistant_round_trips(kernel.kind, ds.n, div)),
+             construct_assistant_round_trips(kernel.kind, ds.n, div, steps)),
             ("predict_rounds", "a prediction batch", "peer rounds", predict[1],
              predict_rounds(kernel.kind, div.sqrt_iterations)),
             ("predict_assistant_round_trips", "a prediction batch", "assistant round trips",
@@ -282,7 +265,9 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
     the median over the runs of server 0's inversion time.
     """
     codec, _, div, kernel = session_pieces(cfg)
-    check_reciprocal_steps(div, kernel, codec.lf)
+    if runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {runs}")
+    steps = division_steps(kernel.pivot_domain, codec.lf, div.matinv)
     results = []
     for n in sizes:
         losses, seconds = [], []
@@ -309,10 +294,10 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
                 entry = {
                     "n": int(n),
                     "rounds": stats["per_protocol"]["pp_matinv"]["rounds"],
-                    "rounds_expected": expected_rounds("matinv", int(n), div),
+                    "rounds_expected": expected_rounds("matinv", int(n), div, steps),
                     "assistant_round_trips": result.outputs[P0][2],
                     "assistant_round_trips_expected":
-                        matinv_assistant_round_trips(int(n), div),
+                        matinv_assistant_round_trips(int(n), div, steps),
                     "volume_words_per_direction":
                         stats["per_protocol"]["pp_matinv"]["words_sent"],
                 }
@@ -396,12 +381,12 @@ def main(argv=None) -> int:
                 x_star = dataset.X[-k:]
                 dataset = Dataset(dataset.X[:-k], dataset.y[:-k])
             report = run_gpr(dataset, x_star, cfg)
-        elif args.command == "bench-exp":
+        elif args.command in ("bench-exp", "bench-matinv"):
             sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
-            report = bench_exp(cfg, sizes)
-        elif args.command == "bench-matinv":
-            sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
-            report = bench_matinv(cfg, sizes, runs=args.runs)
+            if not sizes:
+                raise ValueError("--sizes must list at least one size")
+            report = (bench_exp(cfg, sizes) if args.command == "bench-exp"
+                      else bench_matinv(cfg, sizes, runs=args.runs))
         elif args.command == "analyze-leakage":
             rep = leakage_enumerate(args.m_u, args.m_r)
             report = {
@@ -420,10 +405,8 @@ def main(argv=None) -> int:
                 "required_lf": rep.required_lf,
                 "precision_slack_bits": rep.precision_slack_bits,
                 "overflow_slack_bits": rep.overflow_slack_bits,
-                # run-gpr and bench-matinv reject a div_iterations below
-                # the config kernel's bound.
+                # The steps each pivot's reciprocal takes on the default path.
                 "reciprocal_steps": reciprocal_steps(_kernel(cfg).pivot_domain, cfg["lf"]),
-                "div_iterations": cfg["div_iterations"],
             }
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command}")

@@ -167,10 +167,10 @@ def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
 
     The model is then finished for prediction: alpha = Inv @ y in one
     product, and R = [Inv | alpha] and X^T opened against two model masks
-    in one exchange. Peer rounds: the inversion's (11n at the defaults,
+    in one exchange. Peer rounds: the inversion's (10n at the defaults,
     22n - 6 on the paper's path) plus 4 on SE (ss_dist, pp_exp, alpha,
     the opening) and plus 2k + 6 on Matern-3/2 with k square-root
-    iterations; assistant round trips the inversion's (12n + 1, or
+    iterations; assistant round trips the inversion's (11n + 1, or
     23n - 4) plus 5 and plus 2k + 8 (``analysis.construct_rounds`` and
     ``analysis.construct_assistant_round_trips``). alpha's request carries
     both model masks.

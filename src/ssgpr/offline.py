@@ -19,9 +19,9 @@ a truncation's masked words, or alone when a take finds nothing dealt
 (just the item taken if nothing is pending). Takes stay in dealing
 order, so a protocol may deal its next step's plan before this step's
 first truncation. One LDL matrix inversion, which deals each column one
-ahead, thus makes 12n + 1 assistant round trips, 1 of them for material
-alone, next to its 11n peer rounds (23n - 4 with 2 alone, and 22n - 6,
-on the paper's path, ``DivisionConfig.matinv``).
+ahead, thus makes (k + 4)n + 1 assistant round trips at k reciprocal
+steps, 1 of them for material alone, next to its (k + 3)n peer rounds
+(23n - 4 with 2 alone, and 22n - 6, on the paper's path at 8 steps).
 
 A model mask B is dealt once per per-model operand (a GP model's
 [Inv | alpha] and X^T) and kept by the assistant for the rest of the
@@ -29,7 +29,7 @@ session under a key that both servers send in the plan; a kept triple
 pairs a fresh A with it as C = A @ B, so a product by the operand opens
 only its left side. Both items hold only opcodes, shapes and the key. A
 reused key, an unknown one or a shape other than the kept mask's aborts.
-Model construction thus makes 12n + 6 assistant round trips on SE, and
+Model construction thus makes 11n + 6 assistant round trips on SE, and
 an SE prediction batch 7 (``analysis.construct_assistant_round_trips``
 and ``analysis.predict_assistant_round_trips``).
 

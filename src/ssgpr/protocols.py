@@ -3,14 +3,15 @@
 Every function here is executed symmetrically by both compute servers,
 which stay in lockstep through the exchange barriers. Round costs match
 the standard accounting: one round per Beaver product, and one round total
-for the masked exponentiation regardless of input size. A division with k
-reciprocal steps takes k + 3 rounds on the default "ldl" path (k - 1
-Goldschmidt steps closed by one Newton step) and 2k + 1 on the paper's
-Newton path (``DivisionConfig.matinv``). On "ldl" the matrix inversion
-divides by each pivot in the reciprocal's own k + 2 rounds, since its
-Newton close carries the numerators, and takes (k + 3)n rounds in one
-pass over the columns. A step whose material is known up front deals it
-ahead, and ``offline`` decides when it travels; every other product takes
+for the masked exponentiation regardless of input size. A division's
+reciprocal steps k follow from the divisor's public domain
+(``division_steps``). It takes k + 3 rounds on the default "ldl" path
+(k - 1 Goldschmidt steps closed by one Newton step) and 2k + 1 on the
+paper's Newton path (``DivisionConfig.matinv``). On "ldl" the matrix
+inversion divides by each pivot in the reciprocal's own k + 2 rounds,
+since its Newton close carries the numerators, and takes (k + 3)n rounds
+in one pass over the columns. A step whose material is known up front
+deals it ahead, and ``offline`` decides when it travels; every other product takes
 whatever the assistant next hands it. One exchange may open several
 masked arrays (``_open``): the operands of several Beaver products (an
 LDL column's two), the model masks of a GP model, or ss_dist's x - A,
@@ -20,6 +21,7 @@ only its left operand, against a mask the assistant keeps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,14 +57,14 @@ def _consume(material):
     return material
 
 
-def _reciprocal_plan(rt: PartyRuntime, v_shape, along: int = 0) -> list:
-    """The triples ss_reciprocal takes for a divisor of ``v_shape``.
+def _reciprocal_plan(rt: PartyRuntime, v_shape, domain, along: int = 0) -> list:
+    """The triples ss_reciprocal takes for a divisor of ``v_shape`` on ``domain``.
 
     On the "ldl" path these are the first residual's, one per Goldschmidt
     step (stacked but the last) and the closing Newton step's two, which
     also carry ``along`` words (a single divisor's numerators).
     """
-    k = rt.div.iterations
+    k = division_steps(domain, rt.codec.lf, rt.div.matinv)
     if rt.div.matinv == "paper":
         return [("triple", v_shape)] * (2 * k)
     close = (1 + along,) if along else v_shape
@@ -72,9 +74,9 @@ def _reciprocal_plan(rt: PartyRuntime, v_shape, along: int = 0) -> list:
             + [("triple", close)] * 2)
 
 
-def _div_plan(rt: PartyRuntime, u_shape, v_shape) -> list:
+def _div_plan(rt: PartyRuntime, u_shape, v_shape, domain: tuple[float, float]) -> list:
     """The triples ss_div takes: the reciprocal's, then the broadcast product's."""
-    return (_reciprocal_plan(rt, v_shape)
+    return (_reciprocal_plan(rt, v_shape, domain)
             + [("triple", np.broadcast_shapes(u_shape, v_shape))])
 
 
@@ -294,6 +296,39 @@ def affine_reciprocal_coefficients(lo: float, hi: float) -> tuple[float, float]:
     return beta * (lo + hi), beta
 
 
+def reciprocal_steps(domain: tuple[float, float], lf: int) -> int:
+    """Least reciprocal step count k >= 1 with e0^(2^k) < 2^-lf on a public domain.
+
+    e0 = max |1 - v y0| over [lo, hi] for the affine first guess y0, an
+    error that equioscillates between the ends and the midpoint. k Newton
+    steps, or k - 1 Goldschmidt steps and the closing Newton step (hence
+    k >= 1), leave relative error e0^(2^k); fewer return a reciprocal off
+    by more than a quantum. At signal variance 1 the kernel's pivot domain
+    needs 7 steps at noise variance 0.1, 8 at 0.05, 10 at 0.01 and 14 at
+    1e-3 (l_f = 26).
+    """
+    lo, hi = domain
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"a reciprocal domain needs 0 < lo < hi, got {domain!r}")
+    alpha, beta = affine_reciprocal_coefficients(lo, hi)
+    e0 = max(abs(1.0 - v * (alpha - beta * v)) for v in (lo, (lo + hi) / 2.0, hi))
+    steps = 1
+    while e0 ** (2 ** steps) >= 2.0 ** -lf:
+        steps += 1
+    return steps
+
+
+@functools.lru_cache(maxsize=64)
+def division_steps(domain: tuple[float, float], lf: int, matinv: str) -> int:
+    """Reciprocal steps of a division on ``domain``: the bound, and on "paper" at least 8.
+
+    The paper's path keeps its 8 Newton steps, so the counts that reference
+    pins hold. Memoised: an inversion asks once a column.
+    """
+    steps = reciprocal_steps(domain, lf)
+    return max(8, steps) if matinv == "paper" else steps
+
+
 def _affine_reciprocal_init(rt: PartyRuntime, v: SharedArray, lo: float, hi: float) -> SharedArray:
     """Local affine minimax first guess for 1/v on the public domain."""
     alpha, beta = affine_reciprocal_coefficients(lo, hi)
@@ -314,11 +349,11 @@ def _stack(*xs: SharedArray) -> SharedArray:
 
 def ss_reciprocal(rt: PartyRuntime, v: SharedArray, domain: tuple[float, float],
                   along: SharedArray | None = None):
-    """Reciprocal 1/v on a public positive domain (lo, hi), k = div.iterations steps.
+    """Reciprocal 1/v on a public positive domain (lo, hi) in k steps.
 
     From the affine first guess y0, with e0 = max |1 - v y0| over the
     domain, both paths reach relative error e0^(2^k) before truncation
-    noise (analysis.reciprocal_steps gives the least k for a domain):
+    noise; k is ``division_steps`` for the domain.
 
     - "paper": k Newton steps y <- y (2 - v y), two rounds each.
     - "ldl": e = 1 - v y0 in one round, then k - 1 Goldschmidt steps
@@ -337,7 +372,7 @@ def ss_reciprocal(rt: PartyRuntime, v: SharedArray, domain: tuple[float, float],
     nothing is detectable online otherwise.
     """
     lo, hi = domain
-    k = rt.div.iterations
+    k = division_steps(domain, rt.codec.lf, rt.div.matinv)
     paper = rt.div.matinv == "paper"
     if along is not None and (paper or v.values.size != 1):
         raise ProtocolError("only the ldl path's reciprocal of one divisor carries numerators")
@@ -557,8 +592,8 @@ def _column(x: SharedArray, rows, col) -> SharedArray:
     return SharedArray(x.party, x.values[rows, col].reshape(-1, 1), x.codec, x.scale)
 
 
-def _ldl_column_plan(rt: PartyRuntime, n: int, k: int) -> list:
-    """Column k's material in the order its products take it.
+def _ldl_column_plan(rt: PartyRuntime, n: int, k: int, domain: tuple[float, float]) -> list:
+    """Column k's material in the order its products take it, for pivots on ``domain``.
 
     On "ldl", column k >= 1 first takes its product round's two matrix
     triples, L[k:n, :k] @ C[k, :k]^T and L[k, :k] @ V[:k, :k]; every
@@ -571,12 +606,13 @@ def _ldl_column_plan(rt: PartyRuntime, n: int, k: int) -> list:
     rows = n - k - 1
     if rt.div.matinv != "paper":
         plan = [("matrix", (rows + 1, k, 1)), ("matrix", (1, k, k))] if k else []
-        return plan + _reciprocal_plan(rt, (1,), n - 1)
+        return plan + _reciprocal_plan(rt, (1,), domain, n - 1)
     if k == 0:
-        return _div_plan(rt, (n, 1), (1, 1))
+        return _div_plan(rt, (n, 1), (1, 1), domain)
     plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
     if rows:
-        plan += [("triple", (1, k)), ("matrix", (rows, k, 1))] + _div_plan(rt, (rows, 1), (1, 1))
+        plan += ([("triple", (1, k)), ("matrix", (rows, k, 1))]
+                 + _div_plan(rt, (rows, 1), (1, 1), domain))
     return plan
 
 
@@ -586,7 +622,7 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
 
     Column k's sums are the pivot's, sum_m l_km^2 d_m, and the column
     update's, L_{k+1:n,1:k} (l_k * d), and then the column divides by its
-    pivot. With K reciprocal steps:
+    pivot. With K = ``division_steps`` reciprocal steps on the pivot domain:
 
     - "ldl", the default, is one pass that also inverts. Crout's form
       (Golub & Van Loan, Sec. 4.1) keeps each column's words before the
@@ -617,7 +653,7 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
     if n < 2:
         raise ProtocolError("pp_cholesky_ldl needs n >= 2")
     with rt.scope("pp_cholesky"):
-        rt.assistant.deal(_ldl_column_plan(rt, n, 0))
+        rt.assistant.deal(_ldl_column_plan(rt, n, 0, pivot_domain))
         if rt.div.matinv == "paper":
             return _paper_columns(rt, u, pivot_domain)
         return _one_pass_columns(rt, u, pivot_domain)
@@ -640,7 +676,7 @@ def _one_pass_columns(rt: PartyRuntime, u: SharedArray,
     C[:, 0] = u.values[:, 0]
     for k in range(n):
         if k + 1 < n:
-            client.deal(_ldl_column_plan(rt, n, k + 1))
+            client.deal(_ldl_column_plan(rt, n, k + 1, pivot_domain))
         if k:
             # One round: the sums c_ik = u_ik - L_{i,1:k} C_{k,1:k}^T for i >= k
             # and row k of V.
@@ -675,13 +711,13 @@ def _paper_columns(rt: PartyRuntime, u: SharedArray,
     d_vals[0] = u.values[0, 0]
     pivot = SharedArray(rt.party, u.values[0:1, 0:1], codec)
     col = _column(u, slice(0, n), 0)
-    rt.assistant.deal(_ldl_column_plan(rt, n, 1))
+    rt.assistant.deal(_ldl_column_plan(rt, n, 1, pivot_domain))
     l_col = ss_div(rt, col, pivot, pivot_domain)
     L.values[:, 0] = l_col.values[:, 0]
 
     for k in range(1, n):
         if k + 1 < n:
-            rt.assistant.deal(_ldl_column_plan(rt, n, k + 1))
+            rt.assistant.deal(_ldl_column_plan(rt, n, k + 1, pivot_domain))
         lk = SharedArray(rt.party, L.values[k:k + 1, :k], codec)      # 1 x k
         d_row = SharedArray(rt.party, d_vals[:k].reshape(1, -1), codec)
         # acc holds the pivot's sum, then the column update's: (n-k) x 1.
@@ -744,7 +780,7 @@ def pp_backward(rt: PartyRuntime, V: SharedArray, D: SharedArray,
     """
     with rt.scope("pp_backward"):
         d_col = SharedArray(rt.party, D.values.reshape(-1, 1), D.codec, D.scale)
-        rt.assistant.deal(_div_plan(rt, V.shape, d_col.shape))
+        rt.assistant.deal(_div_plan(rt, V.shape, d_col.shape, pivot_domain))
         return ss_matmul(rt, V.T, ss_div(rt, V, d_col, pivot_domain))
 
 
@@ -755,10 +791,10 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
     On the default "ldl" path, pp_cholesky_ldl's one pass gives V = L^{-1}
     and W = D^{-1} V, and one product gives the inverse V^T W. At K
     reciprocal steps that is (K + 3)n - 1 + 1 = (K + 3)n peer rounds and
-    (K + 4)n + 1 assistant round trips, 11n and 12n + 1 at the default 8.
-    The "paper" path runs the paper's three phases, Cholesky, pp_forward
-    and pp_backward: (21n - 23) + (n - 1) + 18 = 22n - 6 peer rounds and
-    23n - 4 round trips at 8 steps (analysis.expected_rounds and
+    (K + 4)n + 1 assistant round trips, 10n and 11n + 1 at the default
+    kernel's 7. The "paper" path runs the paper's three phases, Cholesky,
+    pp_forward and pp_backward: (21n - 23) + (n - 1) + 18 = 22n - 6 peer
+    rounds and 23n - 4 round trips at 8 steps (analysis.expected_rounds and
     analysis.matinv_assistant_round_trips). A round trip is a
     truncation's or a request for material alone. The final product's
     (n, n, n) triple is the only such request on "ldl", and on "paper"

@@ -31,46 +31,35 @@ MATINV_PATHS = ("ldl", "paper")
 
 @dataclass(frozen=True)
 class DivisionConfig:
-    """Reciprocal step counts, the matrix inversion's path and the square root's domain.
+    """The matrix inversion's path and the square root's domain and steps.
 
     ``matinv`` picks the LDL inversion's path. "ldl", the default, runs
     a Goldschmidt reciprocal closed by one Newton step, so a division
-    costs ``iterations`` + 3 rounds: 11 at the default 8 steps. Its
-    inversion is one pass over the columns: a column's sums and its row
-    of L^{-1} take one product round, and its pivot's reciprocal divides
-    the column and that row in its Newton close, ``iterations`` + 3
-    rounds a column. "paper" is the paper's algorithm, four products a
-    column and a Newton reciprocal at 2 ``iterations`` + 1 rounds, the
-    conventional 17, then forward substitution and a backward division,
-    kept as the reference whose counts the tests pin. Both paths reach
-    the same accuracy bound after ``iterations`` steps
-    (analysis.reciprocal_steps). A division's domain is an argument: the
-    matrix inversion takes it from the kernel's public pivot bounds. The
-    square root's first guess is fitted at ``sqrt_hi / 2``, so inputs
-    should lie in [0, sqrt_hi].
+    with k reciprocal steps costs k + 3 rounds. Its inversion is one pass
+    over the columns: a column's sums and its row of L^{-1} take one
+    product round, and its pivot's reciprocal divides the column and that
+    row in its Newton close, k + 3 rounds a column. "paper" is the
+    paper's algorithm, four products a column and a Newton reciprocal at
+    2k + 1 rounds, then forward substitution and a backward division,
+    kept as the reference whose counts the tests pin. k is no setting:
+    ``protocols.division_steps`` derives it from a division's public
+    domain, an argument that the matrix inversion takes from the kernel's
+    pivot bounds. The square root's first guess is fitted at
+    ``sqrt_hi / 2``, so inputs should lie in [0, sqrt_hi].
     """
 
-    iterations: int = 8
     sqrt_hi: float = 16.0
     sqrt_iterations: int = 25
     matinv: str = "ldl"
 
     def __post_init__(self):
-        for name in ("iterations", "sqrt_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.sqrt_iterations < 1:
+            raise ValueError(f"sqrt_iterations must be at least 1, got {self.sqrt_iterations!r}")
         if not 0 < self.sqrt_hi < np.inf:
             raise ValueError(f"sqrt_hi must be finite and positive, got {self.sqrt_hi!r}")
         if self.matinv not in MATINV_PATHS:
             raise ValueError(f"matinv must be one of {', '.join(MATINV_PATHS)}, "
                              f"got {self.matinv!r}")
-
-    @property
-    def rounds(self) -> int:
-        """Round budget of one division (reciprocal plus one multiply) on this path."""
-        if self.matinv == "paper":
-            return 2 * self.iterations + 1
-        return self.iterations + 3
 
 
 # Party 1 draws its truncation offsets this many at a time; its 8-bit draws

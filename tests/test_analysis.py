@@ -9,14 +9,11 @@ from ssgpr.analysis import (construct_assistant_round_trips, construct_rounds, e
                             predict_assistant_round_trips, predict_rounds, reciprocal_steps,
                             validate_exp_params)
 from ssgpr.gpr import KernelConfig
-from ssgpr.protocols import ExpParams
+from ssgpr.protocols import ExpParams, division_steps
 from ssgpr.ring import RingParams
 from ssgpr.session import DivisionConfig
 
 PAPER = DivisionConfig(matinv="paper")
-# Ten reciprocal steps: R_div = 21 on the paper's path, 13 on the default.
-TEN_PAPER = DivisionConfig(iterations=10, matinv="paper")
-TEN = DivisionConfig(iterations=10)
 
 
 def test_validate_reference_params_accepted():
@@ -83,12 +80,12 @@ def test_leakage_rejects_bad_grids():
 
 def test_rounds_ppmi_example():
     assert expected_rounds("ppmi", 10, PAPER) == 214
-    assert expected_rounds("ppmi", 10) == 110
+    assert expected_rounds("ppmi", 10) == 100
 
 
 def test_rounds_cholesky_example():
     assert expected_rounds("cholesky", 2, PAPER) == 19
-    assert expected_rounds("cholesky", 2) == 21
+    assert expected_rounds("cholesky", 2) == 19
 
 
 def test_rounds_exp_is_one():
@@ -98,8 +95,8 @@ def test_rounds_exp_is_one():
 
 def test_rounds_benchmark_size():
     assert expected_rounds("matinv", 100, PAPER) == 2194
-    assert expected_rounds("matinv", 100) == 1100
-    assert expected_rounds("matinv", 200) == 2200
+    assert expected_rounds("matinv", 100) == 1000
+    assert expected_rounds("matinv", 200) == 2000
 
 
 def test_rounds_components_sum():
@@ -109,7 +106,7 @@ def test_rounds_components_sum():
     n = 10
     total = sum(expected_rounds(step, n, PAPER) for step in ("cholesky", "forward", "backward"))
     assert total == expected_rounds("matinv", n, PAPER) == 22 * n - 6
-    assert expected_rounds("cholesky", n) + 1 == expected_rounds("matinv", n) == 11 * n
+    assert expected_rounds("cholesky", n) + 1 == expected_rounds("matinv", n) == 10 * n
 
 
 def test_rounds_rejects_bad_args():
@@ -124,19 +121,19 @@ def test_assistant_round_trips_matinv():
         assert matinv_assistant_round_trips(n, PAPER) == 23 * n - 4
     assert matinv_assistant_round_trips(200, PAPER) == 4596
     # Ten reciprocal iterations: R_div = 21, four more truncations a division.
-    assert matinv_assistant_round_trips(3, TEN_PAPER) == 77
-    assert matinv_assistant_round_trips(10, TEN_PAPER) == 266
+    assert matinv_assistant_round_trips(3, PAPER, steps=10) == 77
+    assert matinv_assistant_round_trips(10, PAPER, steps=10) == 266
     with pytest.raises(ValueError):
         matinv_assistant_round_trips(1)
 
 
 def test_assistant_round_trips_matinv_ldl():
     for n in (2, 3, 10, 200):
-        assert matinv_assistant_round_trips(n) == 12 * n + 1
-    assert matinv_assistant_round_trips(200) == 2401
-    # Ten reciprocal steps: R_div = 13, two more truncations a column.
-    assert matinv_assistant_round_trips(3, TEN) == 43
-    assert matinv_assistant_round_trips(10, TEN) == 141
+        assert matinv_assistant_round_trips(n) == 11 * n + 1
+    assert matinv_assistant_round_trips(200) == 2201
+    # Ten reciprocal steps: R_div = 13, three more truncations a column.
+    assert matinv_assistant_round_trips(3, steps=10) == 43
+    assert matinv_assistant_round_trips(10, steps=10) == 141
 
 
 def test_construct_rounds_closed_form():
@@ -151,7 +148,7 @@ def test_construct_rounds_closed_form():
     assert construct_rounds("se", 100, PAPER) + 12 * predict_rounds("se") == 2246
     assert (construct_rounds("matern32", 100, PAPER) + 10 * predict_rounds("matern32")
             == 2810)
-    assert construct_rounds("se", 8, TEN_PAPER) == 21 + 6 * 25 + 2 + 7 + 22 + 4
+    assert construct_rounds("se", 8, PAPER, steps=10) == 21 + 6 * 25 + 2 + 7 + 22 + 4
     assert construct_assistant_round_trips("se", 200, PAPER) == 23 * 200 + 1
     assert construct_assistant_round_trips("matern32", 100, PAPER) == 23 * 100 + 2 * 25 + 4
     with pytest.raises(ValueError):
@@ -159,21 +156,36 @@ def test_construct_rounds_closed_form():
 
 
 def test_construct_rounds_closed_form_ldl():
-    # 11n for the default inversion and the same additions as above.
+    # 10n for the default inversion and the same additions as above.
     for n in (2, 10, 100, 200):
-        assert construct_rounds("se", n) == 11 * n + 4
+        assert construct_rounds("se", n) == 10 * n + 4
         assert (construct_rounds("matern32", n, DivisionConfig(sqrt_iterations=7))
-                == 11 * n + 2 * 7 + 6)
+                == 10 * n + 2 * 7 + 6)
     # The bench's three workloads: construction plus their prediction batches.
-    assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 2244
-    assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 1152
-    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 1716
-    assert construct_rounds("se", 8, TEN) == 13 * 8 + 4
-    assert construct_assistant_round_trips("se", 200) + 10 * 7 == 2476
-    assert construct_assistant_round_trips("se", 100) + 12 * 7 == 1290
+    assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 2044
+    assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 1052
+    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 1616
+    assert construct_rounds("se", 8, steps=10) == 13 * 8 + 4
+    assert construct_assistant_round_trips("se", 200) + 10 * 7 == 2276
+    assert construct_assistant_round_trips("se", 100) + 12 * 7 == 1190
     assert (construct_assistant_round_trips("matern32", 100)
-            + 10 * predict_assistant_round_trips("matern32") == 1859)
-    assert construct_assistant_round_trips("matern32", 100) == 12 * 100 + 2 * 25 + 9
+            + 10 * predict_assistant_round_trips("matern32") == 1759)
+    assert construct_assistant_round_trips("matern32", 100) == 11 * 100 + 2 * 25 + 9
+
+
+def test_closed_forms_default_to_the_default_kernels_step_bound():
+    # Left out, the step count is the bound of KernelConfig()'s pivot
+    # domain at l_f = 26 on "ldl", and at least the paper's 8 on "paper".
+    bound = reciprocal_steps(KernelConfig().pivot_domain, RingParams().lf)
+    assert bound == 7
+    for div, steps in ((DivisionConfig(), bound), (PAPER, 8)):
+        assert expected_rounds("matinv", 10, div) == expected_rounds("matinv", 10, div, steps)
+        assert (matinv_assistant_round_trips(10, div)
+                == matinv_assistant_round_trips(10, div, steps))
+        for kind in ("se", "matern32"):
+            assert construct_rounds(kind, 10, div) == construct_rounds(kind, 10, div, steps)
+            assert (construct_assistant_round_trips(kind, 10, div)
+                    == construct_assistant_round_trips(kind, 10, div, steps))
 
 
 @pytest.mark.parametrize("noise, want", [(0.1, 7), (0.05, 8), (0.01, 10), (1e-3, 14)])
@@ -184,6 +196,16 @@ def test_reciprocal_steps_on_the_pivot_domain(noise, want):
     lo, hi = domain
     e0 = (hi - lo) ** 2 / ((hi + lo) ** 2 + 4 * lo * hi)  # the minimax guess's error
     assert e0 ** (2 ** want) < 2.0 ** -26 <= e0 ** (2 ** (want - 1))
+    assert division_steps(domain, 26, "ldl") == want
+    assert division_steps(domain, 26, "paper") == max(8, want)
+
+
+def test_reciprocal_steps_floor_at_one():
+    # On (1, 1.0001) the first guess alone is within 2^-26, but the "ldl"
+    # path's Newton close needs a step.
+    lo, hi = 1.0, 1.0001
+    assert (hi - lo) ** 2 / ((hi + lo) ** 2 + 4 * lo * hi) < 2.0 ** -26
+    assert reciprocal_steps((lo, hi), 26) == division_steps((lo, hi), 26, "ldl") == 1
 
 
 def test_reciprocal_steps_rejects_an_empty_domain():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from ssgpr import cli
+from ssgpr.analysis import expected_rounds
 from ssgpr.cli import bench_matinv, load_config, main, run_gpr
 from ssgpr.data import Dataset, standardize
 from ssgpr.gpr import sqdist_matrix
+from ssgpr.session import DivisionConfig
 from ssgpr.transport import P0
 
 
@@ -80,8 +82,8 @@ def test_bench_matinv_rounds_ldl(capsys):
     code, out, _ = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2"], capsys)
     assert code == 0
     entry = json.loads(out)["results"][0]
-    assert entry["rounds"] == 11 * 8 == entry["rounds_expected"]
-    assert entry["assistant_round_trips"] == 12 * 8 + 1 == entry["assistant_round_trips_expected"]
+    assert entry["rounds"] == 10 * 8 == entry["rounds_expected"]
+    assert entry["assistant_round_trips"] == 11 * 8 + 1 == entry["assistant_round_trips_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
 
 
@@ -100,6 +102,34 @@ def test_bench_matinv_seconds_is_the_median_of_its_runs(monkeypatch):
     report = bench_matinv(load_config(None), [3], runs=3)
     assert report["runs"] == 3
     assert report["results"][0]["seconds"] == 2.0
+
+
+@pytest.mark.parametrize("command", ["run-gpr", "bench-exp", "bench-matinv"])
+def test_empty_seed_list_rejected(command, tmp_path, capsys):
+    # An empty list once gave NaN losses with no runs, or an index error.
+    data = tmp_path / "train.csv"
+    data.write_text("".join(f"{i},{i % 3}.5\n" for i in range(6)))
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seeds =\n")
+    args = {"run-gpr": ["--data", str(data)], "bench-exp": ["--sizes", "8"],
+            "bench-matinv": ["--sizes", "4", "--runs", "1"]}[command]
+    code, out, err = run_cli([command, "--config", str(cfg), *args], capsys)
+    assert code == 2 and out == ""
+    assert f"{command} failed: seeds must list at least one seed" in err
+
+
+@pytest.mark.parametrize("command", ["bench-exp", "bench-matinv"])
+def test_empty_size_list_rejected(command, capsys):
+    code, out, err = run_cli([command, "--sizes", ","], capsys)
+    assert code == 2 and out == ""
+    assert f"{command} failed: --sizes must list at least one size" in err
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_bench_matinv_rejects_runs_below_one(runs, capsys):
+    code, out, err = run_cli(["bench-matinv", "--sizes", "4", "--runs", runs], capsys)
+    assert code == 2 and out == ""
+    assert f"--runs must be at least 1, got {runs}" in err
 
 
 def _run_gpr_cli(tmp_path, capsys, *config):
@@ -125,10 +155,10 @@ def _run_gpr_cli(tmp_path, capsys, *config):
 
 def test_run_gpr_end_to_end_ldl(tmp_path, capsys):
     run = _run_gpr_cli(tmp_path, capsys)["runs"][0]
-    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 11 * 10
-    assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 11 * 10 + 4
+    assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 10 * 10
+    assert run["construct_rounds_recorded"] == run["construct_rounds_expected"] == 10 * 10 + 4
     assert (run["construct_assistant_round_trips_recorded"]
-            == run["construct_assistant_round_trips_expected"] == 12 * 10 + 6)
+            == run["construct_assistant_round_trips_expected"] == 11 * 10 + 6)
 
 
 def test_run_gpr_end_to_end(tmp_path, capsys, paper_path):
@@ -188,8 +218,6 @@ def test_matern_queries_equal_to_training_rows_run():
     ("matern32", "sqrt_iterations", "sqrt_iterations", -1),
     ("matern32", "sqrt_iterations", "sqrt_iterations", 0),
     ("matern32", "sqrt_hi", "sqrt_hi", -200.0),
-    ("se", "div_iterations", "iterations", 0),
-    ("se", "div_iterations", "iterations", -1),
 ])
 def test_run_gpr_rejects_out_of_domain_newton_settings(kernel, key, field, value):
     # Each bad value fails by name before any session starts.
@@ -202,13 +230,15 @@ def test_run_gpr_rejects_out_of_domain_newton_settings(kernel, key, field, value
         run_gpr(Dataset(x[:20], np.sin(x[:20].sum(axis=1))), x[20:], cfg)
 
 
-def test_run_gpr_names_the_div_iterations_key():
-    # The config key, not DivisionConfig's field, names the bad value.
-    cfg = load_config(None)
-    cfg["div_iterations"] = 0
-    x = np.random.default_rng(5).normal(size=(12, 2))
-    with pytest.raises(ValueError, match=r"^div_iterations must be at least 1, got 0$"):
-        run_gpr(Dataset(x[:10], np.sin(x[:10, 0])), x[10:], cfg)
+def test_run_gpr_names_the_div_iterations_key(tmp_path, capsys):
+    # The reciprocal step count comes from the pivot domain, so a config
+    # that still sets it fails by the key's name, as an unknown key.
+    path = tmp_path / "cfg"
+    path.write_text("div_iterations = 10\n")
+    code, _, err = run_cli(["run-gpr", "--data", str(tmp_path / "train.csv"),
+                            "--config", str(path)], capsys)
+    assert code == 2
+    assert "cfg:1: unknown key 'div_iterations'" in err
 
 
 @pytest.mark.parametrize("kernel, want", [("se", 4), ("matern32", 2 * 3 + 6)])
@@ -242,10 +272,10 @@ def test_run_gpr_names_both_counts_on_a_closed_form_mismatch(name, what, unit, a
 
 
 @pytest.mark.parametrize("name, what, unit, at", [
-    ("expected_rounds", "the matrix inversion", "peer rounds", 11 * 8),
-    ("construct_rounds", "model construction", "peer rounds", 11 * 8 + 4),
+    ("expected_rounds", "the matrix inversion", "peer rounds", 10 * 8),
+    ("construct_rounds", "model construction", "peer rounds", 10 * 8 + 4),
     ("construct_assistant_round_trips", "model construction", "assistant round trips",
-     12 * 8 + 6),
+     11 * 8 + 6),
 ])
 def test_run_gpr_names_both_counts_on_a_closed_form_mismatch_ldl(name, what, unit, at,
                                                                  monkeypatch):
@@ -257,10 +287,11 @@ def test_run_gpr_names_both_counts_on_a_closed_form_mismatch_ldl(name, what, uni
 
 
 def test_matinv_closed_form_follows_division_budget(paper_path):
-    # Ten reciprocal iterations make a 21-round division, so an n=8
-    # inversion takes 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.
+    # sigma^2 = 0.01's pivot domain takes ten reciprocal iterations, a
+    # 21-round division, so an n=8 inversion takes
+    # 21 + 6*25 + 2 + 7 + 22 = 202 rounds, not 170.
     cfg = load_config(None)
-    cfg["div_iterations"] = 10
+    cfg["noise_variance"] = 0.01
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.25, 0.25, (10, 2))
     y = 10.0 + np.sin(x.sum(axis=1))
@@ -273,10 +304,11 @@ def test_matinv_closed_form_follows_division_budget(paper_path):
 
 
 def test_matinv_closed_form_follows_division_budget_ldl():
-    # Ten reciprocal steps make a 13-round division budget on the default
-    # path, so an n=8 inversion takes 13 * 8 = 104 rounds, not 88.
+    # sigma^2 = 0.01's ten reciprocal steps make a 13-round division budget
+    # on the default path, so an n=8 inversion takes 13 * 8 = 104 rounds,
+    # not 80.
     cfg = load_config(None)
-    cfg["div_iterations"] = 10
+    cfg["noise_variance"] = 0.01
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.25, 0.25, (10, 2))
     y = 10.0 + np.sin(x.sum(axis=1))
@@ -284,7 +316,7 @@ def test_matinv_closed_form_follows_division_budget_ldl():
     assert run["matinv_rounds_recorded"] == run["matinv_rounds_expected"] == 104
     entry = bench_matinv(cfg, [8], runs=1)["results"][0]
     assert entry["rounds"] == entry["rounds_expected"] == 104
-    # Each of the n columns makes two more truncations: 12n + 1 + 2n.
+    # Each of the n columns makes three more truncations: 11n + 1 + 3n.
     assert entry["assistant_round_trips"] == entry["assistant_round_trips_expected"] == 113
 
 
@@ -299,59 +331,52 @@ def _small_noise_data():
 
 @pytest.mark.parametrize("matinv", ["ldl", "paper"])
 def test_run_gpr_small_noise_accuracy(matinv, request):
-    # sigma^2 = 0.01 needs 10 reciprocal steps; with them both paths meet
-    # criterion 5's tolerances.
+    # sigma^2 = 0.01 needs 10 reciprocal steps, which the pivot domain
+    # gives with no setting; both paths meet criterion 5's tolerances
+    # (8 steps once returned losses near 2e-3 and 2e-2, with nothing failing).
     if matinv == "paper":
         request.getfixturevalue("paper_path")
     data, queries = _small_noise_data()
     cfg = load_config(None)
-    cfg.update(noise_variance=0.01, div_iterations=10)
+    cfg["noise_variance"] = 0.01
     report = run_gpr(data, queries, cfg)
     assert report["loss_mu_mean"] <= 1e-4, report["loss_mu_mean"]
     assert report["loss_var_mean"] <= 1e-3, report["loss_var_mean"]
 
 
 @pytest.mark.parametrize("matinv", ["ldl", "paper"])
-def test_run_gpr_rejects_too_few_reciprocal_steps(matinv, request):
-    # Eight steps at sigma^2 = 0.01 once returned losses near 2e-3 and 2e-2,
-    # with nothing failing.
+def test_run_gpr_smaller_noise_accuracy(matinv, request):
+    # sigma^2 = 1e-3's pivot domain takes 14 steps, with no setting: the
+    # inversion runs on the closed form at 14, within criterion 5's tolerances.
     if matinv == "paper":
         request.getfixturevalue("paper_path")
     data, queries = _small_noise_data()
     cfg = load_config(None)
-    cfg["noise_variance"] = 0.01
-    with pytest.raises(ValueError, match=r"^div_iterations = 8 is below the 10 reciprocal "
-                                         r"steps that noise_variance = 0.01 needs"):
-        run_gpr(data, queries, cfg)
-
-
-def test_bench_matinv_rejects_too_few_reciprocal_steps():
-    # The default grams have sigma^2 = 0.1, which needs 7 steps.
-    cfg = load_config(None)
-    cfg["div_iterations"] = 6
-    with pytest.raises(ValueError, match=r"^div_iterations = 6 is below the 7 reciprocal "
-                                         r"steps that noise_variance = 0.1 needs"):
-        bench_matinv(cfg, [8], runs=1)
+    cfg["noise_variance"] = 1e-3
+    report = run_gpr(data, queries, cfg)
+    run = report["runs"][0]
+    assert (run["matinv_rounds_recorded"] == run["matinv_rounds_expected"]
+            == expected_rounds("matinv", 40, DivisionConfig(matinv=matinv), 14))
+    assert report["loss_mu_mean"] <= 1e-4, report["loss_mu_mean"]
+    assert report["loss_var_mean"] <= 1e-3, report["loss_var_mean"]
 
 
 def test_bench_matinv_grams_take_the_config_noise(tmp_path, capsys):
     # validate-params, run-gpr and bench-matinv read one noise variance:
-    # at 1e-3 all three ask for 14 steps, and bench-matinv's grams carry
-    # it on the diagonal, so 14 steps invert them within criterion 3's gate.
+    # at 1e-3 the pivot domain needs 14 steps, bench-matinv's grams carry
+    # it on the diagonal, and 14 steps invert them within criterion 3's gate.
     path = tmp_path / "cfg"
-    path.write_text("noise_variance = 0.001\ndiv_iterations = 13\n")
+    path.write_text("noise_variance = 0.001\n")
     code, out, _ = run_cli(["validate-params", "--config", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["reciprocal_steps"] == 14
-    code, _, err = run_cli(["bench-matinv", "--sizes", "8", "--runs", "1",
-                            "--config", str(path)], capsys)
-    assert code == 2
-    assert ("div_iterations = 13 is below the 14 reciprocal steps that "
-            "noise_variance = 0.001 needs") in err
-    cfg = load_config(str(path))
-    cfg["div_iterations"] = 14
-    entry = bench_matinv(cfg, [8], runs=2)["results"][0]
+    code, out, err = run_cli(["bench-matinv", "--sizes", "8", "--runs", "2",
+                              "--config", str(path)], capsys)
+    assert code == 0, err
+    entry = json.loads(out)["results"][0]
     assert entry["rounds"] == entry["rounds_expected"] == (14 + 3) * 8
+    assert (entry["assistant_round_trips"] == entry["assistant_round_trips_expected"]
+            == (14 + 4) * 8 + 1)
     assert entry["loss_mi_mean"] <= 1e-3
 
 
@@ -359,7 +384,7 @@ def test_validate_params_reports_the_reciprocal_step_bound(tmp_path, capsys):
     code, out, _ = run_cli(["validate-params"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["reciprocal_steps"] == 7 and report["div_iterations"] == 8
+    assert report["reciprocal_steps"] == 7 and "div_iterations" not in report
     path = tmp_path / "cfg"
     path.write_text("noise_variance = 0.001\n")
     code, out, _ = run_cli(["validate-params", "--config", str(path)], capsys)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import CODEC, QUANTUM, cross_dist, open_result, run_shared
+from ssgpr import protocols
 from ssgpr.analysis import (expected_rounds, matinv_assistant_round_trips, reciprocal_steps,
                             sqrt_assistant_round_trips, sqrt_rounds)
 from ssgpr.gpr import KernelConfig, kernel_matrix_plaintext
@@ -21,6 +22,12 @@ from ssgpr.transport import P0, P1
 
 
 PAPER = DivisionConfig(matinv="paper")
+# Public divisor domains whose reciprocal step bound (l_f = 26) is the key.
+# The bound depends on hi / lo alone.
+STEP_DOMAINS = {1: (1.0, 1.01), 2: (1.0, 1.2), 3: (1.0, 2.0),
+                8: KernelConfig(noise_variance=0.05).pivot_domain,
+                10: KernelConfig(noise_variance=0.01).pivot_domain,
+                14: KernelConfig(noise_variance=1e-3).pivot_domain}
 
 
 def scoped(result, name):
@@ -227,40 +234,56 @@ def test_reciprocal_domain_sweep_paper():
 
 
 @pytest.mark.parametrize("matinv", ["ldl", "paper"])
-def test_reciprocal_converges_at_the_step_bound(matinv):
+def test_reciprocal_converges_at_the_step_bound(matinv, monkeypatch):
     # On (0.005, 2.02), sigma^2 = 0.01's pivot domain, the bound's 10 steps
     # reach the truncation noise floor (about 1e-6 relative at v = 0.005,
-    # where 1/v = 200) and 9 stop at e0^512, about 4e-5, at both ends.
-    domain = KernelConfig(noise_variance=0.01).pivot_domain
+    # where 1/v = 200) and 9, forced in place of the bound, stop at e0^512,
+    # about 4e-5, at both ends.
+    domain = STEP_DOMAINS[10]
     v = np.array([domain[0], 0.01, 0.1, 1.0, domain[1]])
-    rel = {}
-    for k in (9, 10):
+
+    def rel_error():
         res = run_shared(lambda rt, x: ss_reciprocal(rt, x, domain), [v],
-                         div=DivisionConfig(iterations=k, matinv=matinv))
-        rel[k] = np.max(np.abs(open_result(res) - 1.0 / v) * v)
+                         div=DivisionConfig(matinv=matinv))
+        return np.max(np.abs(open_result(res) - 1.0 / v) * v)
+
+    at_bound = rel_error()
+    monkeypatch.setattr(protocols, "division_steps", lambda *args: 9)
     assert reciprocal_steps(domain, CODEC.lf) == 10
-    assert rel[10] <= 2e-6 and rel[9] >= 20 * rel[10]
+    assert at_bound <= 2e-6 and rel_error() >= 20 * at_bound
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 def test_division_counts_and_plan_on_the_ldl_path(k):
-    # k - 1 Goldschmidt steps and the Newton close: k + 3 rounds and k + 4
-    # truncations a division, on exactly the triples _div_plan deals.
-    u, v = np.array([[6.0], [1.0]]), np.array([[3.0]])
+    # On a domain whose bound is k: k - 1 Goldschmidt steps and the Newton
+    # close, k + 3 rounds and k + 4 truncations a division, on exactly the
+    # triples _div_plan deals, and the quotient converged.
+    domain = STEP_DOMAINS[k]
+    u, v = np.array([[6.0], [1.0]]), np.array([[1.005]])
 
     def job(rt, a, b):
-        rt.assistant.deal(_div_plan(rt, a.shape, b.shape))
+        rt.assistant.deal(_div_plan(rt, a.shape, b.shape, domain))
         before = rt.assistant.requests
-        out = ss_div(rt, a, b, DOMAIN)
+        out = ss_div(rt, a, b, domain)
         return out, rt.assistant.requests - before
 
-    div = DivisionConfig(iterations=k)
-    res = run_shared(job, [u, v], div=div)
-    assert scoped(res, "ss_div")["rounds"] == div.rounds == k + 3
+    res = run_shared(job, [u, v])
+    assert reciprocal_steps(domain, CODEC.lf) == k
+    assert scoped(res, "ss_div")["rounds"] == k + 3
     assert res.outputs[P0][1] == res.outputs[P1][1] == k + 4
-    if k == 8:
-        got = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
-        assert np.max(np.abs(got - u / v)) <= 1e-4 * 2.0
+    got = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
+    assert np.max(np.abs(got - u / v)) <= 1e-4 * 2.0
+
+
+@pytest.mark.parametrize("matinv", ["ldl", "paper"])
+def test_division_on_a_domain_the_first_guess_covers(matinv):
+    # On (1, 1.0001) the affine guess alone is within 2^-26, so the bound
+    # is its floor, one step: 4 rounds on "ldl"; "paper" keeps its 8.
+    domain = (1.0, 1.0001)
+    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, domain),
+                     [np.array([3.0]), np.array([1.00005])], div=DivisionConfig(matinv=matinv))
+    assert scoped(res, "ss_div")["rounds"] == (4 if matinv == "ldl" else 17)
+    assert abs(float(open_result(res)[0]) - 3.0 / 1.00005) <= 4 * QUANTUM
 
 
 def test_div_example():
@@ -270,20 +293,20 @@ def test_div_example():
 
 
 def test_div_round_budget():
-    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, DOMAIN),
-                     [np.array([6.0]), np.array([3.0])], div=PAPER)
+    # The default pivot domain's bound is 7; the paper's path keeps its 8.
+    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, (0.05, 2.2)),
+                     [np.array([3.0]), np.array([1.5])], div=PAPER)
     assert scoped(res, "ss_div")["rounds"] == 17
 
 
 def test_div_round_budget_ldl():
-    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, DOMAIN),
-                     [np.array([6.0]), np.array([3.0])])
-    assert scoped(res, "ss_div")["rounds"] == 11 == DivisionConfig().rounds
+    res = run_shared(lambda rt, u, v: ss_div(rt, u, v, STEP_DOMAINS[8]),
+                     [np.array([3.0]), np.array([1.5])])
+    assert scoped(res, "ss_div")["rounds"] == 11
 
 
-BAD_NEWTON_SETTINGS = [("iterations", 0), ("iterations", -1), ("sqrt_iterations", 0),
-                       ("sqrt_iterations", -1), ("sqrt_hi", 0.0), ("sqrt_hi", -16.0),
-                       ("sqrt_hi", float("inf")), ("sqrt_hi", float("nan")),
+BAD_NEWTON_SETTINGS = [("sqrt_iterations", 0), ("sqrt_iterations", -1), ("sqrt_hi", 0.0),
+                       ("sqrt_hi", -16.0), ("sqrt_hi", float("inf")), ("sqrt_hi", float("nan")),
                        ("matinv", "newton"), ("matinv", "LDL")]
 
 
@@ -416,11 +439,16 @@ def test_cholesky_2x2_example():
 
 
 def test_cholesky_identity():
-    res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, pivot_domain=(0.5, 2.0)),
-                     [np.eye(3)])
-    L, D = _open_factors(res)
-    assert np.max(np.abs(L - np.eye(3))) <= QUANTUM
-    assert np.max(np.abs(D - 1.0)) <= 10 * QUANTUM
+    # On "ldl" L's column goes through two truncations, each within 1.5
+    # quanta; over session seeds 0-39 the error reached 2 quanta on both
+    # paths.
+    for div in (DivisionConfig(), PAPER):
+        for seed in range(40):
+            res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, pivot_domain=(0.5, 2.0)),
+                             [np.eye(3)], seed=seed, div=div)
+            L, D = _open_factors(res)
+            assert np.max(np.abs(L - np.eye(3))) <= 2 * QUANTUM, (div.matinv, seed)
+            assert np.max(np.abs(D - 1.0)) <= 10 * QUANTUM, (div.matinv, seed)
 
 
 def test_cholesky_round_count():
@@ -433,12 +461,13 @@ def test_cholesky_round_count():
 
 def test_cholesky_round_count_ldl():
     # The one pass: column 0's reciprocal, then a product round and a
-    # reciprocal for each later column, 11 rounds a column at 8 steps.
+    # reciprocal for each later column, 10 rounds a column at the domain's
+    # 7 steps.
     for n in (2, 4):
         x = np.random.default_rng(n).uniform(-3, 3, (n, 2))
         u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)) + 0.1 * np.eye(n)
         res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u])
-        assert scoped(res, "pp_cholesky")["rounds"] == 11 * n - 1
+        assert scoped(res, "pp_cholesky")["rounds"] == 10 * n - 1
 
 
 def test_cholesky_paths_agree():
@@ -492,9 +521,10 @@ def test_backward_round_count():
 
 
 def test_backward_round_count_ldl():
+    # The division's k + 3 rounds at (0.5, 2.0)'s 4 steps, and the product.
     res = run_shared(lambda rt, v, d: pp_backward(rt, v, d, pivot_domain=(0.5, 2.0)),
                      [np.eye(2), np.ones(2)])
-    assert scoped(res, "pp_backward")["rounds"] == 12
+    assert scoped(res, "pp_backward")["rounds"] == 8
 
 
 def test_matinv_identity():
@@ -518,34 +548,36 @@ def test_matinv_round_count_n10_ldl():
     d = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
     u = np.exp(-d / 2) + 0.1 * np.eye(n)
     res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u])
-    assert scoped(res, "pp_matinv")["rounds"] == 110 == 11 * n
+    assert scoped(res, "pp_matinv")["rounds"] == 100 == 10 * n
 
 
 @pytest.mark.parametrize("n, iterations, want", [(3, 8, 65), (10, 8, 226),
                                                   (3, 10, 77), (10, 10, 266)])
 def test_matinv_assistant_round_trips(n, iterations, want):
-    _check_matinv_round_trips(n, DivisionConfig(iterations=iterations, matinv="paper"), want)
+    _check_matinv_round_trips(n, PAPER, iterations, want)
 
 
 @pytest.mark.parametrize("n, iterations, want", [(3, 8, 37), (10, 8, 121),
                                                   (3, 10, 43), (10, 10, 141)])
 def test_matinv_assistant_round_trips_ldl(n, iterations, want):
-    _check_matinv_round_trips(n, DivisionConfig(iterations=iterations), want)
+    _check_matinv_round_trips(n, DivisionConfig(), iterations, want)
 
 
-def _check_matinv_round_trips(n, div, want):
+def _check_matinv_round_trips(n, div, steps, want):
+    # The gram's pivots lie in every domain here; its bound is ``steps``.
     x = np.random.default_rng(n).uniform(-10, 10, (n, 2))
     u = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(-1) / 2) + 0.1 * np.eye(n)
 
     def job(rt, a):
         # The client numbers its requests, so its tag counts round trips.
         before = rt.assistant._tag
-        pp_matinv(rt, a, (0.05, 2.2))
+        pp_matinv(rt, a, STEP_DOMAINS[steps])
         return rt.assistant._tag - before
 
     res = run_shared(job, [u], div=div)
+    assert reciprocal_steps(STEP_DOMAINS[steps], CODEC.lf) == steps
     assert res.outputs[P0] == res.outputs[P1] == want
-    assert want == matinv_assistant_round_trips(n, div)
+    assert want == matinv_assistant_round_trips(n, div, steps)
 
 
 def _se_gram(n, seed):
@@ -606,7 +638,7 @@ def test_ldl_and_forward_hold_only_the_current_and_next_steps_material():
 
     def job(rt, a):
         client = rt.assistant
-        steps = ([_ldl_column_plan(rt, n, k) for k in range(n)]
+        steps = ([_ldl_column_plan(rt, n, k, (0.05, 2.2)) for k in range(n)]
                  + [[("matrix", (1, k, k))] for k in range(1, n)])
         owner = [i for i, step in enumerate(steps) for _ in step]
         words = [sum(_item_words(*item) for item in step) for step in steps] + [0]
@@ -660,20 +692,20 @@ def test_paper_path_keeps_no_inverse_factors():
 @pytest.mark.parametrize("backend", ["inproc", "sockets"])
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 def test_matinv_counts_on_the_one_pass(k, backend):
-    # (k + 3)n peer rounds and (k + 4)n + 1 assistant round trips at k
-    # reciprocal steps; below the domain's step bound the inverse is off,
-    # but the counts hold.
-    div = DivisionConfig(iterations=k)
+    # (k + 3)n peer rounds and (k + 4)n + 1 assistant round trips on a
+    # pivot domain whose bound is k; where the gram's pivots lie outside
+    # that domain the inverse is off, but the counts hold.
     for n in (2, 3, 10):
         def job(rt, a):
             before = rt.assistant.requests
-            pp_matinv(rt, a, (0.05, 2.2))
+            pp_matinv(rt, a, STEP_DOMAINS[k])
             return rt.assistant.requests - before
 
-        res = run_shared(job, [_se_gram(n, n)], backend=backend, div=div)
-        assert scoped(res, "pp_matinv")["rounds"] == (k + 3) * n == expected_rounds("matinv", n, div)
+        res = run_shared(job, [_se_gram(n, n)], backend=backend)
+        assert (scoped(res, "pp_matinv")["rounds"] == (k + 3) * n
+                == expected_rounds("matinv", n, steps=k))
         assert (res.outputs[P0] == res.outputs[P1] == (k + 4) * n + 1
-                == matinv_assistant_round_trips(n, div))
+                == matinv_assistant_round_trips(n, steps=k))
 
 
 def test_reciprocal_carries_numerators_only_for_one_ldl_divisor():
@@ -692,7 +724,7 @@ def test_reciprocal_divides_its_numerators():
     scaled = reconstruct(res.outputs[P0][1], res.outputs[P1][1])
     assert abs(inv[0] - 0.25) <= 1e-4 * 0.25
     assert np.max(np.abs(scaled - [0.25, -0.5, 2.5])) <= 1e-4 * 2.5
-    assert scoped(res, "ss_div")["rounds"] == DivisionConfig().iterations + 2
+    assert scoped(res, "ss_div")["rounds"] == reciprocal_steps(DOMAIN, CODEC.lf) + 2
 
 
 def _matinv_over_sockets(div):
@@ -717,8 +749,8 @@ def test_matinv_over_sockets():
 
 def test_matinv_over_sockets_ldl():
     n, rounds, trips = _matinv_over_sockets(DivisionConfig())
-    assert rounds == 11 * n == expected_rounds("matinv", n)
-    assert trips == 12 * n + 1 == matinv_assistant_round_trips(n)
+    assert rounds == 10 * n == expected_rounds("matinv", n)
+    assert trips == 11 * n + 1 == matinv_assistant_round_trips(n)
 
 
 def test_matinv_accuracy_se_gram():
@@ -742,7 +774,7 @@ def test_matinv_small_noise_gram_at_the_step_bound(matinv):
     steps = reciprocal_steps(cfg.pivot_domain, CODEC.lf)
     assert steps == 14
     res = run_shared(lambda rt, m: pp_matinv(rt, m, cfg.pivot_domain), [a],
-                     div=DivisionConfig(iterations=steps, matinv=matinv))
+                     div=DivisionConfig(matinv=matinv))
     assert np.linalg.norm(a @ open_result(res) - np.eye(40)) ** 2 <= 1e-3
 
 
