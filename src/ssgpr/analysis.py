@@ -3,9 +3,10 @@
 Parameter validation for the masked exponentiation, exact enumeration of
 its information leakage, and the closed-form communication-round counts
 of the matrix-inversion pipeline, the square root, GP model construction
-and a prediction batch, peer rounds and assistant round trips. The counts
-take the session's ``DivisionConfig`` path (``matinv``) and the reciprocal
-steps, which fix the division budget R_div; left out, the steps are
+and a prediction batch, peer rounds and assistant round trips, and the
+inversion's online words. The counts take the session's
+``DivisionConfig`` path (``matinv``) and the reciprocal steps, which fix
+the division budget R_div; left out, the steps are
 ``protocols.division_steps`` of the default kernel's pivot domain at the
 default l_f, 7 on "ldl" and 8 on "paper".
 """
@@ -126,10 +127,16 @@ def leakage_enumerate(m_u: int, m_r: int) -> LeakageReport:
     )
 
 
+def _steps(div: DivisionConfig, steps: int | None) -> int:
+    """``steps``, or left out, the default kernel's pivot-domain steps on ``div``'s path."""
+    if steps is None:
+        return division_steps(KernelConfig().pivot_domain, RingParams().lf, div.matinv)
+    return steps
+
+
 def _division_rounds(div: DivisionConfig, steps: int | None) -> int:
     """R_div, one division's rounds (reciprocal plus one multiply) at ``steps``."""
-    if steps is None:
-        steps = division_steps(KernelConfig().pivot_domain, RingParams().lf, div.matinv)
+    steps = _steps(div, steps)
     return 2 * steps + 1 if div.matinv == "paper" else steps + 3
 
 
@@ -194,6 +201,41 @@ def matinv_assistant_round_trips(n: int, div: DivisionConfig = DivisionConfig(),
     column = r_div + 1 + _PAPER_COLUMN_PRODUCTS
     truncations = (r_div + 1) + (n - 2) * column + 2 + (n - 1) + (r_div + 2)
     return truncations + 2
+
+
+def matinv_online_words(n: int, div: DivisionConfig = DivisionConfig(),
+                        steps: int | None = None) -> int:
+    """Closed-form online words each server sends in one matrix inversion at ``steps``.
+
+    A Beaver product opens both operands, a product by a kept mask only
+    what is not open yet. On "ldl" each column's reciprocal of its pivot
+    at K steps sends 2 words for the first residual, 4K - 6 for the
+    Goldschmidt steps (none at K = 1) and 4n for the Newton close, which
+    carries the n - 1 numerators. Every word of L, C and V opens once:
+    column k >= 1 opens L[k:n, k-1], C[k:n, k-1] and V[k-1, :k-1], and the
+    final product W^T - A (n^2) with V's last row (n - 1). That is
+    n(4n + 24) + n(n - 1) + (n - 1)(n - 2)/2 + (n - 1) + n^2 at 7 steps,
+    264,500 at n = 200. On "paper" every product opens both operands
+    afresh: Cholesky's column k < n - 1 sends 7k + (n - k - 1)k for its
+    four products and 4K + 2(n - k - 1) for its division (column 0 only
+    the division, 4K + 2n, and the last column 4(n - 1)), the forward
+    rows k + k^2 each and backward 4Kn + 4n^2, so its words grow as n^3.
+    """
+    if n < 2:
+        raise ValueError("matrix protocols need n >= 2")
+    k_steps = _steps(div, steps)
+    if div.matinv != "paper":
+        reciprocal = 2 + max(0, 4 * k_steps - 6) + 4 * n
+        return (n * reciprocal + n * (n - 1) + (n - 1) * (n - 2) // 2 + (n - 1) + n * n)
+
+    def division(rows):  # a column of ``rows`` words over one pivot
+        return 4 * k_steps + 2 * rows
+
+    cholesky = (division(n) + 4 * (n - 1)
+                + sum(7 * k + (n - k - 1) * k + division(n - k - 1) for k in range(1, n - 1)))
+    forward = sum(k + k * k for k in range(1, n))
+    backward = 4 * k_steps * n + 4 * n * n
+    return cholesky + forward + backward
 
 
 def sqrt_rounds(iterations: int) -> int:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .analysis import (construct_assistant_round_trips, construct_rounds, expected_rounds,
-                       leakage_enumerate, matinv_assistant_round_trips,
+                       leakage_enumerate, matinv_assistant_round_trips, matinv_online_words,
                        predict_assistant_round_trips, predict_rounds, reciprocal_steps,
                        validate_exp_params)
 from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenario, standardize
@@ -224,45 +224,58 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
 
 
 def bench_exp(cfg: dict, sizes) -> dict:
-    """Accuracy and communication of the exponentiation on random inputs."""
+    """Accuracy and communication of the exponentiation on random inputs.
+
+    Each seed draws its own inputs of every size, from (seed, size).
+    ``max_abs_error`` is the worst over the seeds and ``seconds`` the
+    median of server 0's times; rounds and volume are the same for every
+    seed.
+    """
     codec, exp_params, div, _ = session_pieces(cfg)
-    rng = np.random.default_rng(cfg["seeds"][0])
     results = []
     for n in sizes:
-        u = rng.uniform(exp_params.u_min, 0.0, int(n))
-        s0, s1 = share_reals(u, codec, rng)
+        entry, errors, seconds = None, [], []
+        for seed in cfg["seeds"]:
+            rng = np.random.default_rng([seed, int(n)])
+            u = rng.uniform(exp_params.u_min, 0.0, int(n))
+            s0, s1 = share_reals(u, codec, rng)
 
-        def job(rt, shares=(s0, s1)):
-            t0 = time.perf_counter()
-            out = pp_exp(rt, shares[rt.party], exp_params, policy="strict")
-            return out, time.perf_counter() - t0
+            def job(rt, shares=(s0, s1)):
+                t0 = time.perf_counter()
+                out = pp_exp(rt, shares[rt.party], exp_params, policy="strict")
+                return out, time.perf_counter() - t0
 
-        result = run_session(job, codec, seed=int(n), backend=cfg["backend"], div=div)
-        got = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
-        err = float(np.max(np.abs(got - np.exp(u))))
-        stats0 = result.stats[P0].summary()
-        stats1 = result.stats[P1].summary()
-        scoped = stats0["per_protocol"]["pp_exp"]
-        volume_bits = 8 * 8 * (scoped["words_sent"]
-                               + stats1["per_protocol"]["pp_exp"]["words_sent"])
-        results.append({
-            "n": int(n),
-            "rounds": scoped["rounds"],
-            "rounds_expected": expected_rounds("ppexp"),
-            "volume_bits": volume_bits,
-            "volume_bits_expected": 2 * int(n) * codec.params.l,
-            "max_abs_error": err,
-            "seconds": result.outputs[P0][1],
-        })
-    return {"op": "exp", "results": results}
+            result = run_session(job, codec, seed=int(rng.integers(1 << 62)),
+                                 backend=cfg["backend"], div=div)
+            got = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
+            errors.append(float(np.max(np.abs(got - np.exp(u)))))
+            seconds.append(result.outputs[P0][1])
+            if entry is None:
+                stats0 = result.stats[P0].summary()
+                stats1 = result.stats[P1].summary()
+                entry = {
+                    "n": int(n),
+                    "rounds": stats0["per_protocol"]["pp_exp"]["rounds"],
+                    "rounds_expected": expected_rounds("ppexp"),
+                    "volume_bits": 8 * 8 * (stats0["per_protocol"]["pp_exp"]["words_sent"]
+                                            + stats1["per_protocol"]["pp_exp"]["words_sent"]),
+                    "volume_bits_expected": 2 * int(n) * codec.params.l,
+                }
+        entry["max_abs_error"] = max(errors)
+        entry["seconds"] = statistics.median(seconds)
+        results.append(entry)
+    return {"op": "exp", "seeds": list(cfg["seeds"]), "results": results}
 
 
 def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
     """Loss_MI and communication of the matrix inversion on the config kernel's grams.
 
     Each gram is of uniform points in [-10, 10]^2, with the config's
-    noise variance on its diagonal (0.1 at the defaults). ``seconds`` is
-    the median over the runs of server 0's inversion time.
+    noise variance on its diagonal (0.1 at the defaults). Every seed draws
+    ``runs`` grams of each size, from (seed, size, run); Loss_MI's mean
+    and std and ``seconds``, the median of server 0's inversion times, run
+    over all of them. Rounds, round trips and words are the same for
+    every gram.
     """
     codec, _, div, kernel = session_pieces(cfg)
     if runs < 1:
@@ -272,40 +285,43 @@ def bench_matinv(cfg: dict, sizes, runs: int = 10) -> dict:
     for n in sizes:
         losses, seconds = [], []
         entry = None
-        for run in range(runs):
-            rng = np.random.default_rng((int(n) << 20) + run + cfg["seeds"][0])
-            x = rng.uniform(-10.0, 10.0, (int(n), 2))
-            mat = kernel_matrix_plaintext(x, x, kernel)
-            mat += kernel.noise_variance * np.eye(int(n))
-            s0, s1 = share_reals(mat, codec, rng)
+        for seed in cfg["seeds"]:
+            for run in range(runs):
+                rng = np.random.default_rng([seed, int(n), run])
+                x = rng.uniform(-10.0, 10.0, (int(n), 2))
+                mat = kernel_matrix_plaintext(x, x, kernel)
+                mat += kernel.noise_variance * np.eye(int(n))
+                s0, s1 = share_reals(mat, codec, rng)
 
-            def job(rt, shares=(s0, s1)):
-                t0 = time.perf_counter()
-                out = pp_matinv(rt, shares[rt.party], pivot_domain=kernel.pivot_domain)
-                return out, time.perf_counter() - t0, rt.assistant.requests
+                def job(rt, shares=(s0, s1)):
+                    t0 = time.perf_counter()
+                    out = pp_matinv(rt, shares[rt.party], pivot_domain=kernel.pivot_domain)
+                    return out, time.perf_counter() - t0, rt.assistant.requests
 
-            result = run_session(job, codec, seed=int(n) * 1000 + run,
-                                 backend=cfg["backend"], div=div)
-            lam = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
-            losses.append(float(np.linalg.norm(mat @ lam - np.eye(int(n)), 2) ** 2))
-            seconds.append(result.outputs[P0][1])
-            if entry is None:
-                stats = result.stats[P0].summary()
-                entry = {
-                    "n": int(n),
-                    "rounds": stats["per_protocol"]["pp_matinv"]["rounds"],
-                    "rounds_expected": expected_rounds("matinv", int(n), div, steps),
-                    "assistant_round_trips": result.outputs[P0][2],
-                    "assistant_round_trips_expected":
-                        matinv_assistant_round_trips(int(n), div, steps),
-                    "volume_words_per_direction":
-                        stats["per_protocol"]["pp_matinv"]["words_sent"],
-                }
+                result = run_session(job, codec, seed=int(rng.integers(1 << 62)),
+                                     backend=cfg["backend"], div=div)
+                lam = reconstruct(result.outputs[P0][0], result.outputs[P1][0])
+                losses.append(float(np.linalg.norm(mat @ lam - np.eye(int(n)), 2) ** 2))
+                seconds.append(result.outputs[P0][1])
+                if entry is None:
+                    stats = result.stats[P0].summary()
+                    entry = {
+                        "n": int(n),
+                        "rounds": stats["per_protocol"]["pp_matinv"]["rounds"],
+                        "rounds_expected": expected_rounds("matinv", int(n), div, steps),
+                        "assistant_round_trips": result.outputs[P0][2],
+                        "assistant_round_trips_expected":
+                            matinv_assistant_round_trips(int(n), div, steps),
+                        "volume_words_per_direction":
+                            stats["per_protocol"]["pp_matinv"]["words_sent"],
+                        "volume_words_per_direction_expected":
+                            matinv_online_words(int(n), div, steps),
+                    }
         entry["seconds"] = statistics.median(seconds)
         entry["loss_mi_mean"] = float(np.mean(losses))
         entry["loss_mi_std"] = float(np.std(losses))
         results.append(entry)
-    return {"op": "matinv", "runs": runs, "results": results}
+    return {"op": "matinv", "seeds": list(cfg["seeds"]), "runs": runs, "results": results}
 
 
 def _emit(report: dict, out: str | None):

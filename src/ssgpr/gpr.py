@@ -186,8 +186,8 @@ def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
                                       rt.codec.encode(config.noise_variance), rt.params)
     inv = pp_matinv(rt, m, pivot_domain=config.pivot_domain)
     r_key, x_key = rt.assistant.new_key(), rt.assistant.new_key()
-    rt.assistant.deal([("matrix", (n, n, 1)), ("model_mask", (r_key, n, n + 1)),
-                       ("model_mask", (x_key, dim, n))])
+    rt.assistant.deal([("matrix", (n, n, 1)), ("model_mask", (r_key, n, n + 1, 0)),
+                       ("model_mask", (x_key, dim, n, 0))])
     alpha = ss_matmul(rt, inv, y.reshape(-1, 1))
     r = SharedArray(rt.party, np.hstack([inv.values, alpha.values]), inv.codec, inv.scale)
     r_model, xt_model = open_model_masks(rt, [(r_key, r), (x_key, x.T)])

@@ -2,17 +2,18 @@
 
 The assistant is the only source of correlated randomness. Material is
 dealt: both compute servers send the same plan, a list of items (Beaver
-triples, matrix triples, exponent masks, model masks and kept triples) in
-the order the protocol will consume them. The assistant checks that the
-two plans agree and generates every item in one vectorised pass. An
-item's uniform head (a triple's a and b, a matrix triple's A and B, a
-model mask, a kept triple's A) is h0 + h1, where h_i comes from server
-i's dealing key: server i holds key i only and the assistant holds both.
-Server i draws h_i itself, in one call per reply and in plan order, so
-the reply carries only the truncation result and the items' other words
-(products, norms, exponent mask pairs), one additive share of them each,
-shared from the assistant's own generator. Each server still gets one
-reply per request, an empty one if the plan holds only model masks.
+triples, matrix triples, exponent masks, model masks, kept triples and
+LDL columns) in the order the protocol will consume them. The assistant
+checks that the two plans agree and generates every item in one
+vectorised pass. An item's uniform head (a triple's a and b, a matrix
+triple's A and B, a model mask, a kept triple's A) is h0 + h1, where h_i
+comes from server i's dealing key: server i holds key i only and the
+assistant holds both. Server i draws h_i itself, in one call per reply
+and in plan order, so the reply carries only the truncation result and
+the items' other words (products, norms, exponent mask pairs, an LDL
+column's mask products), one additive share of them each, shared from
+the assistant's own generator. Each server still gets one reply per
+request, an empty one if the plan holds only model masks.
 This module alone decides when material travels: ``deal`` only
 queues a plan, which rides on the server's next assistant request, after
 a truncation's masked words, or alone when a take finds nothing dealt
@@ -27,11 +28,20 @@ A model mask B is dealt once per per-model operand (a GP model's
 [Inv | alpha] and X^T) and kept by the assistant for the rest of the
 session under a key that both servers send in the plan; a kept triple
 pairs a fresh A with it as C = A @ B, so a product by the operand opens
-only its left side. Both items hold only opcodes, shapes and the key. A
-reused key, an unknown one or a shape other than the kept mask's aborts.
-Model construction thus makes 11n + 6 assistant round trips on SE, and
-an SE prediction batch 7 (``analysis.construct_assistant_round_trips``
-and ``analysis.predict_assistant_round_trips``).
+only its left side. Kept masks also serve the LDL inversion, which opens
+each word of its L, C and V = L^{-1} once: a model mask flagged lower is
+square and strictly lower triangular, its head only the n(n-1)/2 words
+below the diagonal, and the inversion keeps three, one per matrix.
+Column k's ``ldl_column`` item, [7, key_L, key_C, key_V, n, k], then
+takes no head and n reply words, M_L[k:n, :k] M_C[k, :k]^T and
+M_L[k, :k] M_V[:k, :k], and the final product is a kept triple on V's
+mask. All these items hold only opcodes, shapes, keys, flags and column
+indices. A reused key, an unknown one, a shape other than the kept
+mask's (n x n for an LDL column) or an LDL column k outside 1 .. n - 1
+aborts. Model construction thus makes 11n + 6 assistant round trips on
+SE, and an SE prediction batch 7
+(``analysis.construct_assistant_round_trips`` and
+``analysis.predict_assistant_round_trips``).
 
 The assistant also offers a rescaling service: the servers submit shares
 of a value hidden under a random offset known only to party 1, and the
@@ -59,10 +69,11 @@ OP_EXP_MASK = 3
 OP_TRUNC = 4
 OP_MODEL_MASK = 5
 OP_KEPT_TRIPLE = 6
+OP_LDL_COLUMN = 7
 
 # Item opcode -> number of size (and key) words that follow it in a plan.
-_ARITY = {OP_TRIPLE: 1, OP_MATRIX_TRIPLE: 3, OP_EXP_MASK: 2, OP_MODEL_MASK: 3,
-          OP_KEPT_TRIPLE: 5}
+_ARITY = {OP_TRIPLE: 1, OP_MATRIX_TRIPLE: 3, OP_EXP_MASK: 2, OP_MODEL_MASK: 4,
+          OP_KEPT_TRIPLE: 5, OP_LDL_COLUMN: 5}
 
 
 class ProtocolError(RuntimeError):
@@ -99,7 +110,10 @@ class ExpMask:
 
 @dataclass
 class ModelMask:
-    """One party's share of a model mask B, which the assistant keeps for the session."""
+    """One party's share of a model mask B, which the assistant keeps for the session.
+
+    A strictly lower mask is zero on and above its diagonal.
+    """
 
     b: np.ndarray
     consumed: bool = False
@@ -118,31 +132,56 @@ class KeptTriple:
     consumed: bool = False
 
 
+@dataclass
+class ColumnProducts:
+    """One party's shares of an LDL column's two products of kept masks.
+
+    For column k of kept masks M_L, M_C and M_V, ``sums`` is
+    M_L[k:n, :k] @ M_C[k, :k]^T and ``row`` is M_L[k, :k] @ M_V[:k, :k].
+    """
+
+    sums: np.ndarray
+    row: np.ndarray
+    consumed: bool = False
+
+
 def _size(shape) -> int:
     return math.prod(shape)
 
 
+def _strict_lower(words: np.ndarray, n: int) -> np.ndarray:
+    """An n x n matrix holding ``words`` below its diagonal, row by row, and zeros elsewhere."""
+    out = np.zeros((n, n), dtype=np.uint64)
+    out[np.tril_indices(n, -1)] = words
+    return out
+
+
 # Kinds whose spec is a fixed number of integers: (m, n, k), (key, rows,
-# cols) and (key, m, rows, cols, norms).
-_INT_SPECS = {"matrix": 3, "model_mask": 3, "kept_triple": 5}
+# cols, lower), (key, m, rows, cols, norms) and (key_L, key_C, key_V, n, k);
+# the count, the positive sizes' slice and a 0/1 flag's place, if any.
+_INT_SPECS = {"matrix": (3, slice(0, 3), None), "model_mask": (4, slice(1, 3), 3),
+              "kept_triple": (5, slice(1, 4), 4), "ldl_column": (5, slice(3, 4), None)}
 
 
 def _canonical(kind: str, spec):
     """A plan item's spec with plain-int sizes, so that equal items compare equal.
 
     Kinds and specs: ("triple", shape), ("matrix", (m, n, k)),
-    ("exp_mask", (shape, rmax_enc)), ("model_mask", (key, rows, cols)) and
-    ("kept_triple", (key, m, rows, cols, norms)).
+    ("exp_mask", (shape, rmax_enc)), ("model_mask", (key, rows, cols, lower)),
+    ("kept_triple", (key, m, rows, cols, norms)) and
+    ("ldl_column", (key_L, key_C, key_V, n, k)). A lower model mask is
+    square; the assistant checks an LDL column's keys and k.
     """
     if kind == "triple":
         return tuple(int(s) for s in spec)
     if kind in _INT_SPECS:
         dims = tuple(int(s) for s in spec)
-        sizes = dims if kind == "matrix" else dims[1:4]
-        if (len(dims) != _INT_SPECS[kind] or min(sizes) < 1
-                or kind == "kept_triple" and dims[4] not in (0, 1)):
-            raise ValueError(f"a {kind} spec is {_INT_SPECS[kind]} integers with positive "
-                             f"sizes (and a 0/1 norms flag), got {spec}")
+        count, sizes, flag = _INT_SPECS[kind]
+        if (len(dims) != count or min(dims[sizes]) < 1
+                or flag is not None and dims[flag] not in (0, 1)
+                or kind == "model_mask" and dims[3] and dims[1] != dims[2]):
+            raise ValueError(f"a {kind} spec is {count} integers with positive sizes "
+                             f"(and a 0/1 flag; a lower mask is square), got {spec}")
         return dims
     if kind == "exp_mask":
         shape, rmax_enc = spec
@@ -150,17 +189,18 @@ def _canonical(kind: str, spec):
     raise ValueError(f"unknown material kind {kind!r}")
 
 
+_OPCODES = {"matrix": OP_MATRIX_TRIPLE, "model_mask": OP_MODEL_MASK,
+            "kept_triple": OP_KEPT_TRIPLE, "ldl_column": OP_LDL_COLUMN}
+
+
 def _item_words(kind: str, spec) -> list[int]:
     """Request words of one canonical item: [1, n], [2, m, n, k], [3, n, rmax],
-    [5, key, rows, cols] or [6, key, m, rows, cols, norms]."""
+    [5, key, rows, cols, lower], [6, key, m, rows, cols, norms] or
+    [7, key_L, key_C, key_V, n, k]."""
     if kind == "triple":
         return [OP_TRIPLE, _size(spec)]
-    if kind == "matrix":
-        return [OP_MATRIX_TRIPLE, *spec]
-    if kind == "model_mask":
-        return [OP_MODEL_MASK, *spec]
-    if kind == "kept_triple":
-        return [OP_KEPT_TRIPLE, *spec]
+    if kind in _OPCODES:
+        return [_OPCODES[kind], *spec]
     shape, rmax_enc = spec
     return [OP_EXP_MASK, _size(shape), rmax_enc]
 
@@ -169,9 +209,10 @@ def _layout(op: int, dims) -> tuple[int, int]:
     """Uniform head words and reply words of one item.
 
     The head is a triple's a and b, a matrix triple's A and B, a model
-    mask and a kept triple's A; each server expands its half of it from
-    its dealing key. The reply words are the rest: products, norms and
-    exponent mask pairs.
+    mask (a lower one's words below the diagonal) and a kept triple's A;
+    each server expands its half of it from its dealing key. The reply
+    words are the rest: products, norms, exponent mask pairs and an LDL
+    column's n mask products.
     """
     if op == OP_TRIPLE:
         return 2 * dims[0], dims[0]
@@ -179,11 +220,13 @@ def _layout(op: int, dims) -> tuple[int, int]:
         m, n, k = dims
         return m * n + n * k, m * k
     if op == OP_MODEL_MASK:
-        _, rows, cols = dims
-        return rows * cols, 0
+        _, rows, cols, lower = dims
+        return (rows * (rows - 1) // 2 if lower else rows * cols), 0
     if op == OP_KEPT_TRIPLE:
         _, m, rows, cols, norms = dims
         return m * rows, m * cols + norms * m
+    if op == OP_LDL_COLUMN:
+        return 0, dims[3]
     return 0, 2 * dims[0]
 
 
@@ -197,11 +240,15 @@ def _unpack(kind: str, spec, head: np.ndarray, tail: np.ndarray):
         return Triple(head[:m * n].reshape(m, n), head[m * n:].reshape(n, k),
                       tail.reshape(m, k))
     if kind == "model_mask":
-        return ModelMask(head.reshape(spec[1:]))
+        _, rows, cols, lower = spec
+        return ModelMask(_strict_lower(head, rows) if lower else head.reshape(rows, cols))
     if kind == "kept_triple":
         _, m, rows, cols, norms = spec
         return KeptTriple(head.reshape(m, rows), tail[:m * cols].reshape(m, cols),
                           tail[m * cols:] if norms else None)
+    if kind == "ldl_column":
+        *_, n, k = spec
+        return ColumnProducts(tail[:n - k].reshape(n - k, 1), tail[n - k:].reshape(1, k))
     shape, _ = spec
     n = _size(shape)
     return ExpMask(tail[:n].reshape(shape), tail[n:].reshape(shape))
@@ -250,9 +297,10 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
     written into its slot after ``lead``, and the words are split in place
     into two additive shares, share 0 uniform from ``rng``; the heads
     themselves never travel. A model mask is also kept in ``kept`` under
-    its key, and a kept triple multiplies its fresh A by the mask it names;
-    a reused key, an unknown one or a shape other than the kept mask's
-    aborts.
+    its key, a kept triple multiplies its fresh A by the mask it names, and
+    an LDL column multiplies blocks of the three n x n masks it names; a
+    reused key, an unknown one, a shape other than the kept mask's or an
+    LDL column k outside 1 .. n - 1 aborts.
     """
     layout = [_layout(op, dims) for op, dims in plan]
     count = sum(head for head, _ in layout)
@@ -277,24 +325,30 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
             b = uniform[m * n:].reshape(n, k)
             slot[:] = ring_matmul(a, b, params).ravel()
         elif op == OP_MODEL_MASK:
-            key, rows, cols = dims
+            key, rows, cols, lower = dims
             if key in kept:
                 raise ProtocolAbort(f"model key {key} is already kept; a model mask is "
                                     "dealt once")
-            kept[key] = uniform.reshape(rows, cols).copy()
+            if lower and rows != cols:
+                raise ProtocolAbort(f"a lower model mask is square, not {rows} x {cols}")
+            kept[key] = (_strict_lower(uniform, rows) if lower
+                         else uniform.reshape(rows, cols).copy())
         elif op == OP_KEPT_TRIPLE:
             key, m, rows, cols, norms = dims
-            b = kept.get(key)
-            if b is None:
-                raise ProtocolAbort(f"a kept triple names model key {key}, which is not kept")
-            if b.shape != (rows, cols):
-                raise ProtocolAbort(f"a kept triple names model key {key} as {rows} x {cols}, "
-                                    f"but its kept mask is {b.shape[0]} x {b.shape[1]}")
+            b = _kept_mask(kept, key, rows, cols, "a kept triple")
             a = uniform.reshape(m, rows)
             slot[:m * cols] = ring_matmul(a, b, params).ravel()
             if norms:
                 squares = ring_mul(a, a, params).sum(axis=1, dtype=np.uint64)
                 slot[m * cols:] = ring_reduce(squares, params)
+        elif op == OP_LDL_COLUMN:
+            *keys_lcv, n, k = dims
+            m_l, m_c, m_v = (_kept_mask(kept, key, n, n, "an LDL column") for key in keys_lcv)
+            if not 1 <= k < n:
+                raise ProtocolAbort(f"an LDL column names column {k} of {n}; its products "
+                                    "exist for 1 <= k <= n - 1")
+            slot[:n - k] = ring_matmul(m_l[k:, :k], m_c[k, :k].reshape(k, 1), params).ravel()
+            slot[n - k:] = ring_matmul(m_l[k:k + 1, :k], m_v[:k, :k], params).ravel()
         else:
             # r_hat uniform on the fixed-point grid of [-r_hat_max, r_hat_max).
             n, rmax_enc = dims
@@ -305,6 +359,17 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
     share0 = random_ring_elements(rng, secret.size, params)
     secret -= share0
     return share0, ring_reduce(secret, params)
+
+
+def _kept_mask(kept: dict, key: int, rows: int, cols: int, item: str) -> np.ndarray:
+    """The mask kept under ``key``, which ``item`` names as rows x cols; aborts otherwise."""
+    b = kept.get(key)
+    if b is None:
+        raise ProtocolAbort(f"{item} names model key {key}, which is not kept")
+    if b.shape != (rows, cols):
+        raise ProtocolAbort(f"{item} names model key {key} as {rows} x {cols}, "
+                            f"but its kept mask is {b.shape[0]} x {b.shape[1]}")
+    return b
 
 
 def gen_material(rng: np.random.Generator, kind: str, spec, params: RingParams,
@@ -368,8 +433,9 @@ class AssistantClient:
         """Plan the material of ``items``; it rides on the next request.
 
         ``items`` lists ("triple", shape), ("matrix", (m, n, k)),
-        ("exp_mask", (shape, rmax_enc)), ("model_mask", (key, rows, cols))
-        and ("kept_triple", (key, m, rows, cols, norms)) in the order the
+        ("exp_mask", (shape, rmax_enc)), ("model_mask", (key, rows, cols,
+        lower)), ("kept_triple", (key, m, rows, cols, norms)) and
+        ("ldl_column", (key_L, key_C, key_V, n, k)) in the order the
         protocol will take them; both servers must deal the same plan.
         Nothing is sent here.
         """
@@ -410,11 +476,14 @@ class AssistantClient:
     def get_exp_mask(self, shape, rmax_enc: int) -> ExpMask:
         return self._take("exp_mask", (shape, rmax_enc))
 
-    def get_model_mask(self, key: int, shape) -> ModelMask:
-        return self._take("model_mask", (key, *shape))
+    def get_model_mask(self, key: int, shape, lower: bool = False) -> ModelMask:
+        return self._take("model_mask", (key, *shape, int(lower)))
 
     def get_kept_triple(self, key: int, m: int, shape, norms: bool = False) -> KeptTriple:
         return self._take("kept_triple", (key, m, *shape, int(norms)))
+
+    def get_ldl_column(self, keys, n: int, k: int) -> ColumnProducts:
+        return self._take("ldl_column", (*keys, n, k))
 
     def trunc(self, masked: np.ndarray, bits: int) -> np.ndarray:
         """Ask the assistant to shift a masked positive value right by ``bits``.

@@ -13,10 +13,14 @@ since its Newton close carries the numerators, and takes (k + 3)n rounds
 in one pass over the columns. A step whose material is known up front
 deals it ahead, and ``offline`` decides when it travels; every other product takes
 whatever the assistant next hands it. One exchange may open several
-masked arrays (``_open``): the operands of several Beaver products (an
-LDL column's two), the model masks of a GP model, or ss_dist's x - A,
-which serves both of its products. A product by a ``ModelOperand`` opens
-only its left operand, against a mask the assistant keeps.
+masked arrays (``_open``): a Beaver product's two operands, the model
+masks of a GP model, the words an LDL column wrote since the last one,
+or ss_dist's x - A, which serves both of its products. A product by a
+``ModelOperand`` opens only its left operand, against a mask the
+assistant keeps. The "ldl" inversion opens each word of its L, C and
+V = L^{-1} once in the same way, against three masks kept for the
+session, so its online words grow as n^2; the paper's path opens every
+product's operands afresh, n^3 words.
 """
 
 from __future__ import annotations
@@ -103,36 +107,24 @@ def _rescale(rt: PartyRuntime, x: SharedArray, bits: int | None = None) -> Share
     return SharedArray(x.party, vals, x.codec, x.scale - bits)
 
 
-def _beaver(rt: PartyRuntime, products, combine, truncate: bool) -> list[SharedArray]:
-    """Beaver products of each (u, v, triple) in ``products``, all in one round.
+def _beaver(rt: PartyRuntime, u: SharedArray, v: SharedArray, t, combine,
+            truncate: bool) -> SharedArray:
+    """Beaver product of u and v with triple ``t`` under ``combine``, in one round.
 
-    One exchange opens every product's d = u - a and e = v - b; then party
-    i takes z = u*e + d*(v - i*e) + c under ``combine`` (ring_mul or
-    ring_matmul), the same ring value as u*e + d*v + c - i*d*e in two
-    products instead of three. Unless ``truncate`` is False, one
-    truncation rescales every z by the scale of the v's, which must agree.
+    One exchange opens d = u - a and e = v - b; then party i takes
+    z = u*e + d*(v - i*e) + c under ``combine`` (ring_mul or ring_matmul),
+    the same ring value as u*e + d*v + c - i*d*e in two products instead
+    of three. Unless ``truncate`` is False, one truncation rescales z by
+    v's scale.
     """
+    t = _consume(t)
     p = rt.params
-    for _, _, t in products:
-        _consume(t)
-    # The masked words die with the exchange and the opened ones with the
-    # products, so a truncation holds neither.
-    opened = iter(_open(rt, *[x for u, v, t in products
-                              for x in (ring_sub(u.values, t.a, p), ring_sub(v.values, t.b, p))]))
-    raw = [ring_add(_combine(rt, u.values, v.values, next(opened), next(opened), combine), t.c, p)
-           for u, v, t in products]
-    del opened
-    u, v, _ = products[0]
-    if not truncate:
-        return [SharedArray(rt.party, z, u.codec, u.scale + v.scale) for z in raw]
-    flat = rt.trunc_values(raw[0] if len(raw) == 1 else np.concatenate([z.ravel() for z in raw]),
-                           v.scale)
-    out, at = [], 0
-    for (u, _, _), z in zip(products, raw):
-        out.append(SharedArray(rt.party, flat.ravel()[at:at + z.size].reshape(z.shape), u.codec,
-                               u.scale))
-        at += z.size
-    return out
+    d, e = _open(rt, ring_sub(u.values, t.a, p), ring_sub(v.values, t.b, p))
+    z = ring_add(_combine(rt, u.values, v.values, d, e, combine), t.c, p)
+    # The opened words die with the product, so a truncation holds neither.
+    del d, e
+    out = SharedArray(rt.party, z, u.codec, u.scale + v.scale)
+    return _rescale(rt, out, v.scale) if truncate else out
 
 
 def _combine(rt: PartyRuntime, u: np.ndarray, v: np.ndarray, d: np.ndarray, e: np.ndarray,
@@ -150,11 +142,15 @@ class ModelOperand:
     The assistant keeps B under ``key`` for the session, so a product by
     this operand takes a fresh left mask A with C = A @ B and opens only
     the left operand (SecureML's reuse of a fixed operand's mask).
+    ``unopened`` holds words of ``opened`` still to open, as (index, this
+    server's value - B there); the next product's exchange opens them with
+    its left operand.
     """
 
     value: SharedArray
     opened: np.ndarray
     key: int
+    unopened: tuple | None = None
 
     @property
     def shape(self):
@@ -177,10 +173,17 @@ def open_model_masks(rt: PartyRuntime, operands) -> list[ModelOperand]:
 def _kept_product(rt: PartyRuntime, u: SharedArray, v: ModelOperand, t) -> tuple:
     """Raw shares of u @ v against v's kept mask, and the opened u - A.
 
-    One exchange opens d = u - A for the kept triple ``t`` (A, C = A @ B).
+    One exchange opens d = u - A for the kept triple ``t`` (A, C = A @ B),
+    and with it v's unopened words, if any.
     """
     t = _consume(t)
-    (d,) = _open(rt, ring_sub(u.values, t.a, rt.params))
+    masked = ring_sub(u.values, t.a, rt.params)
+    if v.unopened is None:
+        (d,) = _open(rt, masked)
+    else:
+        index, half = v.unopened
+        d, v.opened[index] = _open(rt, masked, half)
+        v.unopened = None
     z = ring_add(_combine(rt, u.values, v.value.values, d, v.opened, ring_matmul), t.c,
                  rt.params)
     return z, d
@@ -200,7 +203,7 @@ def ss_mul(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         u = SharedArray(u.party, u_b.copy(), u.codec, u.scale)
         v = SharedArray(v.party, v_b.copy(), v.codec, v.scale)
     with rt.scope("ss_mul"):
-        return _beaver(rt, [(u, v, rt.assistant.get_triple(u.shape))], ring_mul, truncate)[0]
+        return _beaver(rt, u, v, rt.assistant.get_triple(u.shape), ring_mul, truncate)
 
 
 def _stacked_mul(rt: PartyRuntime, lefts, rights) -> list[SharedArray]:
@@ -228,7 +231,7 @@ def ss_matmul(rt: PartyRuntime, u: SharedArray, v: SharedArray | ModelOperand,
     with rt.scope("ss_matmul"):
         if isinstance(v, SharedArray):
             t = rt.assistant.get_matrix_triple(m, n, v.shape[1])
-            return _beaver(rt, [(u, v, t)], ring_matmul, truncate)[0]
+            return _beaver(rt, u, v, t, ring_matmul, truncate)
         z, _ = _kept_product(rt, u, v, rt.assistant.get_kept_triple(v.key, m, v.shape))
         out = SharedArray(rt.party, z, u.codec, u.scale + v.value.scale)
         return _rescale(rt, out, v.value.scale) if truncate else out
@@ -579,12 +582,15 @@ class LdlFactors:
     """Shares of the unit-lower-triangular L and the pivot vector D.
 
     The "ldl" path's one pass also gives V = L^{-1} and W = D^{-1} V, whose
-    product V^T W is the inverse; on "paper" both are None.
+    product V^T W is the inverse. V comes as a ``ModelOperand`` against the
+    strictly lower mask the assistant keeps for it: every word but the
+    last row's is open, and those open with the next product by V. On
+    "paper" both are None.
     """
 
     L: SharedArray
     D: SharedArray
-    V: SharedArray | None = None
+    V: ModelOperand | None = None
     W: SharedArray | None = None
 
 
@@ -592,21 +598,54 @@ def _column(x: SharedArray, rows, col) -> SharedArray:
     return SharedArray(x.party, x.values[rows, col].reshape(-1, 1), x.codec, x.scale)
 
 
-def _ldl_column_plan(rt: PartyRuntime, n: int, k: int, domain: tuple[float, float]) -> list:
+class _OpenedOnce:
+    """A growing shared matrix whose words each open once, against a mask the assistant keeps.
+
+    ``values`` are this server's shares, ``mask`` its share of the kept
+    strictly lower mask M, and ``opened`` the public value - M of every
+    word opened so far. On and above the diagonal M is zero, so there
+    ``opened`` may hold a public value itself.
+    """
+
+    def __init__(self, name: str, values: np.ndarray, mask: np.ndarray):
+        self.name = name
+        self.values = values
+        self.mask = mask
+        self.opened = np.zeros_like(values)
+        self.asked = np.zeros(values.shape, dtype=bool)
+
+    def masked(self, index, p: RingParams) -> np.ndarray:
+        """This server's half of value - M at ``index``; a word asked for twice fails."""
+        if self.asked[index].any():
+            hit = np.zeros_like(self.asked)
+            hit[index] = True
+            i, j = np.argwhere(hit & self.asked)[0]
+            raise ProtocolError(f"{self.name}[{i}, {j}] would open a second time against its "
+                                "kept mask; each word opens once")
+        self.asked[index] = True
+        return ring_sub(self.values[index], self.mask[index], p)
+
+
+def _ldl_column_plan(rt: PartyRuntime, n: int, k: int, domain: tuple[float, float],
+                     keys=None) -> list:
     """Column k's material in the order its products take it, for pivots on ``domain``.
 
-    On "ldl", column k >= 1 first takes its product round's two matrix
-    triples, L[k:n, :k] @ C[k, :k]^T and L[k, :k] @ V[:k, :k]; every
-    column then takes its pivot's reciprocal, whose close carries n - 1
-    numerators. On "paper", column 0 is one vector division; column
-    k >= 1 takes the pivot update's triple and matrix triple, then, for
-    all but the last column, the column update's and the division by the
-    pivot's.
+    On "ldl", every column takes its pivot's reciprocal, whose close
+    carries n - 1 numerators. Column 0's plan then deals the three
+    strictly lower n x n masks of L, C and V under ``keys``, which the
+    assistant keeps for the session and column 1 takes; column k >= 1
+    first takes its product round's ``ldl_column`` item, the two mask
+    products M_L[k:n, :k] M_C[k, :k]^T and M_L[k, :k] M_V[:k, :k]. On
+    "paper", column 0 is one vector division; column k >= 1 takes the
+    pivot update's triple and matrix triple, then, for all but the last
+    column, the column update's and the division by the pivot's.
     """
     rows = n - k - 1
     if rt.div.matinv != "paper":
-        plan = [("matrix", (rows + 1, k, 1)), ("matrix", (1, k, k))] if k else []
-        return plan + _reciprocal_plan(rt, (1,), domain, n - 1)
+        reciprocal = _reciprocal_plan(rt, (1,), domain, n - 1)
+        if k == 0:
+            return reciprocal + [("model_mask", (key, n, n, 1)) for key in keys]
+        return [("ldl_column", (*keys, n, k))] + reciprocal
     if k == 0:
         return _div_plan(rt, (n, 1), (1, 1), domain)
     plan = [("triple", (1, k)), ("matrix", (1, k, 1))]
@@ -629,12 +668,17 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
       division, c_ik = l_ik d_k, so one product L_{k:n,1:k} C_{k,1:k}^T
       gives the pivot's sum first and the column's after it. The same
       exchange and truncation give row k of V = L^{-1},
-      -L_{k,1:k} V_{1:k-1,1:k-1}. Then one reciprocal of d_k carries the
-      column below the pivot and row k of V through its Newton close
-      (``ss_reciprocal``'s ``along``), which gives column k of L and row
-      k of W = D^{-1} V with no division product. Column 0 has no product
-      round, so the pass takes (K + 2) + (n-1)(K + 3) = (K + 3)n - 1
-      rounds.
+      -L_{k,1:k} V_{1:k-1,1:k-1}. Every word of L, C and V is opened once,
+      against a strictly lower mask the assistant keeps for the session
+      (SecureML's reused mask, as for a ``ModelOperand``): column k's
+      exchange opens only the words written since column k - 1,
+      L[k:n, k-1], C[k:n, k-1] and V[k-1, :k-1], and both products are
+      local Beaver combines with the column's ``ldl_column`` mask
+      products. Then one reciprocal of d_k carries the column below the
+      pivot and row k of V through its Newton close (``ss_reciprocal``'s
+      ``along``), which gives column k of L and row k of W = D^{-1} V
+      with no division product. Column 0 has no product round, so the
+      pass takes (K + 2) + (n-1)(K + 3) = (K + 3)n - 1 rounds.
     - "paper" takes four products a column, l_k * l_k and its product by
       d, then w = l_k * d and the column update, and then one division by
       the pivot; the first column is a single division, and the last
@@ -645,7 +689,8 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
     columns count from 0): column 1's rides with column 0's on column 0's
     first truncation, the reciprocal's first guess, and column k + 1's on
     column k's first truncation. So no column requests material alone,
-    and at most two columns' material is in flight.
+    and at most two columns' material is in flight, besides the three
+    kept masks.
     """
     n = u.shape[0]
     if u.values.ndim != 2 or u.shape[1] != n:
@@ -653,19 +698,49 @@ def pp_cholesky_ldl(rt: PartyRuntime, u: SharedArray,
     if n < 2:
         raise ProtocolError("pp_cholesky_ldl needs n >= 2")
     with rt.scope("pp_cholesky"):
-        rt.assistant.deal(_ldl_column_plan(rt, n, 0, pivot_domain))
         if rt.div.matinv == "paper":
+            rt.assistant.deal(_ldl_column_plan(rt, n, 0, pivot_domain))
             return _paper_columns(rt, u, pivot_domain)
-        return _one_pass_columns(rt, u, pivot_domain)
+        keys = tuple(rt.assistant.new_key() for _ in "LCV")
+        rt.assistant.deal(_ldl_column_plan(rt, n, 0, pivot_domain, keys))
+        return _one_pass_columns(rt, u, pivot_domain, keys)
 
 
-def _one_pass_columns(rt: PartyRuntime, u: SharedArray,
-                      pivot_domain: tuple[float, float]) -> LdlFactors:
-    """The "ldl" path's pass: L, D, V = L^{-1} and W = D^{-1} V, column by column."""
+def _column_products(rt: PartyRuntime, L: _OpenedOnce, C: _OpenedOnce, V: _OpenedOnce,
+                     t, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column k's L[k:, :k] C[k, :k]^T and L[k, :k] V[:k, :k], rescaled, in one round.
+
+    One exchange opens the words written since column k - 1; every word
+    either product reads is then open, and each is a local Beaver combine
+    with ``t``'s mask products. One truncation rescales both.
+    """
+    t = _consume(t)
+    p = rt.params
+    n = L.values.shape[0]
+    fresh = [(L, np.s_[k:, k - 1]), (C, np.s_[k:, k - 1]), (V, np.s_[k - 1, :k - 1])]
+    opened = _open(rt, *[x.masked(index, p) for x, index in fresh])
+    for (x, index), words in zip(fresh, opened):
+        x.opened[index] = words
+    sums = _combine(rt, L.values[k:, :k], C.values[k:k + 1, :k].T, L.opened[k:, :k],
+                    C.opened[k:k + 1, :k].T, ring_matmul)
+    row = _combine(rt, L.values[k:k + 1, :k], V.values[:k, :k], L.opened[k:k + 1, :k],
+                   V.opened[:k, :k], ring_matmul)
+    raw = ring_add(np.concatenate([sums.ravel(), row.ravel()]),
+                   np.concatenate([t.sums.ravel(), t.row.ravel()]), p)
+    out = rt.trunc_values(raw, rt.codec.lf)
+    return out[:n - k], out[n - k:]
+
+
+def _one_pass_columns(rt: PartyRuntime, u: SharedArray, pivot_domain: tuple[float, float],
+                      keys) -> LdlFactors:
+    """The "ldl" path's pass: L, D, V = L^{-1} and W = D^{-1} V, column by column.
+
+    L, C and V open against the masks kept under ``keys``.
+    """
     n = u.shape[0]
     codec = u.codec
     p = rt.params
-    one = codec.encode(1.0) if rt.party == 0 else 0
+    one = codec.encode(1.0)
 
     def shared(x):
         return SharedArray(rt.party, x, codec)
@@ -676,26 +751,32 @@ def _one_pass_columns(rt: PartyRuntime, u: SharedArray,
     C[:, 0] = u.values[:, 0]
     for k in range(n):
         if k + 1 < n:
-            client.deal(_ldl_column_plan(rt, n, k + 1, pivot_domain))
+            client.deal(_ldl_column_plan(rt, n, k + 1, pivot_domain, keys))
+        if k == 1:
+            # The masks came with column 0's plan. They are zero on and above
+            # the diagonal, so V opens there as its public unit triangle.
+            masks = [_consume(client.get_model_mask(key, (n, n), lower=True)).b for key in keys]
+            kept = [_OpenedOnce(name, x, b) for name, x, b in zip("LCV", (L, C, V), masks)]
+            np.fill_diagonal(kept[2].opened, one)
         if k:
             # One round: the sums c_ik = u_ik - L_{i,1:k} C_{k,1:k}^T for i >= k
             # and row k of V.
             with rt.scope("ss_matmul"):
-                sums, row = _beaver(rt, [
-                    (shared(L[k:, :k]), shared(C[k:k + 1, :k].T),
-                     client.get_matrix_triple(n - k, k, 1)),
-                    (shared(L[k:k + 1, :k]), shared(V[:k, :k]), client.get_matrix_triple(1, k, k)),
-                ], ring_matmul, truncate=True)
-            C[k:, k] = ring_sub(u.values[k:, k], sums.values[:, 0], p)
-            V[k, :k] = ring_neg(row.values[0], p)
-        L[k, k] = V[k, k] = one
+                sums, row = _column_products(rt, *kept, client.get_ldl_column(keys, n, k), k)
+            C[k:, k] = ring_sub(u.values[k:, k], sums, p)
+            V[k, :k] = ring_neg(row, p)
+        if rt.party == 0:
+            L[k, k] = V[k, k] = one
         # 1/d_k, the column below the pivot over d_k (L's) and row k of V over d_k (W's).
         inv_d, scaled = ss_reciprocal(rt, shared(C[k, k:k + 1]), pivot_domain,
                                       along=shared(np.concatenate([C[k + 1:, k], V[k, :k]])))
         L[k + 1:, k] = scaled.values[:n - k - 1]
         W[k, :k] = scaled.values[n - k - 1:]
         W[k, k] = inv_d.values[0]
-    return LdlFactors(L=shared(L), D=shared(np.diagonal(C).copy()), V=shared(V), W=shared(W))
+    # No column reads V's last row; the final product opens it.
+    last = np.s_[n - 1, :n - 1]
+    v_model = ModelOperand(shared(V), kept[2].opened, keys[2], (last, kept[2].masked(last, p)))
+    return LdlFactors(L=shared(L), D=shared(np.diagonal(C).copy()), V=v_model, W=shared(W))
 
 
 def _paper_columns(rt: PartyRuntime, u: SharedArray,
@@ -789,16 +870,20 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
     """Invert a shared positive-definite matrix via LDL^T factors.
 
     On the default "ldl" path, pp_cholesky_ldl's one pass gives V = L^{-1}
-    and W = D^{-1} V, and one product gives the inverse V^T W. At K
-    reciprocal steps that is (K + 3)n - 1 + 1 = (K + 3)n peer rounds and
-    (K + 4)n + 1 assistant round trips, 10n and 11n + 1 at the default
-    kernel's 7. The "paper" path runs the paper's three phases, Cholesky,
-    pp_forward and pp_backward: (21n - 23) + (n - 1) + 18 = 22n - 6 peer
-    rounds and 23n - 4 round trips at 8 steps (analysis.expected_rounds and
+    and W = D^{-1} V, and one product gives the inverse V^T W, as
+    (W^T V)^T against V's kept mask: a kept triple opens only W^T - A,
+    with V's last row. At K reciprocal steps that is (K + 3)n - 1 + 1 =
+    (K + 3)n peer rounds and (K + 4)n + 1 assistant round trips, 10n and
+    11n + 1 at the default kernel's 7. The "paper" path runs the paper's
+    three phases, Cholesky, pp_forward and pp_backward:
+    (21n - 23) + (n - 1) + 18 = 22n - 6 peer rounds and 23n - 4 round
+    trips at 8 steps (analysis.expected_rounds and
     analysis.matinv_assistant_round_trips). A round trip is a
     truncation's or a request for material alone. The final product's
-    (n, n, n) triple is the only such request on "ldl", and on "paper"
-    the first forward row's is the other.
+    kept triple is the only such request on "ldl", and on "paper" the
+    first forward row's is the other. Since "ldl" opens each word of L, C
+    and V once, its online words grow as n^2, where "paper"'s grow as
+    n^3 (analysis.matinv_online_words).
     """
     with rt.scope("pp_matinv"):
         factors = pp_cholesky_ldl(rt, u, pivot_domain)
@@ -808,4 +893,4 @@ def pp_matinv(rt: PartyRuntime, u: SharedArray,
         V, W = factors.V, factors.W
         # L is dropped before the final product's triple arrives.
         del factors
-        return ss_matmul(rt, V.T, W)
+        return ss_matmul(rt, W.T, V).T

@@ -42,6 +42,6 @@ def cross_dist(rt, x, y):
     """
     _, norms = ss_dist(rt, y)
     key = rt.assistant.new_key()
-    rt.assistant.deal([("model_mask", (key, *y.T.shape))])
+    rt.assistant.deal([("model_mask", (key, *y.T.shape, 0))])
     (yt,) = open_model_masks(rt, [(key, y.T)])
     return ss_dist(rt, x, yt, norms)

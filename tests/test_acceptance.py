@@ -11,7 +11,7 @@ import numpy as np
 import scipy.stats
 
 from helpers import CODEC, QUANTUM, open_result, run_shared
-from ssgpr.analysis import leakage_enumerate
+from ssgpr.analysis import leakage_enumerate, matinv_online_words
 from ssgpr.cli import DEFAULTS, run_gpr
 from ssgpr.data import Dataset, ScenarioSplit, split_scenario, standardize
 from ssgpr.gpr import (KernelConfig, kernel_matrix_plaintext, pp_gpr_construct,
@@ -21,6 +21,8 @@ from ssgpr.ring import RingParams, ring_mul, from_signed
 from ssgpr.sharing import rec, reconstruct, share_reals, shr, random_ring_elements
 from ssgpr.session import DivisionConfig, run_session
 from ssgpr.transport import P0, P1
+
+PAPER = DivisionConfig(matinv="paper")
 
 
 def se_gram(n, run, noise=0.1):
@@ -109,25 +111,30 @@ def test_criterion_3_matinv_accuracy():
 
 def test_criterion_4_matinv_communication():
     """Matrix inversion rounds follow 22n - 6 exactly on the paper's path
-    and 10n on the default one; online volume scales as n^3 within 0.2
-    of the exponent."""
+    and 10n on the default one. Online words equal
+    analysis.matinv_online_words on both paths; on the paper's path, which
+    opens every product's operands afresh, they scale as n^3 within 0.2 of
+    the exponent, and on the default one, which opens each L, C and V word
+    once, as n^2."""
     volumes = {}
     for n in (8, 16, 32, 64, 128, 192, 256):
         mat, cfg = se_gram(n, 0)
-        res = matinv_session(mat, cfg, seed=n)
-        s = res.stats[P0].summary()["per_protocol"]["pp_matinv"]
+        s = matinv_session(mat, cfg, seed=n).stats[P0].summary()["per_protocol"]["pp_matinv"]
+        paper = matinv_session(mat, cfg, seed=n, matinv="paper")
+        p = paper.stats[P0].summary()["per_protocol"]["pp_matinv"]
         if n <= 64:
             assert s["rounds"] == 10 * n, f"n={n}: rounds {s['rounds']}"
-            paper = matinv_session(mat, cfg, seed=n, matinv="paper")
-            rounds = paper.stats[P0].summary()["per_protocol"]["pp_matinv"]["rounds"]
-            assert rounds == 22 * n - 6, f"n={n}: paper rounds {rounds}"
-        volumes[n] = s["words_sent"]
+            assert p["rounds"] == 22 * n - 6, f"n={n}: paper rounds {p['rounds']}"
+        assert s["words_sent"] == matinv_online_words(n), f"n={n}: words {s['words_sent']}"
+        assert p["words_sent"] == matinv_online_words(n, PAPER), \
+            f"n={n}: paper words {p['words_sent']}"
+        volumes[n] = p["words_sent"]
     # The cubic matrix-product traffic dominates once n is past the
     # R_div * n^2 division overhead, so the exponent is fit there.
     sizes = np.array([64, 128, 192, 256], dtype=np.float64)
     words = np.array([volumes[int(v)] for v in sizes], dtype=np.float64)
     slope = np.polyfit(np.log(sizes), np.log(words), 1)[0]
-    assert 2.8 <= slope <= 3.2, f"volume exponent {slope}"
+    assert 2.8 <= slope <= 3.2, f"paper volume exponent {slope}"
 
 
 def _diabetes_like(seed, n=80, n_test=20, d=10):

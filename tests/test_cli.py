@@ -8,7 +8,7 @@ import pytest
 
 from ssgpr import cli
 from ssgpr.analysis import expected_rounds
-from ssgpr.cli import bench_matinv, load_config, main, run_gpr
+from ssgpr.cli import bench_exp, bench_matinv, load_config, main, run_gpr
 from ssgpr.data import Dataset, standardize
 from ssgpr.gpr import sqdist_matrix
 from ssgpr.session import DivisionConfig
@@ -75,6 +75,8 @@ def test_bench_matinv_rounds(paper_path, capsys):
     entry = json.loads(out)["results"][0]
     assert entry["rounds"] == 170 == entry["rounds_expected"]
     assert entry["assistant_round_trips"] == 23 * 8 - 4 == entry["assistant_round_trips_expected"]
+    assert entry["volume_words_per_direction"] == 1193 == \
+        entry["volume_words_per_direction_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
 
 
@@ -84,6 +86,9 @@ def test_bench_matinv_rounds_ldl(capsys):
     entry = json.loads(out)["results"][0]
     assert entry["rounds"] == 10 * 8 == entry["rounds_expected"]
     assert entry["assistant_round_trips"] == 11 * 8 + 1 == entry["assistant_round_trips_expected"]
+    # 8 (4 * 8 + 24) + 8 * 7 + 7 * 6 / 2 + 7 + 8^2: each L, C and V word opens once.
+    assert entry["volume_words_per_direction"] == 596 == \
+        entry["volume_words_per_direction_expected"]
     assert entry["loss_mi_mean"] <= 1e-3
 
 
@@ -102,6 +107,26 @@ def test_bench_matinv_seconds_is_the_median_of_its_runs(monkeypatch):
     report = bench_matinv(load_config(None), [3], runs=3)
     assert report["runs"] == 3
     assert report["results"][0]["seconds"] == 2.0
+
+
+def test_benches_use_every_seed():
+    # Three seeds are three sets of inputs: bench-exp reports the worst
+    # error over them and bench-matinv Loss_MI over all their grams, so
+    # neither equals seed 0's alone.
+    def with_seeds(seeds):
+        cfg = load_config(None)
+        cfg["seeds"] = seeds
+        return cfg
+
+    exp = {tuple(seeds): bench_exp(with_seeds(seeds), [64])["results"][0]["max_abs_error"]
+           for seeds in ([0], [1], [2], [0, 1, 2])}
+    assert exp[0, 1, 2] == max(exp[0,], exp[1,], exp[2,]) != exp[0,]
+    mats = {tuple(seeds): bench_matinv(with_seeds(seeds), [4], runs=1)
+            for seeds in ([0], [1], [2], [0, 1, 2])}
+    assert mats[0, 1, 2]["seeds"] == [0, 1, 2]
+    losses = [mats[seed,]["results"][0]["loss_mi_mean"] for seed in (0, 1, 2)]
+    assert len(set(losses)) == 3
+    assert mats[0, 1, 2]["results"][0]["loss_mi_mean"] == pytest.approx(np.mean(losses))
 
 
 @pytest.mark.parametrize("command", ["run-gpr", "bench-exp", "bench-matinv"])

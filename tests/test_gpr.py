@@ -9,7 +9,7 @@ from ssgpr.analysis import (construct_assistant_round_trips, construct_rounds,
 from ssgpr.gpr import (KernelConfig, Predictions, gpr_predict_plaintext,
                        kernel_matrix_plaintext, kernel_plaintext, loss_metrics,
                        pp_gpr_construct, pp_gpr_predict, pp_kernel)
-from ssgpr.offline import OP_KEPT_TRIPLE, OP_MODEL_MASK, OP_TRUNC, _parse_plan
+from ssgpr.offline import OP_KEPT_TRIPLE, OP_LDL_COLUMN, OP_MODEL_MASK, OP_TRUNC, _parse_plan
 from ssgpr.protocols import ExpParams, ss_dist
 from ssgpr.session import DivisionConfig
 from ssgpr.sharing import reconstruct
@@ -318,9 +318,10 @@ def test_two_models_in_one_session_keep_separate_masks():
 
 
 def test_model_items_hold_only_opcodes_shapes_and_keys():
-    # Every plan word of a model mask or kept triple that either server
-    # sends, over construction and two batches, is an opcode, a shape, a
-    # key or the norms flag; the assistant sees no opened word.
+    # Every plan word of a model mask, kept triple or LDL column that either
+    # server sends, over construction and two batches, is an opcode, a
+    # shape, a key, a column index or a flag; the assistant sees no opened
+    # word.
     n, d, m = 6, 2, 3
     rng = np.random.default_rng(57)
     x, y, q = rng.uniform(-1, 1, (n, d)), rng.normal(size=n), rng.uniform(-1, 1, (m, d))
@@ -346,7 +347,14 @@ def test_model_items_hold_only_opcodes_shapes_and_keys():
     res = run_shared(job, [x, y, q], seed=57)
     items, (r_key, x_key) = res.outputs[P0]
     assert res.outputs[P1][0] == items
-    model_items = [item for item in items if item[0] in (OP_MODEL_MASK, OP_KEPT_TRIPLE)]
-    assert model_items == [(OP_MODEL_MASK, (r_key, n, n + 1)), (OP_MODEL_MASK, (x_key, d, n)),
+    model_items = [item for item in items
+                   if item[0] in (OP_MODEL_MASK, OP_KEPT_TRIPLE, OP_LDL_COLUMN)]
+    # The inversion's three lower masks of L, C and V come first, with its
+    # columns' products of them and the final product's kept triple on V.
+    lcv = (r_key - 3, r_key - 2, r_key - 1)
+    assert model_items == [*[(OP_MODEL_MASK, (key, n, n, 1)) for key in lcv],
+                           *[(OP_LDL_COLUMN, (*lcv, n, k)) for k in range(1, n)],
+                           (OP_KEPT_TRIPLE, (lcv[2], n, n, n, 0)),
+                           (OP_MODEL_MASK, (r_key, n, n + 1, 0)), (OP_MODEL_MASK, (x_key, d, n, 0)),
                            *[(OP_KEPT_TRIPLE, (x_key, m, d, n, 1)),
                              (OP_KEPT_TRIPLE, (r_key, m, n, n + 1, 0))] * 2]

@@ -175,14 +175,19 @@ def test_every_kind_of_dealt_material_holds_its_algebra(backend):
     def job(rt):
         a = rt.assistant
         key = a.new_key()
+        lcv = [a.new_key() for _ in "LCV"]
         a.deal([("triple", (2, 3)), ("matrix", (2, 3, 4)), ("exp_mask", ((6,), rmax_enc)),
-                ("model_mask", (key, 3, 4)), ("kept_triple", (key, 5, 3, 4, 1))])
+                ("model_mask", (key, 3, 4, 0)), ("kept_triple", (key, 5, 3, 4, 1)),
+                *[("model_mask", (k, 5, 5, 1)) for k in lcv], ("ldl_column", (*lcv, 5, 3))])
         return (a.get_triple((2, 3)), a.get_matrix_triple(2, 3, 4),
                 a.get_exp_mask((6,), rmax_enc), a.get_model_mask(key, (3, 4)),
-                a.get_kept_triple(key, 5, (3, 4), norms=True))
+                a.get_kept_triple(key, 5, (3, 4), norms=True),
+                [a.get_model_mask(k, (5, 5), lower=True) for k in lcv],
+                a.get_ldl_column(lcv, 5, 3))
 
     res = run_session(job, CODEC, backend=backend)
-    (t0, m0, e0, b0, k0), (t1, m1, e1, b1, k1) = res.outputs[P0], res.outputs[P1]
+    (t0, m0, e0, b0, k0, lower0, col0), (t1, m1, e1, b1, k1, lower1, col1) = (
+        res.outputs[P0], res.outputs[P1])
     u, v, c = (rec(x, y, P64) for x, y in ((t0.a, t1.a), (t0.b, t1.b), (t0.c, t1.c)))
     assert u.shape == (2, 3) and np.array_equal(c, ring_mul(u, v, P64))
     a, b, c = (rec(x, y, P64) for x, y in ((m0.a, m1.a), (m0.b, m1.b), (m0.c, m1.c)))
@@ -195,15 +200,24 @@ def test_every_kind_of_dealt_material_holds_its_algebra(backend):
     a = rec(k0.a, k1.a, P64)
     assert a.shape == (5, 3) and np.array_equal(rec(k0.c, k1.c, P64), a @ mask)
     assert np.array_equal(rec(k0.s, k1.s, P64), (a * a).sum(axis=1))
+    # The lower masks are zero on and above the diagonal, and column 3's
+    # products are of their blocks.
+    m_l, m_c, m_v = (rec(x.b, y.b, P64) for x, y in zip(lower0, lower1))
+    for b in (m_l, m_c, m_v):
+        assert b.shape == (5, 5) and not np.triu(b).any() and b[np.tril_indices(5, -1)].all()
+    assert np.array_equal(rec(col0.sums, col1.sums, P64), m_l[3:, :3] @ m_c[3, :3].reshape(3, 1))
+    assert np.array_equal(rec(col0.row, col1.row, P64), m_l[3:4, :3] @ m_v[:3, :3])
 
 
 _TAKE = {
     "triple": lambda a, spec: a.get_triple(spec),
     "matrix": lambda a, spec: a.get_matrix_triple(*spec),
     "exp_mask": lambda a, spec: a.get_exp_mask(*spec),
-    "model_mask": lambda a, spec: a.get_model_mask(spec[0], spec[1:]),
+    "model_mask": lambda a, spec: a.get_model_mask(spec[0], spec[1:3], spec[3]),
     "kept_triple": lambda a, spec: a.get_kept_triple(spec[0], spec[1], spec[2:4], spec[4]),
+    "ldl_column": lambda a, spec: a.get_ldl_column(spec[:3], spec[3], spec[4]),
 }
+LOWER_MASKS = [("model_mask", (key, 4, 4, 1)) for key in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("lead", [0, 5], ids=["alone", "on-a-truncation"])
@@ -211,14 +225,18 @@ _TAKE = {
     ([("triple", (2, 3))], [6]),
     ([("matrix", (2, 3, 4))], [8]),
     ([("exp_mask", ((5,), 8))], [10]),
-    ([("model_mask", (1, 3, 4))], [0]),
-    ([("model_mask", (1, 3, 4)), ("kept_triple", (1, 2, 3, 4, 0))], [0, 8]),
-    ([("model_mask", (1, 3, 4)), ("kept_triple", (1, 2, 3, 4, 1))], [0, 10]),
-], ids=["triple", "matrix", "exp_mask", "model_mask", "kept_triple", "kept_triple-norms"])
+    ([("model_mask", (1, 3, 4, 0))], [0]),
+    ([("model_mask", (1, 3, 4, 0)), ("kept_triple", (1, 2, 3, 4, 0))], [0, 8]),
+    ([("model_mask", (1, 3, 4, 0)), ("kept_triple", (1, 2, 3, 4, 1))], [0, 10]),
+    ([*LOWER_MASKS, ("ldl_column", (1, 2, 3, 4, 1))], [0, 0, 0, 4]),
+    ([*LOWER_MASKS, ("ldl_column", (1, 2, 3, 4, 3))], [0, 0, 0, 4]),
+], ids=["triple", "matrix", "exp_mask", "model_mask", "kept_triple", "kept_triple-norms",
+        "ldl_column-1", "ldl_column-3"])
 def test_each_server_receives_only_the_non_uniform_words(requests, want, lead):
     # One deal per request: a server receives the item's products, norms
     # or exponent mask pairs and any truncation result, never its uniform
-    # head. A model mask's reply is empty, but it is still a reply.
+    # head. A model mask's reply is empty, but it is still a reply; an LDL
+    # column's holds its n mask products, whatever its k.
     def job(rt, sx):
         got = []
         recv = rt.assistant.channel.recv
@@ -468,7 +486,7 @@ def test_kept_triple_on_the_limb_path():
     assert _use_limbs(64, 100, 101)
     kept = {}
     rng = np.random.default_rng(9)
-    b0, b1 = gen_material(rng, "model_mask", (3, 100, 101), P64, kept)
+    b0, b1 = gen_material(rng, "model_mask", (3, 100, 101, 0), P64, kept)
     b = rec(b0.b, b1.b, P64)
     assert np.array_equal(kept[3], b)
     for norms in (0, 1):
@@ -507,7 +525,7 @@ def test_bad_model_key_aborts(backend, key, shape, cause):
 def test_fresh_mask_of_a_kept_triple_is_single_use():
     def job(rt, su, sv):
         key = rt.assistant.new_key()
-        rt.assistant.deal([("model_mask", (key, 3, 2)), ("kept_triple", (key, 2, 3, 2, 0))])
+        rt.assistant.deal([("model_mask", (key, 3, 2, 0)), ("kept_triple", (key, 2, 3, 2, 0))])
         (v,) = open_model_masks(rt, [(key, sv)])
         t = rt.assistant.get_kept_triple(key, 2, (3, 2))
         z, _ = _kept_product(rt, su, v, t)
@@ -520,3 +538,31 @@ def test_fresh_mask_of_a_kept_triple_is_single_use():
     res = run_shared(job, [u, v])
     got = reconstruct(res.outputs[P0], res.outputs[P1])
     assert np.array_equal(got, u @ v)
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+@pytest.mark.parametrize("keys, n, k, cause", [
+    ((1, 2, 7), 4, 2, "an LDL column names model key 7, which is not kept"),
+    ((1, 2, 3), 5, 2, "names model key 1 as 5 x 5, but its kept mask is 4 x 4"),
+    ((1, 2, 4), 4, 2, "names model key 4 as 4 x 4, but its kept mask is 3 x 4"),
+    ((1, 2, 3), 4, 0, "names column 0 of 4"),
+    ((1, 2, 3), 4, 4, "names column 4 of 4"),
+], ids=["unknown-key", "other-n", "other-shape", "k-0", "k-n"])
+def test_bad_ldl_column_aborts(backend, keys, n, k, cause):
+    # Three 4 x 4 lower masks under keys 1 .. 3 and a 3 x 4 one under 4.
+    def job(rt):
+        a = rt.assistant
+        for _ in range(3):
+            a.get_model_mask(a.new_key(), (4, 4), lower=True)
+        a.get_model_mask(a.new_key(), (3, 4))
+        a.get_ldl_column(keys, n, k)
+
+    with pytest.raises(RuntimeError, match="session failed in assistant") as info:
+        run_session(job, CODEC, backend=backend)
+    assert isinstance(info.value.__cause__, ProtocolAbort)
+    assert cause in str(info.value.__cause__)
+
+
+def test_lower_model_mask_is_square():
+    with pytest.raises(ValueError, match="a lower mask is square"):
+        gen_material(np.random.default_rng(0), "model_mask", (1, 3, 4, 1), P64)

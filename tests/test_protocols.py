@@ -8,10 +8,10 @@ import pytest
 
 from helpers import CODEC, QUANTUM, cross_dist, open_result, run_shared
 from ssgpr import protocols
-from ssgpr.analysis import (expected_rounds, matinv_assistant_round_trips, reciprocal_steps,
-                            sqrt_assistant_round_trips, sqrt_rounds)
+from ssgpr.analysis import (expected_rounds, matinv_assistant_round_trips, matinv_online_words,
+                            reciprocal_steps, sqrt_assistant_round_trips, sqrt_rounds)
 from ssgpr.gpr import KernelConfig, kernel_matrix_plaintext
-from ssgpr.offline import OP_MATRIX_TRIPLE, OP_TRUNC, gen_material
+from ssgpr.offline import OP_KEPT_TRIPLE, OP_MATRIX_TRIPLE, OP_TRUNC, gen_material
 from ssgpr.protocols import (ProtocolError, mirror_upper, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
                              ss_reciprocal, ss_sqrt, _consume, _div_plan, _ldl_column_plan)
@@ -578,6 +578,7 @@ def _check_matinv_round_trips(n, div, steps, want):
     assert reciprocal_steps(STEP_DOMAINS[steps], CODEC.lf) == steps
     assert res.outputs[P0] == res.outputs[P1] == want
     assert want == matinv_assistant_round_trips(n, div, steps)
+    assert scoped(res, "pp_matinv")["words_sent"] == matinv_online_words(n, div, steps)
 
 
 def _se_gram(n, seed):
@@ -617,36 +618,46 @@ def test_matinv_requests_material_alone_only_twice():
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_matinv_requests_material_alone_only_once(n):
-    # On the default path only the final product's triple travels alone.
+    # On the default path only the final product's kept triple, against
+    # V's mask under the inversion's third key, travels alone.
     assert _requests_for_material_alone(DivisionConfig(), n) == [
-        ("ss_matmul", [OP_MATRIX_TRIPLE, n, n, n])]
+        ("ss_matmul", [OP_KEPT_TRIPLE, 3, n, n, n, 0])]
 
 
 def _item_words(kind, spec):
+    """Words of per-step material; the one pass's three kept masks are session material."""
     if kind == "triple":
         return 3 * int(np.prod(spec))
+    if kind == "ldl_column":
+        return spec[3]
+    if kind == "model_mask":
+        return 0
     m, n, k = spec
     return m * n + n * k + m * k
 
 
 def test_ldl_and_forward_hold_only_the_current_and_next_steps_material():
     # Steps in take order: the one pass's columns 0 .. n-1, then forward
-    # rows 1 .. n-1 run alone on its L. After each take, the material dealt
-    # and not yet taken, with the item just taken, never exceeds the words
-    # of the taking step's plan and the next step's: at most two columns'.
+    # rows 1 .. n-1 run alone on its L. After each take but the kept
+    # masks', the per-step material dealt and not yet taken, with the item
+    # just taken, never exceeds the words of the taking step's plan and
+    # the next step's: at most two columns'.
     n = 7
 
     def job(rt, a):
         client = rt.assistant
-        steps = ([_ldl_column_plan(rt, n, k, (0.05, 2.2)) for k in range(n)]
+        steps = ([_ldl_column_plan(rt, n, k, (0.05, 2.2), (1, 2, 3)) for k in range(n)]
                  + [[("matrix", (1, k, k))] for k in range(1, n)])
         owner = [i for i, step in enumerate(steps) for _ in step]
         words = [sum(_item_words(*item) for item in step) for step in steps] + [0]
-        seen, take = [], client._take
+        seen, take, taken = [], client._take, []
 
         def spy(kind, spec):
             material = take(kind, spec)
-            step = owner[len(seen)]
+            step = owner[len(taken)]
+            taken.append(kind)
+            if kind == "model_mask":
+                return material
             held = _item_words(kind, spec) + sum(
                 _item_words(k, s) for k, s, _ in [*client._dealt, *client._pending])
             seen.append((held, words[step], words[step] + words[step + 1]))
@@ -655,7 +666,7 @@ def test_ldl_and_forward_hold_only_the_current_and_next_steps_material():
         client._take = spy
         factors = pp_cholesky_ldl(rt, a, (0.05, 2.2))
         pp_forward(rt, factors.L)
-        assert len(seen) == len(owner)
+        assert len(taken) == len(owner) and taken.count("model_mask") == 3
         return seen
 
     res = run_shared(job, [_se_gram(n, 6)])
@@ -671,8 +682,9 @@ def test_one_pass_factors_match_plaintext_ldl():
     n = 8
     u = _se_gram(n, 12)
     res = run_shared(lambda rt, a: pp_cholesky_ldl(rt, a, (0.05, 2.2)), [u])
-    got = {name: reconstruct(getattr(res.outputs[P0], name), getattr(res.outputs[P1], name))
-           for name in ("L", "D", "V", "W")}
+    # V comes as a ModelOperand against its kept mask.
+    parts = [dict(vars(f), V=f.V.value) for f in (res.outputs[P0], res.outputs[P1])]
+    got = {name: reconstruct(parts[0][name], parts[1][name]) for name in ("L", "D", "V", "W")}
     chol = np.linalg.cholesky(u)
     d = np.diag(chol) ** 2
     lower = chol / np.diag(chol)
@@ -681,6 +693,37 @@ def test_one_pass_factors_match_plaintext_ldl():
     for name, value in want.items():
         assert np.max(np.abs(got[name] - value)) <= 1e-5, name
     assert np.max(np.abs(got["V"].T @ got["W"] - np.linalg.inv(u))) <= 1e-4
+
+
+@pytest.mark.parametrize("name", ["L", "C", "V"])
+def test_a_kept_word_opens_once(name):
+    # Opening a word of L, C or V a second time against its kept mask
+    # fails, naming the matrix and the word.
+    x = protocols._OpenedOnce(name, np.arange(16, dtype=np.uint64).reshape(4, 4),
+                              np.zeros((4, 4), dtype=np.uint64))
+    x.masked(np.s_[2, :2], CODEC.params)
+    with pytest.raises(ProtocolError, match=rf"{name}\[2, 1\] would open a second time"):
+        x.masked(np.s_[1:, 1], CODEC.params)
+
+
+def test_one_pass_opens_every_word_below_the_diagonal_once(monkeypatch):
+    # Over one inversion each server opens every strictly lower word of L,
+    # C and V against its kept mask, V's last row with the final product.
+    made = []
+
+    class Recording(protocols._OpenedOnce):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(protocols, "_OpenedOnce", Recording)
+    n = 6
+    u = _se_gram(n, 3)
+    res = run_shared(lambda rt, a: pp_matinv(rt, a, (0.05, 2.2)), [u])
+    assert sorted(x.name for x in made) == sorted("LCV" * 2)
+    for x in made:
+        assert np.array_equal(x.asked, np.tri(n, k=-1, dtype=bool)), x.name
+    assert np.max(np.abs(open_result(res) - np.linalg.inv(u))) <= 1e-4
 
 
 def test_paper_path_keeps_no_inverse_factors():
@@ -692,9 +735,10 @@ def test_paper_path_keeps_no_inverse_factors():
 @pytest.mark.parametrize("backend", ["inproc", "sockets"])
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 def test_matinv_counts_on_the_one_pass(k, backend):
-    # (k + 3)n peer rounds and (k + 4)n + 1 assistant round trips on a
-    # pivot domain whose bound is k; where the gram's pivots lie outside
-    # that domain the inverse is off, but the counts hold.
+    # (k + 3)n peer rounds, (k + 4)n + 1 assistant round trips and
+    # analysis.matinv_online_words on a pivot domain whose bound is k;
+    # where the gram's pivots lie outside that domain the inverse is off,
+    # but the counts hold.
     for n in (2, 3, 10):
         def job(rt, a):
             before = rt.assistant.requests
@@ -706,6 +750,7 @@ def test_matinv_counts_on_the_one_pass(k, backend):
                 == expected_rounds("matinv", n, steps=k))
         assert (res.outputs[P0] == res.outputs[P1] == (k + 4) * n + 1
                 == matinv_assistant_round_trips(n, steps=k))
+        assert scoped(res, "pp_matinv")["words_sent"] == matinv_online_words(n, steps=k)
 
 
 def test_reciprocal_carries_numerators_only_for_one_ldl_divisor():
