@@ -8,7 +8,10 @@ inversion's online words. The counts take the session's
 ``DivisionConfig`` path (``matinv``) and the reciprocal steps, which fix
 the division budget R_div; left out, the steps are
 ``protocols.division_steps`` of the default kernel's pivot domain at the
-default l_f, 7 on "ldl" and 8 on "paper".
+default l_f, 7 on "ldl" and 8 on "paper". The Matern-3/2 counts also
+take the square root's Newton steps (``root_steps``); left out, they are
+``protocols.sqrt_steps`` of ``div.sqrt_hi`` on the default ring, 13 at
+the default sqrt_hi of 16.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gpr import MATERN32, SQUARED_EXPONENTIAL, KernelConfig
-from .protocols import ExpParams, division_steps, reciprocal_steps
+from .protocols import ExpParams, division_steps, reciprocal_steps, sqrt_steps
 from .ring import RingParams
 from .session import DivisionConfig
 
@@ -134,6 +137,13 @@ def _steps(div: DivisionConfig, steps: int | None) -> int:
     return steps
 
 
+def _root_steps(div: DivisionConfig, root_steps: int | None) -> int:
+    """``root_steps``, or left out, the square root's steps on ``div.sqrt_hi``."""
+    if root_steps is None:
+        return sqrt_steps(div.sqrt_hi, RingParams())
+    return root_steps
+
+
 def _division_rounds(div: DivisionConfig, steps: int | None) -> int:
     """R_div, one division's rounds (reciprocal plus one multiply) at ``steps``."""
     steps = _steps(div, steps)
@@ -238,53 +248,56 @@ def matinv_online_words(n: int, div: DivisionConfig = DivisionConfig(),
     return cholesky + forward + backward
 
 
-def sqrt_rounds(iterations: int) -> int:
-    """Peer rounds of one ss_sqrt: two per iteration plus the final product."""
-    return 2 * iterations + 1
+def sqrt_rounds(steps: int) -> int:
+    """Peer rounds of one ss_sqrt: two per Newton step plus the final product."""
+    return 2 * steps + 1
 
 
-def sqrt_assistant_round_trips(iterations: int) -> int:
+def sqrt_assistant_round_trips(steps: int) -> int:
     """Closed-form assistant round trips of one ss_sqrt, at any input size.
 
-    Truncations: the first guess, two per iteration and the final
-    product, 2 * iterations + 2. Every triple rides on one of them.
+    Truncations: the first guess, two per Newton step and the final
+    product, 2 * steps + 2. Every triple rides on one of them.
     """
-    return 2 * iterations + 2
+    return 2 * steps + 2
 
 
-def _kernel_rounds(kind: str, sqrt_iterations: int) -> int:
+def _kernel_rounds(kind: str, div: DivisionConfig, root_steps: int | None) -> int:
     """Peer rounds of one kernel evaluation: pp_exp, and on Matern the
     square root and the product (1 + s) e^-s."""
     if kind == SQUARED_EXPONENTIAL:
         return 1
     if kind == MATERN32:
-        return sqrt_rounds(sqrt_iterations) + 2
+        return sqrt_rounds(_root_steps(div, root_steps)) + 2
     raise ValueError(f"unknown kernel {kind!r}")
 
 
 def construct_rounds(kind: str, n: int, div: DivisionConfig = DivisionConfig(),
-                     steps: int | None = None) -> int:
+                     steps: int | None = None, root_steps: int | None = None) -> int:
     """Peer rounds of pp_gpr_construct, its inversion at ``steps`` reciprocal steps.
 
     ss_dist's self form, the kernel, the inversion, alpha = Inv @ y and
     the one opening of both model masks: the inversion's rounds + 4 on SE
-    and + 2k + 6 on Matern-3/2 with k = ``div.sqrt_iterations``, so
-    10n + 4 on SE at the defaults and 22n - 2 on "paper".
+    and + 2k + 6 on Matern-3/2 at k = ``root_steps`` square-root steps,
+    so 10n + 4 on SE at the defaults and 22n - 2 on "paper".
     """
-    return (1 + _kernel_rounds(kind, div.sqrt_iterations)
+    return (1 + _kernel_rounds(kind, div, root_steps)
             + expected_rounds("matinv", n, div, steps) + 2)
 
 
-def predict_rounds(kind: str, sqrt_iterations: int = 25) -> int:
+def predict_rounds(kind: str, div: DivisionConfig = DivisionConfig(),
+                   root_steps: int | None = None) -> int:
     """Peer rounds of one pp_gpr_predict batch, at any batch and model size.
 
     ss_dist's one opening, the kernel, k* @ [Inv | alpha] and the
-    variance's product: 4 on SE and 2k + 6 on Matern-3/2.
+    variance's product: 4 on SE and 2k + 6 on Matern-3/2 at k =
+    ``root_steps``.
     """
-    return 1 + _kernel_rounds(kind, sqrt_iterations) + 2
+    return 1 + _kernel_rounds(kind, div, root_steps) + 2
 
 
-def _kernel_assistant_round_trips(kind: str, sqrt_iterations: int) -> int:
+def _kernel_assistant_round_trips(kind: str, div: DivisionConfig,
+                                  root_steps: int | None) -> int:
     """Truncations of one kernel evaluation; its material rides on the last.
 
     SE: the scaled argument. Matern: the square root, the scaled root and
@@ -293,32 +306,34 @@ def _kernel_assistant_round_trips(kind: str, sqrt_iterations: int) -> int:
     if kind == SQUARED_EXPONENTIAL:
         return 1
     if kind == MATERN32:
-        return sqrt_assistant_round_trips(sqrt_iterations) + 2
+        return sqrt_assistant_round_trips(_root_steps(div, root_steps)) + 2
     raise ValueError(f"unknown kernel {kind!r}")
 
 
 def construct_assistant_round_trips(kind: str, n: int,
                                     div: DivisionConfig = DivisionConfig(),
-                                    steps: int | None = None) -> int:
+                                    steps: int | None = None,
+                                    root_steps: int | None = None) -> int:
     """Assistant round trips of pp_gpr_construct, its inversion at ``steps``.
 
     ss_dist's triple alone and its truncation, the kernel's truncations,
     the inversion, and alpha's request, which carries both model masks,
     with its truncation: the inversion's + 5 on SE and + 2k + 8 on
-    Matern-3/2 with k = ``div.sqrt_iterations``. At the defaults that is
-    11n + 6 on SE and 11n + 2k + 9 on Matern-3/2; on "paper", 23n + 1 and
+    Matern-3/2 at k = ``root_steps``. At the defaults that is 11n + 6 on
+    SE and 11n + 2k + 9 on Matern-3/2; on "paper", 23n + 1 and
     23n + 2k + 4.
     """
-    return (2 + _kernel_assistant_round_trips(kind, div.sqrt_iterations)
+    return (2 + _kernel_assistant_round_trips(kind, div, root_steps)
             + matinv_assistant_round_trips(n, div, steps) + 2)
 
 
-def predict_assistant_round_trips(kind: str, sqrt_iterations: int = 25) -> int:
+def predict_assistant_round_trips(kind: str, div: DivisionConfig = DivisionConfig(),
+                                  root_steps: int | None = None) -> int:
     """Assistant round trips of one pp_gpr_predict batch.
 
     Three products each fetch their triple alone (ss_dist's kept triple,
     k* @ [Inv | alpha]'s and the variance's) and truncate once, and the
     kernel's material rides on its truncations: 7 on SE and 2k + 10 on
-    Matern-3/2.
+    Matern-3/2 at k = ``root_steps``.
     """
-    return 6 + _kernel_assistant_round_trips(kind, sqrt_iterations)
+    return 6 + _kernel_assistant_round_trips(kind, div, root_steps)

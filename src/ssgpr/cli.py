@@ -25,7 +25,7 @@ from .data import Dataset, ScenarioSplit, ingest_csv, read_matrix, split_scenari
 from .gpr import (MATERN32, KernelConfig, Predictions, gpr_predict_plaintext,
                   kernel_matrix_plaintext, loss_metrics, pp_gpr_construct, pp_gpr_predict,
                   sqdist_matrix)
-from .protocols import ExpParams, division_steps, pp_exp, pp_matinv
+from .protocols import ExpParams, division_steps, pp_exp, pp_matinv, sqrt_domain, sqrt_steps
 from .ring import FixedPointCodec, RingParams
 from .session import DivisionConfig, run_session
 from .sharing import reconstruct, share_reals
@@ -44,7 +44,6 @@ DEFAULTS = {
     "backend": "inproc",
     "seeds": [0],
     "sqrt_hi": 16.0,
-    "sqrt_iterations": 25,
     "normalize": True,
     "exp_policy": "clamp",
     "test_size": 0,
@@ -101,7 +100,7 @@ def session_pieces(cfg: dict):
     exp_params = ExpParams(u_min=cfg["u_min"], r_max=cfg["r_max"])
     if not cfg["seeds"]:
         raise ValueError("seeds must list at least one seed")
-    div = DivisionConfig(sqrt_hi=cfg["sqrt_hi"], sqrt_iterations=cfg["sqrt_iterations"])
+    div = DivisionConfig(sqrt_hi=cfg["sqrt_hi"])
     kernel = _kernel(cfg)
     report = validate_exp_params(exp_params, codec.params)
     if not report.accepted:
@@ -123,9 +122,11 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
     steps = division_steps(kernel.pivot_domain, codec.lf, div.matinv)
     ds, prep = standardize(dataset, cfg["normalize"])
     xs = prep.apply_x(x_star)
+    roots = None  # the square root's Newton steps, on Matern-3/2
     if kernel.kind == MATERN32:
+        roots = sqrt_steps(div.sqrt_hi, codec.params)
         # The square root takes 3 d for every training-training and
-        # test-training squared distance d, and is fitted on [0, sqrt_hi].
+        # test-training squared distance d, and its domain ends at sqrt_hi.
         points = np.vstack([ds.X, np.atleast_2d(xs)])
         dist = sqdist_matrix(points, ds.X)
         need = 3.0 * float(dist.max())
@@ -133,12 +134,11 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
             raise ValueError(f"sqrt_hi = {div.sqrt_hi:g} is below 3 x the largest squared "
                              f"distance between the standardised points, {need:.4g}; "
                              "the Matern square root would leave its domain")
-        # Its iterate z tends to 1/sqrt(3 d), and for 0 < 3 d < 2^-(l-3-2 l_f)
-        # z^2 leaves the truncation window, so the kernel value opens wrong
-        # (a sweep of ss_sqrt opened wrong values from 0.999 x that bound
-        # down and none above it; the 1% margin covers the shared d's
+        # Below the floor of its domain, 0 < 3 d < x_lo, the kernel value
+        # opens wrong (a sweep of ss_sqrt opened wrong values from 0.999 x
+        # x_lo down and none above it; the 1% margin covers the shared d's
         # noise). An exact zero opens right, and the gram's diagonal is public.
-        bound = 1.01 * 2.0 ** -(codec.params.l - 3 - 2 * codec.lf)
+        bound = 1.01 * sqrt_domain(div.sqrt_hi, codec.params)[0]
         np.fill_diagonal(dist, np.inf)
         rows, cols = np.nonzero(3.0 * dist < bound)
         exact = ((points[rows] - ds.X[cols]) ** 2).sum(axis=1)  # 0 for equal points
@@ -185,14 +185,14 @@ def run_gpr(dataset: Dataset, x_star, cfg: dict) -> dict:
              stats["per_protocol"].get("pp_matinv", {}).get("rounds", 0),
              expected_rounds("matinv", ds.n, div, steps)),
             ("construct_rounds", "model construction", "peer rounds", construct[1],
-             construct_rounds(kernel.kind, ds.n, div, steps)),
+             construct_rounds(kernel.kind, ds.n, div, steps, roots)),
             ("construct_assistant_round_trips", "model construction",
              "assistant round trips", construct[2],
-             construct_assistant_round_trips(kernel.kind, ds.n, div, steps)),
+             construct_assistant_round_trips(kernel.kind, ds.n, div, steps, roots)),
             ("predict_rounds", "a prediction batch", "peer rounds", predict[1],
-             predict_rounds(kernel.kind, div.sqrt_iterations)),
+             predict_rounds(kernel.kind, div, roots)),
             ("predict_assistant_round_trips", "a prediction batch", "assistant round trips",
-             predict[2], predict_assistant_round_trips(kernel.kind, div.sqrt_iterations)),
+             predict[2], predict_assistant_round_trips(kernel.kind, div, roots)),
         ]
         run = {
             "seed": seed,
@@ -421,8 +421,10 @@ def main(argv=None) -> int:
                 "required_lf": rep.required_lf,
                 "precision_slack_bits": rep.precision_slack_bits,
                 "overflow_slack_bits": rep.overflow_slack_bits,
-                # The steps each pivot's reciprocal takes on the default path.
+                # The steps each pivot's reciprocal takes on the default path,
+                # and the Matern square root's on [x_lo, sqrt_hi].
                 "reciprocal_steps": reciprocal_steps(_kernel(cfg).pivot_domain, cfg["lf"]),
+                "sqrt_steps": sqrt_steps(cfg["sqrt_hi"], ring),
             }
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command}")

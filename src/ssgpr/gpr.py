@@ -169,8 +169,9 @@ def pp_gpr_construct(rt: PartyRuntime, x: SharedArray, y: SharedArray,
     product, and R = [Inv | alpha] and X^T opened against two model masks
     in one exchange. Peer rounds: the inversion's (10n at the defaults,
     22n - 6 on the paper's path) plus 4 on SE (ss_dist, pp_exp, alpha,
-    the opening) and plus 2k + 6 on Matern-3/2 with k square-root
-    iterations; assistant round trips the inversion's (11n + 1, or
+    the opening) and plus 2k + 6 on Matern-3/2, with k the square root's
+    Newton steps, derived from sqrt_hi (``protocols.sqrt_steps``: 13 at
+    16, 17 at 432); assistant round trips the inversion's (11n + 1, or
     23n - 4) plus 5 and plus 2k + 8 (``analysis.construct_rounds`` and
     ``analysis.construct_assistant_round_trips``). alpha's request carries
     both model masks.
@@ -202,8 +203,9 @@ def pp_gpr_predict(rt: PartyRuntime, model: GprModelShares, x_star: SharedArray,
     On SE a batch takes four peer rounds: ss_dist's one opening of
     x* - A, pp_exp, one product k* @ [Inv | alpha] that gives w and the
     mean, and the variance's product w * k*. Matern-3/2 adds the square
-    root's 2k + 1 rounds and one product, 2k + 6 in all. Assistant round
-    trips: 7 on SE and 2k + 10 on Matern (``analysis.predict_rounds`` and
+    root's 2k + 1 rounds and one product, 2k + 6 in all, with k derived
+    from sqrt_hi (``protocols.sqrt_steps``). Assistant round trips: 7 on
+    SE and 2k + 10 on Matern (``analysis.predict_rounds`` and
     ``analysis.predict_assistant_round_trips``). The kernel's material
     rides on its truncation before pp_exp; each of the three products
     fetches its triple alone, so no reply holds two batch-sized items.

@@ -35,8 +35,10 @@ below the diagonal, and the inversion keeps three, one per matrix.
 Column k's ``ldl_column`` item, [7, key_L, key_C, key_V, n, k], then
 takes no head and n reply words, M_L[k:n, :k] M_C[k, :k]^T and
 M_L[k, :k] M_V[:k, :k], and the final product is a kept triple on V's
-mask. All these items hold only opcodes, shapes, keys, flags and column
-indices. A reused key, an unknown one, a shape other than the kept
+mask. A lower mask goes at its last item (``KeptMasks``): L's and C's
+after the column k = n - 1, V's after the kept triple on it. All these
+items hold only opcodes, shapes, keys, flags and column indices. A
+reused key, an unknown or released one, a shape other than the kept
 mask's (n x n for an LDL column) or an LDL column k outside 1 .. n - 1
 aborts. Model construction thus makes 11n + 6 assistant round trips on
 SE, and an SE prediction batch 7
@@ -288,7 +290,26 @@ def _parse_plan(request: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
     return items
 
 
-def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept: dict,
+class KeptMasks(dict):
+    """Model key -> the mask the assistant keeps under it; ``lower`` holds the lower masks' keys.
+
+    A GP model's masks stay for the session. An LDL inversion's three
+    lower masks go at their last item: L's and C's after the
+    ``ldl_column`` with k = n - 1, V's after the kept triple on it, the
+    final product's. An item that names a released key aborts as not kept.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.lower = set()
+
+    def release(self, key: int):
+        """Drop the mask kept under ``key`` after its last item, if it is still kept."""
+        self.pop(key, None)
+        self.lower.discard(key)
+
+
+def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept: KeptMasks,
                  lead=()):
     """Both servers' replies to ``lead`` words and a parsed plan, in one pass.
 
@@ -299,8 +320,9 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
     themselves never travel. A model mask is also kept in ``kept`` under
     its key, a kept triple multiplies its fresh A by the mask it names, and
     an LDL column multiplies blocks of the three n x n masks it names; a
-    reused key, an unknown one, a shape other than the kept mask's or an
-    LDL column k outside 1 .. n - 1 aborts.
+    lower mask leaves ``kept`` after its last item. A reused key, an
+    unknown one, a shape other than the kept mask's or an LDL column k
+    outside 1 .. n - 1 aborts.
     """
     layout = [_layout(op, dims) for op, dims in plan]
     count = sum(head for head, _ in layout)
@@ -331,8 +353,11 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
                                     "dealt once")
             if lower and rows != cols:
                 raise ProtocolAbort(f"a lower model mask is square, not {rows} x {cols}")
-            kept[key] = (_strict_lower(uniform, rows) if lower
-                         else uniform.reshape(rows, cols).copy())
+            if lower:
+                kept[key] = _strict_lower(uniform, rows)
+                kept.lower.add(key)
+            else:
+                kept[key] = uniform.reshape(rows, cols).copy()
         elif op == OP_KEPT_TRIPLE:
             key, m, rows, cols, norms = dims
             b = _kept_mask(kept, key, rows, cols, "a kept triple")
@@ -341,6 +366,8 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
             if norms:
                 squares = ring_mul(a, a, params).sum(axis=1, dtype=np.uint64)
                 slot[m * cols:] = ring_reduce(squares, params)
+            if key in kept.lower:  # V's mask, after the inversion's final product
+                kept.release(key)
         elif op == OP_LDL_COLUMN:
             *keys_lcv, n, k = dims
             m_l, m_c, m_v = (_kept_mask(kept, key, n, n, "an LDL column") for key in keys_lcv)
@@ -349,6 +376,9 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
                                     "exist for 1 <= k <= n - 1")
             slot[:n - k] = ring_matmul(m_l[k:, :k], m_c[k, :k].reshape(k, 1), params).ravel()
             slot[n - k:] = ring_matmul(m_l[k:k + 1, :k], m_v[:k, :k], params).ravel()
+            if k == n - 1:  # the last column to read L's and C's masks
+                for key in keys_lcv[:2]:
+                    kept.release(key)
         else:
             # r_hat uniform on the fixed-point grid of [-r_hat_max, r_hat_max).
             n, rmax_enc = dims
@@ -361,7 +391,7 @@ def _deal_shares(rng: np.random.Generator, keys, plan, params: RingParams, kept:
     return share0, ring_reduce(secret, params)
 
 
-def _kept_mask(kept: dict, key: int, rows: int, cols: int, item: str) -> np.ndarray:
+def _kept_mask(kept: KeptMasks, key: int, rows: int, cols: int, item: str) -> np.ndarray:
     """The mask kept under ``key``, which ``item`` names as rows x cols; aborts otherwise."""
     b = kept.get(key)
     if b is None:
@@ -373,7 +403,7 @@ def _kept_mask(kept: dict, key: int, rows: int, cols: int, item: str) -> np.ndar
 
 
 def gen_material(rng: np.random.Generator, kind: str, spec, params: RingParams,
-                 kept: dict | None = None):
+                 kept: KeptMasks | None = None):
     """Deal one item outside a session; returns both servers' material.
 
     It takes a session's dealing path, with two throwaway dealing keys
@@ -388,7 +418,7 @@ def gen_material(rng: np.random.Generator, kind: str, spec, params: RingParams,
         return np.random.Generator(np.random.Philox(key=seeds[i]))
 
     replies = _deal_shares(rng, (key(0), key(1)), [(words[0], tuple(words[1:]))], params,
-                           {} if kept is None else kept)
+                           KeptMasks() if kept is None else kept)
     items = [(kind, spec, words)]
     (m0,), (m1,) = (_receive(key(i), items, replies[i], params) for i in (0, 1))
     return m0, m1
@@ -525,7 +555,7 @@ def serve_assistant(net: PartyNetwork, params: RingParams, rng: np.random.Genera
     generator.
     """
     ch0, ch1 = net.channels[P0], net.channels[P1]
-    kept = {}  # model key -> model mask, for the rest of the session
+    kept = KeptMasks()
     tag = 0
     while True:
         tag += 1

@@ -409,16 +409,65 @@ def ss_div(rt: PartyRuntime, u: SharedArray, v: SharedArray,
         return ss_mul(rt, u, ss_reciprocal(rt, v, domain))
 
 
+def sqrt_domain(sqrt_hi: float, params: RingParams) -> tuple[float, float]:
+    """[x_lo, sqrt_hi], the inputs on which ss_sqrt opens right.
+
+    The iterate z tends to 1/sqrt(x), and its square's raw word, at twice
+    l_f fraction bits, must stay below the truncation bound 2^(l - 3). So
+    x_lo = 2^-(l - 3 - 2 l_f), 2^-9 at l = 64 and l_f = 26; below it the
+    masked word can wrap and the root opens wrong. Exact zeros open right.
+    """
+    return 2.0 ** -(params.l - 3 - 2 * params.lf), sqrt_hi
+
+
+def _sqrt_first_guess(sqrt_hi: float) -> tuple[float, float]:
+    """(a, b) of the tangent a - b x to 1/sqrt(x) at sqrt_hi / 2."""
+    x0 = sqrt_hi / 2.0
+    return 1.5 / math.sqrt(x0), 0.5 / x0 ** 1.5
+
+
+@functools.lru_cache(maxsize=64)
+def sqrt_steps(sqrt_hi: float, params: RingParams) -> int:
+    """Least Newton step count k >= 1 that takes ss_sqrt within 2^-l_f on its domain.
+
+    A float model of z <- z (3 - x z^2) / 2 from the tangent first guess
+    at sqrt_hi / 2, measuring x z_k against sqrt(x): the absolute error
+    where sqrt(x) is below 1, the relative error above. The tangent lies
+    below the convex 1/sqrt(x) and touches it at sqrt_hi / 2, so the
+    guess is worst at the ends of ``sqrt_domain``, which are checked (a
+    geometric sweep of the model found no worse point between them); the
+    binding one is x_lo. At l_f = 26 that is 13 steps at sqrt_hi = 16,
+    17 at 432 and 19 at 1200. Memoised: every square root asks.
+    """
+    lo, hi = sqrt_domain(sqrt_hi, params)
+    top = 2.0 ** (params.l - 1 - params.lf)
+    if not lo < hi < top:
+        raise ValueError(f"sqrt_hi must lie between the square root's floor {lo:g} and "
+                         f"the ring's range {top:g}, got {sqrt_hi!r}")
+    a, b = _sqrt_first_guess(hi)
+    x = np.array([lo, hi])
+    z = a - b * x
+    tolerance = 2.0 ** -params.lf * np.maximum(1.0, np.sqrt(x))
+    steps = 0
+    while True:
+        z = z * (3.0 - x * z * z) / 2.0
+        steps += 1
+        if np.all(np.abs(x * z - np.sqrt(x)) < tolerance):
+            return steps
+
+
 def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     """Shared square root via inverse-square-root Newton iterations.
 
     z <- (3z - (xz) z^2) / 2 from a tangent-line first guess at
-    sqrt_hi / 2, then one product by x. Two rounds per iteration: one
-    stacked product [z; x] * [z; z] gives z^2 and xz, and a second, left
-    at the raw double scale, gives (xz) z^2. Subtracting that from 3z
-    lifted to the raw scale is local, and one truncation by one bit more
-    than z's scale halves the difference back to z's scale. So an
-    iteration makes two truncations. Before truncation noise the raw word
+    sqrt_hi / 2, then one product by x. The step count k is
+    ``sqrt_steps`` of sqrt_hi, so inputs should lie in ``sqrt_domain``,
+    [2^-9, sqrt_hi] at l = 64 and l_f = 26, or be exact zeros. Two rounds
+    per iteration: one stacked product [z; x] * [z; z] gives z^2 and xz,
+    and a second, left at the raw double scale, gives (xz) z^2.
+    Subtracting that from 3z lifted to the raw scale is local, and one
+    truncation by one bit more than z's scale halves the difference back
+    to z's scale. So an iteration makes two truncations. Before truncation noise the raw word
     is the one z (3 - x z^2) would give, with the same overflow envelope.
     The noise differs: the truncation errors e of z^2 and xz enter the raw
     product as (xz) e + z^2 e, about z^2 e per iteration, where the
@@ -434,11 +483,9 @@ def ss_sqrt(rt: PartyRuntime, x: SharedArray) -> SharedArray:
     analysis.sqrt_assistant_round_trips give the counts. Exact zero inputs
     map to zero since the final multiply scales the bounded iterate by x.
     """
-    x0 = rt.div.sqrt_hi / 2.0
-    a = 1.5 / math.sqrt(x0)
-    b = 0.5 / x0 ** 1.5
+    a, b = _sqrt_first_guess(rt.div.sqrt_hi)
     p = rt.params
-    iterations = rt.div.sqrt_iterations
+    iterations = sqrt_steps(rt.div.sqrt_hi, p)
     plans = ([[("triple", (2, *x.shape)), ("triple", x.shape)]] * iterations
              + [[("triple", x.shape)]])
     with rt.scope("ss_sqrt"):

@@ -31,7 +31,7 @@ MATINV_PATHS = ("ldl", "paper")
 
 @dataclass(frozen=True)
 class DivisionConfig:
-    """The matrix inversion's path and the square root's domain and steps.
+    """The matrix inversion's path and the square root's domain.
 
     ``matinv`` picks the LDL inversion's path. "ldl", the default, runs
     a Goldschmidt reciprocal closed by one Newton step, so a division
@@ -45,16 +45,16 @@ class DivisionConfig:
     ``protocols.division_steps`` derives it from a division's public
     domain, an argument that the matrix inversion takes from the kernel's
     pivot bounds. The square root's first guess is fitted at
-    ``sqrt_hi / 2``, so inputs should lie in [0, sqrt_hi].
+    ``sqrt_hi / 2``, and its inputs should be exact zeros or lie in
+    ``protocols.sqrt_domain``, [2^-9, sqrt_hi] at l = 64 and l_f = 26.
+    Its step count is no setting either: ``protocols.sqrt_steps`` derives
+    it from that domain, 13 steps at the default sqrt_hi of 16.
     """
 
     sqrt_hi: float = 16.0
-    sqrt_iterations: int = 25
     matinv: str = "ldl"
 
     def __post_init__(self):
-        if self.sqrt_iterations < 1:
-            raise ValueError(f"sqrt_iterations must be at least 1, got {self.sqrt_iterations!r}")
         if not 0 < self.sqrt_hi < np.inf:
             raise ValueError(f"sqrt_hi must be finite and positive, got {self.sqrt_hi!r}")
         if self.matinv not in MATINV_PATHS:

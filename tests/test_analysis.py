@@ -9,11 +9,13 @@ from ssgpr.analysis import (construct_assistant_round_trips, construct_rounds, e
                             predict_assistant_round_trips, predict_rounds, reciprocal_steps,
                             validate_exp_params)
 from ssgpr.gpr import KernelConfig
-from ssgpr.protocols import ExpParams, division_steps
+from ssgpr.protocols import ExpParams, division_steps, sqrt_domain, sqrt_steps
 from ssgpr.ring import RingParams
 from ssgpr.session import DivisionConfig
 
 PAPER = DivisionConfig(matinv="paper")
+# matern-n100-sockets' square-root domain (sqrt_hi = 3 * 4 * 6^2).
+MATERN_BENCH = DivisionConfig(sqrt_hi=432.0)
 
 
 def test_validate_reference_params_accepted():
@@ -140,17 +142,17 @@ def test_construct_rounds_closed_form():
     # 22n - 6 for the paper's inversion; SE adds ss_dist, pp_exp, alpha and
     # the one opening of both model masks; Matern adds the square root's
     # 2k + 1 rounds and its product.
-    seven = DivisionConfig(sqrt_iterations=7, matinv="paper")
     for n in (2, 10, 100, 200):
         assert construct_rounds("se", n, PAPER) == 22 * n - 6 + 4
-        assert construct_rounds("matern32", n, seven) == 22 * n - 6 + 2 * 7 + 6
+        assert construct_rounds("matern32", n, PAPER, root_steps=7) == 22 * n - 6 + 2 * 7 + 6
     assert construct_rounds("se", 200, PAPER) + 10 * predict_rounds("se") == 4438
     assert construct_rounds("se", 100, PAPER) + 12 * predict_rounds("se") == 2246
-    assert (construct_rounds("matern32", 100, PAPER) + 10 * predict_rounds("matern32")
-            == 2810)
+    assert (construct_rounds("matern32", 100, PAPER, root_steps=25)
+            + 10 * predict_rounds("matern32", root_steps=25) == 2810)
     assert construct_rounds("se", 8, PAPER, steps=10) == 21 + 6 * 25 + 2 + 7 + 22 + 4
     assert construct_assistant_round_trips("se", 200, PAPER) == 23 * 200 + 1
-    assert construct_assistant_round_trips("matern32", 100, PAPER) == 23 * 100 + 2 * 25 + 4
+    # At sqrt_hi = 16 the square root takes 13 steps.
+    assert construct_assistant_round_trips("matern32", 100, PAPER) == 23 * 100 + 2 * 13 + 4
     with pytest.raises(ValueError):
         construct_rounds("linear", 10)
 
@@ -159,18 +161,18 @@ def test_construct_rounds_closed_form_ldl():
     # 10n for the default inversion and the same additions as above.
     for n in (2, 10, 100, 200):
         assert construct_rounds("se", n) == 10 * n + 4
-        assert (construct_rounds("matern32", n, DivisionConfig(sqrt_iterations=7))
-                == 10 * n + 2 * 7 + 6)
+        assert construct_rounds("matern32", n, root_steps=7) == 10 * n + 2 * 7 + 6
     # The bench's three workloads: construction plus their prediction batches.
     assert construct_rounds("se", 200) + 10 * predict_rounds("se") == 2044
     assert construct_rounds("se", 100) + 12 * predict_rounds("se") == 1052
-    assert construct_rounds("matern32", 100) + 10 * predict_rounds("matern32") == 1616
+    assert (construct_rounds("matern32", 100, MATERN_BENCH)
+            + 10 * predict_rounds("matern32", MATERN_BENCH) == 1440)
     assert construct_rounds("se", 8, steps=10) == 13 * 8 + 4
     assert construct_assistant_round_trips("se", 200) + 10 * 7 == 2276
     assert construct_assistant_round_trips("se", 100) + 12 * 7 == 1190
-    assert (construct_assistant_round_trips("matern32", 100)
-            + 10 * predict_assistant_round_trips("matern32") == 1759)
-    assert construct_assistant_round_trips("matern32", 100) == 11 * 100 + 2 * 25 + 9
+    assert (construct_assistant_round_trips("matern32", 100, MATERN_BENCH)
+            + 10 * predict_assistant_round_trips("matern32", MATERN_BENCH) == 1583)
+    assert construct_assistant_round_trips("matern32", 100) == 11 * 100 + 2 * 13 + 9
 
 
 def test_closed_forms_default_to_the_default_kernels_step_bound():
@@ -216,10 +218,51 @@ def test_reciprocal_steps_rejects_an_empty_domain():
 
 
 def test_predict_batch_closed_form():
-    assert predict_rounds("se") == predict_rounds("se", sqrt_iterations=3) == 4
-    assert predict_rounds("matern32") == 56
-    assert predict_rounds("matern32", sqrt_iterations=3) == 12
+    assert predict_rounds("se") == predict_rounds("se", root_steps=3) == 4
+    assert predict_rounds("matern32") == 2 * 13 + 6
+    assert predict_rounds("matern32", root_steps=3) == 12
     assert predict_assistant_round_trips("se") == 7
-    assert predict_assistant_round_trips("matern32") == 60
+    assert predict_assistant_round_trips("matern32") == 2 * 13 + 10
     with pytest.raises(ValueError):
         predict_assistant_round_trips("linear")
+
+
+@pytest.mark.parametrize("sqrt_hi, want", [(16.0, 13), (40.0, 14), (400.0, 17), (432.0, 17),
+                                           (1200.0, 19)])
+def test_closed_forms_default_to_the_square_roots_step_count(sqrt_hi, want):
+    # Left out, the Matern counts take sqrt_steps of div.sqrt_hi on the
+    # default ring; SE takes no square root.
+    div = DivisionConfig(sqrt_hi=sqrt_hi)
+    assert sqrt_steps(sqrt_hi, RingParams()) == want
+    for kind in ("se", "matern32"):
+        assert construct_rounds(kind, 10, div) == construct_rounds(kind, 10, div, root_steps=want)
+        assert predict_rounds(kind, div) == predict_rounds(kind, root_steps=want)
+        assert (construct_assistant_round_trips(kind, 10, div)
+                == construct_assistant_round_trips(kind, 10, div, root_steps=want))
+        assert (predict_assistant_round_trips(kind, div)
+                == predict_assistant_round_trips(kind, root_steps=want))
+    assert predict_rounds("matern32", div) == 2 * want + 6
+
+
+def test_sqrt_steps_are_the_float_models_least_count():
+    # The Newton map from the tangent at sqrt_hi / 2 reaches 2^-26 at the
+    # floor 2^-9 in k steps and not in k - 1; the top end converges first.
+    def error(x, k, hi=16.0):
+        z = 1.5 / (hi / 2) ** 0.5 - 0.5 / (hi / 2) ** 1.5 * x
+        for _ in range(k):
+            z = z * (3 - x * z * z) / 2
+        return abs(x * z - x ** 0.5) / max(1.0, x ** 0.5)
+
+    k = sqrt_steps(16.0, RingParams())
+    assert error(2.0 ** -9, k) < 2.0 ** -26 <= error(2.0 ** -9, k - 1)
+    assert error(16.0, k - 1) < 2.0 ** -26
+    # At l_f = 20 the floor falls to 2^-(61 - 40), so the guess starts
+    # further off there: 22 steps for a target of 2^-20.
+    assert sqrt_domain(16.0, RingParams(64, 20))[0] == 2.0 ** -21
+    assert sqrt_steps(16.0, RingParams(64, 20)) == 22
+
+
+@pytest.mark.parametrize("sqrt_hi", [2.0 ** -9, 1e-3, 2.0 ** 37])
+def test_sqrt_steps_reject_a_domain_outside_the_ring(sqrt_hi):
+    with pytest.raises(ValueError, match="sqrt_hi must lie between the square root's floor"):
+        sqrt_steps(sqrt_hi, RingParams())

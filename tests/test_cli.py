@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ssgpr import cli
+from ssgpr import cli, protocols
 from ssgpr.analysis import expected_rounds
 from ssgpr.cli import bench_exp, bench_matinv, load_config, main, run_gpr
 from ssgpr.data import Dataset, standardize
@@ -232,6 +232,19 @@ def test_matern_near_duplicate_queries_rejected():
         run_gpr(data, queries, cfg)
 
 
+@pytest.mark.parametrize("offset", [0.0125, 0.02])
+def test_matern_queries_just_above_the_square_roots_floor_run(offset):
+    # 3 d is about 2.1e-3 and 5.4e-3, just above the floor 2^-9, where the
+    # square root's derived step count binds; criterion 6's tolerances hold.
+    data, queries, cfg = _matern_near_training(offset)
+    ds, prep = standardize(data)
+    d = ((prep.apply_x(queries) - ds.X[:6]) ** 2).sum(axis=1).min()
+    assert 2.0 ** -9 < 3 * d < 6e-3
+    report = run_gpr(data, queries, cfg)
+    assert report["loss_mu_mean"] <= 1e-2, report["loss_mu_mean"]
+    assert report["loss_var_mean"] <= 1e-3, report["loss_var_mean"]
+
+
 def test_matern_queries_equal_to_training_rows_run():
     data, queries, cfg = _matern_near_training(0.0)
     report = run_gpr(data, queries, cfg)
@@ -240,8 +253,6 @@ def test_matern_queries_equal_to_training_rows_run():
 
 
 @pytest.mark.parametrize("kernel, key, field, value", [
-    ("matern32", "sqrt_iterations", "sqrt_iterations", -1),
-    ("matern32", "sqrt_iterations", "sqrt_iterations", 0),
     ("matern32", "sqrt_hi", "sqrt_hi", -200.0),
 ])
 def test_run_gpr_rejects_out_of_domain_newton_settings(kernel, key, field, value):
@@ -268,14 +279,17 @@ def test_run_gpr_names_the_div_iterations_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("kernel, want", [("se", 4), ("matern32", 2 * 3 + 6)])
 def test_run_gpr_checks_the_predict_batch_closed_form(kernel, want, monkeypatch):
+    # Three square-root steps in the sessions and in run-gpr's closed forms.
+    for module in (protocols, cli):
+        monkeypatch.setattr(module, "sqrt_steps", lambda *args: 3)
     cfg = load_config(None)
-    cfg.update(kernel=kernel, sqrt_hi=200.0, sqrt_iterations=3)
+    cfg.update(kernel=kernel, sqrt_hi=200.0)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(14, 2))
     data = Dataset(x[:12], np.sin(x[:12, 0]))
     run = run_gpr(data, x[12:], cfg)["runs"][0]
     assert run["predict_rounds_recorded"] == run["predict_rounds_expected"] == want
-    monkeypatch.setattr(cli, "predict_rounds", lambda kind, k: want + 1)
+    monkeypatch.setattr(cli, "predict_rounds", lambda *args: want + 1)
     with pytest.raises(RuntimeError, match=f"took {want} peer rounds, closed form {want + 1}"):
         run_gpr(data, x[12:], cfg)
 
@@ -417,6 +431,17 @@ def test_validate_params_reports_the_reciprocal_step_bound(tmp_path, capsys):
     assert json.loads(out)["reciprocal_steps"] == 14
 
 
+def test_validate_params_reports_the_square_roots_step_count(tmp_path, capsys):
+    code, out, _ = run_cli(["validate-params"], capsys)
+    assert code == 0
+    assert json.loads(out)["sqrt_steps"] == 13
+    path = tmp_path / "cfg"
+    path.write_text("sqrt_hi = 432\n")
+    code, out, _ = run_cli(["validate-params", "--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["sqrt_steps"] == 17
+
+
 def test_run_gpr_scenario_flag(tmp_path, capsys):
     rng = np.random.default_rng(1)
     x = rng.uniform(-0.25, 0.25, (8, 2))
@@ -483,6 +508,14 @@ def test_removed_domain_keys_rejected(tmp_path):
         path.write_text(line)
         with pytest.raises(ValueError, match="cfg:1: unknown key"):
             load_config(str(path))
+
+
+def test_config_rejects_the_sqrt_iterations_key(tmp_path):
+    # The square root's step count comes from sqrt_hi, so the key is unknown.
+    path = tmp_path / "cfg"
+    path.write_text("sqrt_hi = 400\nsqrt_iterations = 25\n")
+    with pytest.raises(ValueError, match=r"cfg:2: unknown key 'sqrt_iterations'"):
+        load_config(str(path))
 
 
 def test_config_flag_overrides(tmp_path, capsys):

@@ -10,12 +10,14 @@ from ssgpr.gpr import (KernelConfig, Predictions, gpr_predict_plaintext,
                        kernel_matrix_plaintext, kernel_plaintext, loss_metrics,
                        pp_gpr_construct, pp_gpr_predict, pp_kernel)
 from ssgpr.offline import OP_KEPT_TRIPLE, OP_LDL_COLUMN, OP_MODEL_MASK, OP_TRUNC, _parse_plan
-from ssgpr.protocols import ExpParams, ss_dist
+from ssgpr.protocols import ExpParams, sqrt_steps, ss_dist
 from ssgpr.session import DivisionConfig
 from ssgpr.sharing import reconstruct
 from ssgpr.transport import P0, P1
 
 EP = ExpParams()
+# The square root's domain in the counting sessions, 14 Newton steps.
+COUNTED = DivisionConfig(sqrt_hi=40.0)
 
 
 def test_kernel_at_zero_distance_is_signal_variance():
@@ -237,7 +239,7 @@ def _session_counts(kind, batches, n=9, d=3, m=4, seed=51):
             seen.append(counts(rt))
         return seen, outs
 
-    res = run_shared(job, [x, y, *queries], seed=seed, div=DivisionConfig(sqrt_hi=40.0))
+    res = run_shared(job, [x, y, *queries], seed=seed, div=COUNTED)
     assert res.outputs[P0][0] == res.outputs[P1][0]
     for b, q in enumerate(queries):
         oracle = gpr_predict_plaintext(x, y, q, cfg)
@@ -257,15 +259,15 @@ def test_batches_open_the_model_mask_once(kind, batches):
     # ss_dist's products, the exponent's m x n, k* - A for k* @ R, and
     # the variance product's two m x n arrays; Matern adds the square
     # root's (6k + 2) m n words and the product's 2 m n.
-    n, d, m, k = 9, 3, 4, DivisionConfig().sqrt_iterations
+    n, d, m, k = 9, 3, 4, sqrt_steps(COUNTED.sqrt_hi, CODEC.params)
     seen = _session_counts(kind, batches, n, d, m)
     rounds, trips, words = seen[0]
-    assert rounds == construct_rounds(kind, n)
-    assert trips == construct_assistant_round_trips(kind, n)
+    assert rounds == construct_rounds(kind, n, COUNTED)
+    assert trips == construct_assistant_round_trips(kind, n, COUNTED)
     batch_words = m * d + 4 * m * n + ((6 * k + 4) * m * n if kind == "matern32" else 0)
     for b in range(1, batches + 1):
-        assert seen[b] == (rounds + b * predict_rounds(kind),
-                           trips + b * predict_assistant_round_trips(kind),
+        assert seen[b] == (rounds + b * predict_rounds(kind, COUNTED),
+                           trips + b * predict_assistant_round_trips(kind, COUNTED),
                            words + b * batch_words)
 
 

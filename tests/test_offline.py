@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import ssgpr.offline as offline
 import ssgpr.session as session
 from helpers import CODEC, QUANTUM, run_shared
 from ssgpr.data import Dataset, ScenarioSplit, split_scenario
-from ssgpr.offline import (OP_TRIPLE, OP_TRUNC, ProtocolError, _parse_plan, gen_material,
-                           serve_assistant)
-from ssgpr.protocols import _kept_product, open_model_masks, ss_dist, ss_mul
+from ssgpr.gpr import KernelConfig, pp_gpr_construct, pp_gpr_predict
+from ssgpr.offline import (OP_TRIPLE, OP_TRUNC, KeptMasks, ProtocolError, _parse_plan,
+                           gen_material, serve_assistant)
+from ssgpr.protocols import ExpParams, _kept_product, open_model_masks, ss_dist, ss_mul
 from ssgpr.ring import (FixedPointCodec, RingParams, _use_limbs, ring_add, ring_matmul,
                         ring_mul, to_signed)
 from ssgpr.session import PartyRuntime, run_session
@@ -484,7 +486,7 @@ def test_kept_triple_on_the_limb_path():
     # this shape its C = A @ B runs on ring_matmul's limb path; the native
     # uint64 product is the oracle, and the squared row norms are exact.
     assert _use_limbs(64, 100, 101)
-    kept = {}
+    kept = KeptMasks()
     rng = np.random.default_rng(9)
     b0, b1 = gen_material(rng, "model_mask", (3, 100, 101, 0), P64, kept)
     b = rec(b0.b, b1.b, P64)
@@ -561,6 +563,58 @@ def test_bad_ldl_column_aborts(backend, keys, n, k, cause):
         run_session(job, CODEC, backend=backend)
     assert isinstance(info.value.__cause__, ProtocolAbort)
     assert cause in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sockets"])
+@pytest.mark.parametrize("case", ["L-after-the-last-column", "C-after-the-last-column",
+                                  "V-after-its-kept-triple"])
+def test_a_released_lower_mask_is_not_kept(backend, case):
+    # Three 4 x 4 lower masks under keys 1 .. 3 as L, C and V. Column 3,
+    # the last, releases L's and C's; V's stays for one kept triple, the
+    # final product's, and goes after it.
+    def job(rt):
+        a = rt.assistant
+        for _ in range(3):
+            a.get_model_mask(a.new_key(), (4, 4), lower=True)
+        a.get_ldl_column((1, 2, 3), 4, 3)
+        if case.startswith("L"):
+            a.get_ldl_column((1, 2, 3), 4, 2)
+        elif case.startswith("C"):
+            a.get_kept_triple(2, 2, (4, 4))
+        else:
+            a.get_kept_triple(3, 2, (4, 4))
+            a.get_kept_triple(3, 2, (4, 4))
+
+    key = {"L": 1, "C": 2, "V": 3}[case[0]]
+    with pytest.raises(RuntimeError, match="session failed in assistant") as info:
+        run_session(job, CODEC, backend=backend)
+    assert isinstance(info.value.__cause__, ProtocolAbort)
+    assert f"names model key {key}, which is not kept" in str(info.value.__cause__)
+
+
+def test_an_inversion_releases_its_masks_and_a_model_keeps_its_own(monkeypatch):
+    # After a GP model's construction and a prediction batch, the assistant
+    # keeps the model's two masks and none of the inversion's three.
+    kept = []
+
+    class Watched(KeptMasks):
+        def __init__(self):
+            super().__init__()
+            kept.append(self)
+
+    monkeypatch.setattr(offline, "KeptMasks", Watched)
+    rng = np.random.default_rng(8)
+    x, y, q = rng.uniform(-1, 1, (6, 2)), rng.normal(size=6), rng.uniform(-1, 1, (3, 2))
+    cfg = KernelConfig(kind="se", noise_variance=0.1)
+
+    def job(rt, xs, ys, qs):
+        model = pp_gpr_construct(rt, xs, ys, cfg, ExpParams(), policy="clamp")
+        pp_gpr_predict(rt, model, qs, ExpParams(), policy="clamp")
+        return model.R.key, model.Xt.key
+
+    res = run_shared(job, [x, y, q])
+    (masks,) = kept
+    assert sorted(masks) == sorted(res.outputs[P0]) and not masks.lower
 
 
 def test_lower_model_mask_is_square():

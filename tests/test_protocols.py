@@ -14,7 +14,8 @@ from ssgpr.gpr import KernelConfig, kernel_matrix_plaintext
 from ssgpr.offline import OP_KEPT_TRIPLE, OP_MATRIX_TRIPLE, OP_TRUNC, gen_material
 from ssgpr.protocols import (ProtocolError, mirror_upper, pp_backward, pp_cholesky_ldl,
                              pp_forward, pp_matinv, ss_div, ss_dist, ss_matmul, ss_mul,
-                             ss_reciprocal, ss_sqrt, _consume, _div_plan, _ldl_column_plan)
+                             ss_reciprocal, ss_sqrt, sqrt_domain, sqrt_steps, _consume,
+                             _div_plan, _ldl_column_plan)
 from ssgpr.ring import FixedPointCodec, RingParams, from_signed
 from ssgpr.session import TRUNC_OFFSET_BLOCK, DivisionConfig, PartyRuntime
 from ssgpr.sharing import SharedArray, reconstruct, shr
@@ -305,9 +306,8 @@ def test_div_round_budget_ldl():
     assert scoped(res, "ss_div")["rounds"] == 11
 
 
-BAD_NEWTON_SETTINGS = [("sqrt_iterations", 0), ("sqrt_iterations", -1), ("sqrt_hi", 0.0),
-                       ("sqrt_hi", -16.0), ("sqrt_hi", float("inf")), ("sqrt_hi", float("nan")),
-                       ("matinv", "newton"), ("matinv", "LDL")]
+BAD_NEWTON_SETTINGS = [("sqrt_hi", 0.0), ("sqrt_hi", -16.0), ("sqrt_hi", float("inf")),
+                       ("sqrt_hi", float("nan")), ("matinv", "newton"), ("matinv", "LDL")]
 
 
 @pytest.mark.parametrize("field, value", BAD_NEWTON_SETTINGS)
@@ -340,7 +340,7 @@ def test_sqrt_sweep():
     assert np.max(rel) <= 1e-3
 
 
-def test_sqrt_assistant_round_trips():
+def test_sqrt_assistant_round_trips(monkeypatch):
     # Two truncations per iteration, plus the first guess's and the final
     # product's; every triple rides on one of them.
     def job(rt, x):
@@ -348,17 +348,18 @@ def test_sqrt_assistant_round_trips():
         ss_sqrt(rt, x)
         return rt.assistant._tag - before
 
-    res = run_shared(job, [np.array([4.0, 9.0])], div=DivisionConfig(sqrt_iterations=5))
+    monkeypatch.setattr(protocols, "sqrt_steps", lambda *args: 5)
+    res = run_shared(job, [np.array([4.0, 9.0])])
     assert res.outputs[P0] == res.outputs[P1] == 2 * 5 + 2
 
 
 @pytest.mark.parametrize("size, iterations", [
     (1000, 7),
     (3641, 2),
-    (4950, 25),  # the n = 100 gram's strict upper triangle at the default budget
+    (4950, 25),  # the n = 100 gram's strict upper triangle
     (1000, 1),
 ])
-def test_sqrt_counts_match_closed_forms(size, iterations):
+def test_sqrt_counts_match_closed_forms(size, iterations, monkeypatch):
     x = np.linspace(0.5, 12.0, size)
 
     def job(rt, v):
@@ -366,7 +367,8 @@ def test_sqrt_counts_match_closed_forms(size, iterations):
         out = ss_sqrt(rt, v)
         return out, rt.assistant._tag - before
 
-    res = run_shared(job, [x], div=DivisionConfig(sqrt_iterations=iterations))
+    monkeypatch.setattr(protocols, "sqrt_steps", lambda *args: iterations)
+    res = run_shared(job, [x])
     assert sqrt_assistant_round_trips(iterations) == 2 * iterations + 2
     for party in (P0, P1):
         assert res.outputs[party][1] == sqrt_assistant_round_trips(iterations)
@@ -377,6 +379,29 @@ def test_sqrt_counts_match_closed_forms(size, iterations):
     got = reconstruct(res.outputs[P0][0], res.outputs[P1][0])
     if iterations >= 7:  # one or two iterations are too few to converge
         assert np.max(np.abs(got - np.sqrt(x)) / np.sqrt(x)) <= 1e-3
+
+
+def _sqrt_sweep_error(sqrt_hi):
+    """Largest relative error of ss_sqrt over 400 geometric inputs across its domain."""
+    x = np.geomspace(*sqrt_domain(sqrt_hi, CODEC.params), 400)
+    res = run_shared(lambda rt, v: ss_sqrt(rt, v), [x], div=DivisionConfig(sqrt_hi=sqrt_hi))
+    return np.max(np.abs(open_result(res) - np.sqrt(x)) / np.sqrt(x))
+
+
+@pytest.mark.parametrize("sqrt_hi, k", [(16.0, 13), (432.0, 17), (1200.0, 19)])
+def test_sqrt_converges_at_the_derived_step_count(sqrt_hi, k):
+    # From the floor 2^-9, where the iterate's square would leave the
+    # truncation window, up to sqrt_hi: 432 is matern-n100-sockets' domain.
+    assert sqrt_domain(sqrt_hi, CODEC.params) == (2.0 ** -9, sqrt_hi)
+    assert sqrt_steps(sqrt_hi, CODEC.params) == k
+    assert _sqrt_sweep_error(sqrt_hi) <= 2e-5
+
+
+@pytest.mark.parametrize("sqrt_hi, k", [(16.0, 13), (432.0, 17)])
+def test_sqrt_misses_at_one_step_below_the_derived_count(sqrt_hi, k, monkeypatch):
+    # One step short, the inputs near the floor are still converging.
+    monkeypatch.setattr(protocols, "sqrt_steps", lambda *args: k - 1)
+    assert _sqrt_sweep_error(sqrt_hi) > 2e-5
 
 
 # ------------------------------------------------------ truncation offsets
